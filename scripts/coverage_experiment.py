@@ -61,7 +61,6 @@ def main(argv=None) -> int:
         stride=args.stride,
         boundaries=tuple(BoundarySpec(kind=k, alpha=args.alpha) for k in kinds),
         seed=args.seed,
-        out_path=args.out,
     )
 
     t_start = time.perf_counter()

@@ -27,6 +27,7 @@ from .covariance import (
     PluginEstimate,
     plugin_estimate,
     plugin_rate_exponent,
+    sandwich,
     sandwich_from_moments,
 )
 from .harness import (
@@ -44,19 +45,15 @@ from .harness import (
     run_gaussian_check,
 )
 from .numerics import (
-    EigenDecomp,
     NumericalError,
     SingularMatrixError,
     SymMatrix,
+    Whitening,
     c_d_constant,
-    cond,
-    ellipsoid_volume,
-    inv_sqrt,
     lambert_w_m1,
-    log_det,
     normal_quantile,
-    sqrt_m,
-    sym_eig,
+    pd_eigh,
+    whiten,
 )
 from .sa_engine import (
     Datum,
@@ -85,15 +82,11 @@ __all__ = [
     "NumericalError",
     "SingularMatrixError",
     "SymMatrix",
-    "EigenDecomp",
-    "sym_eig",
-    "inv_sqrt",
-    "sqrt_m",
-    "log_det",
-    "cond",
+    "pd_eigh",
+    "Whitening",
+    "whiten",
     "lambert_w_m1",
     "c_d_constant",
-    "ellipsoid_volume",
     "normal_quantile",
     # engine
     "DivergenceError",
@@ -116,6 +109,7 @@ __all__ = [
     "SANDWICH_RTOL",
     "PluginEstimate",
     "plugin_estimate",
+    "sandwich",
     "sandwich_from_moments",
     "plugin_rate_exponent",
     # boundaries

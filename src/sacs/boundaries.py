@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    PD_RTOL,
     NumericalError,
     SingularMatrixError,
     SymMatrix,
     c_d_constant,
     lambert_w_m1,
     normal_quantile,
-    sym_eig,
+    pd_eigh,
+    whiten,
 )
 
 __all__ = [
@@ -261,16 +261,6 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     return _fixed_grid(ts, spec.alpha)
 
 
-def _radius_for(spec: BoundarySpec, t: int, d: int, kappa: float) -> float:
-    if spec.kind == "lilub":
-        return radius_lil_ub(t, d, spec.alpha)
-    if spec.kind == "gm":
-        return radius_gm(t, d, spec.alpha, spec.t0)
-    if spec.kind == "lilen":
-        return radius_lil_en(t, d, spec.alpha, spec.eps_net, kappa)
-    return radius_fixed(t, spec.alpha)
-
-
 def evaluate(
     spec: BoundarySpec,
     v_hat: SymMatrix,
@@ -303,39 +293,30 @@ def evaluate(
         idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
         if idx.size == 0 or idx[0] < 0 or idx[-1] >= d_full:
             raise ValueError(f"subset must be nonempty coordinates in [0, {d_full})")
-    sub = SymMatrix(v_hat.entries[np.ix_(idx, idx)])
-
-    dec = sym_eig(sub)
-    w = dec.values
-    if w[-1] <= 0.0 or w[0] <= PD_RTOL * w[-1]:
-        raise SingularMatrixError(
-            f"sandwich sub-matrix is numerically singular at t={t} "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    d_eff = int(idx.size)
-    kappa = float(w[-1] / w[0])
-    radius = _radius_for(spec, t, d_eff, kappa)
-
-    sqrt_sub = (dec.vectors * np.sqrt(w)) @ dec.vectors.T
-    if spec.norm_kind == "two_norm":
-        halfwidths = radius * np.sqrt(np.diag(sub.entries))
-    else:
-        halfwidths = radius * np.sum(np.abs(sqrt_sub), axis=1)
-
-    whitened_stat = None
-    covered = None
+    vec = None
     if xbar_minus_xstar is not None:
         vec = np.asarray(xbar_minus_xstar, dtype=float)
         if vec.shape != (d_full,):
             raise ValueError(
                 f"xbar_minus_xstar must have shape ({d_full},), got {vec.shape}"
             )
-        inv_sqrt_sub = (dec.vectors / np.sqrt(w)) @ dec.vectors.T
-        white = inv_sqrt_sub @ vec[idx]
-        if spec.norm_kind == "two_norm":
-            whitened_stat = float(np.sqrt(np.sum(white * white)))
-        else:
-            whitened_stat = float(np.max(np.abs(white)))
+        vec = vec[idx]
+
+    wh = whiten(v_hat.entries[np.ix_(idx, idx)], vec)
+    if not wh.ok:
+        raise SingularMatrixError(
+            f"sandwich sub-matrix is numerically singular or indefinite at t={t}"
+        )
+    radius = float(radius_grid(spec, [t], int(idx.size), kappa=wh.kappa)[0])
+    if not math.isfinite(radius):
+        raise UndefinedBoundaryError(f"{spec.kind} radius undefined at t={t}")
+    two = spec.norm_kind == "two_norm"
+    halfwidths = radius * (wh.scale_two if two else wh.scale_sup)
+
+    whitened_stat = None
+    covered = None
+    if vec is not None:
+        whitened_stat = float(wh.stat_two if two else wh.stat_sup)
         covered = bool(whitened_stat <= radius)
 
     return CsEvaluation(
@@ -366,18 +347,16 @@ def gm_mixture_martingale(t: float, sum_g, v: SymMatrix, sigma: SymMatrix) -> fl
     if s.shape != (v.dim,) or sigma.dim != v.dim:
         raise ValueError("dimension mismatch between sum_g, v, and sigma")
 
-    sig_dec = sym_eig(sigma)
-    ws = sig_dec.values
-    if ws[-1] <= 0.0 or ws[0] <= PD_RTOL * ws[-1]:
+    ws, qs, ok = pd_eigh(sigma.entries)
+    if not ok:
         raise SingularMatrixError("mixing covariance must be positive definite")
-    sigma_inv = (sig_dec.vectors / ws) @ sig_dec.vectors.T
+    sigma_inv = (qs / ws) @ qs.T
     log_det_sigma = float(np.sum(np.log(ws)))
 
-    a_dec = sym_eig(SymMatrix(t * v.entries + sigma_inv))
-    wa = a_dec.values
-    if wa[-1] <= 0.0 or wa[0] <= PD_RTOL * wa[-1]:
+    wa, qa, ok = pd_eigh(t * v.entries + sigma_inv)
+    if not ok:
         raise SingularMatrixError("t*v + sigma^{-1} must be positive definite")
-    a_inv_s = (a_dec.vectors / wa) @ (a_dec.vectors.T @ s)
+    a_inv_s = (qa / wa) @ (qa.T @ s)
     quad = 0.5 * float(s @ a_inv_s)
     log_norm = 0.5 * (log_det_sigma + float(np.sum(np.log(wa))))
     return math.exp(quad - log_norm)

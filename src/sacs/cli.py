@@ -137,7 +137,6 @@ def _cmd_coverage(args) -> int:
         stride=args.stride,
         boundaries=specs,
         seed=args.seed,
-        out_path=args.out,
     )
     report = harness.run_coverage(cfg)
     harness.emit_report(report, args.format, args.out)

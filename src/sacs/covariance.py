@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .numerics import SymMatrix, sym_eig
+import numpy as np
+
+from .numerics import SymMatrix, pd_eigh
 
 if TYPE_CHECKING:
     from .sa_engine import SaState
@@ -23,6 +25,7 @@ __all__ = [
     "SANDWICH_RTOL",
     "PluginEstimate",
     "plugin_estimate",
+    "sandwich",
     "sandwich_from_moments",
     "plugin_rate_exponent",
 ]
@@ -47,22 +50,33 @@ class PluginEstimate:
     singular_flag: bool
 
 
+def sandwich(h, s):
+    """Batched sandwich h^{-1} s h^{-1} over stacked (..., d, d) moments.
+
+    The inverse goes through the eigendecomposition of h (lower triangle);
+    the guard requires h to be finite with its smallest eigenvalue above
+    SANDWICH_RTOL times the largest (in particular positive definite).
+    Returns (v, ok), with v nan wherever the guard fails (ok False).
+    Overflow in the product leaves inf or nan entries in v rather than
+    raising.
+    """
+    w, q, ok = pd_eigh(h, SANDWICH_RTOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_inv = (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
+        return h_inv @ s @ h_inv, ok
+
+
 def sandwich_from_moments(
     h_hat: SymMatrix, s_hat: SymMatrix
 ) -> tuple[SymMatrix | None, bool]:
     """Form h_hat^{-1} s_hat h_hat^{-1}, or flag singularity.
 
-    The inverse goes through the eigendecomposition of the symmetrized
-    h_hat; the guard requires the smallest eigenvalue to exceed
-    SANDWICH_RTOL times the largest (in particular the estimate must be
-    positive definite). Returns (sandwich, singular_flag).
+    Single-matrix form of sandwich(). Returns (sandwich, singular_flag).
     """
-    dec = sym_eig(h_hat)
-    w = dec.values
-    if w[-1] <= 0.0 or w[0] <= SANDWICH_RTOL * w[-1]:
+    v, ok = sandwich(h_hat.entries, s_hat.entries)
+    if not ok:
         return None, True
-    h_inv = (dec.vectors / w) @ dec.vectors.T
-    return SymMatrix(h_inv @ s_hat.entries @ h_inv), False
+    return SymMatrix(v), False
 
 
 def plugin_estimate(st: "SaState") -> PluginEstimate:
@@ -71,9 +85,9 @@ def plugin_estimate(st: "SaState") -> PluginEstimate:
         raise ValueError(f"plug-in estimate needs t >= 1, got t={st.t}")
     h_hat = SymMatrix(st.h_sum.entries / st.t)
     s_hat = SymMatrix(st.s_sum.entries / st.t)
-    sandwich, singular = sandwich_from_moments(h_hat, s_hat)
+    v_hat, singular = sandwich_from_moments(h_hat, s_hat)
     return PluginEstimate(
-        t=st.t, h_hat=h_hat, s_hat=s_hat, sandwich=sandwich, singular_flag=singular
+        t=st.t, h_hat=h_hat, s_hat=s_hat, sandwich=v_hat, singular_flag=singular
     )
 
 

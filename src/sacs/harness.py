@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import boundaries as bnd
-from .covariance import sandwich_from_moments
-from .numerics import PD_RTOL, NumericalError, SymMatrix, cond, inv_sqrt, sqrt_m, sym_eig
+from .covariance import sandwich
+from .numerics import NumericalError, SingularMatrixError, SymMatrix, whiten
 from .sa_engine import (
     ModelSpec,
     RngStream,
@@ -72,13 +72,14 @@ class ExperimentConfig:
     boundaries: tuple = ()
     seed: int = 0
     subset: tuple | None = None
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         for name, lo in (("iters", 1), ("reps", 1), ("start", 1), ("stride", 1)):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if self.start > self.iters:
+            raise ValueError(f"start ({self.start}) exceeds iters ({self.iters})")
         specs = tuple(self.boundaries)
         if not specs or not all(isinstance(b, bnd.BoundarySpec) for b in specs):
             raise ValueError("boundaries must be a nonempty sequence of BoundarySpec")
@@ -255,7 +256,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     counts as covering up to t only if it has missed at no grid step in
     [start, t]. Divergent repetitions are excluded from all rates and
     reported in metadata; evaluations where the sandwich estimate is
-    unavailable (singular Jacobian estimate) count as misses.
+    unavailable (singular Jacobian estimate, or accumulators or sandwich
+    that are not finite or not positive definite) count as misses and as
+    unavailable evaluations.
     """
     wall_start = time.perf_counter()
     model, sched = cfg.model, cfg.schedule
@@ -286,7 +289,8 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     unavailable_total = 0
     divergent: list[tuple[int, int]] = []
 
-    chunk = _chunk_reps(iters, model.dim)
+    d = model.dim
+    chunk = _chunk_reps(iters, d)
     for lo in range(0, reps, chunk):
         hi = min(reps, lo + chunk)
         n = hi - lo
@@ -301,51 +305,45 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             if per_rep_radius[bi]
         }
 
+        # visit() only copies grid states into a ring buffer of k_buf grid
+        # points, and one kernel call evaluates them all. About 2,048 matrix
+        # entries per call amortise the per-call overhead while keeping the
+        # buffers small. The alive mask is not needed: repetitions that
+        # diverge are left out of every aggregate below.
+        k_buf = max(1, 2048 // (n * d * d))
+        buf_xbar = np.empty((k_buf, n, d))
+        buf_h = np.empty((k_buf, n, d, d))
+        buf_s = np.empty((k_buf, n, d, d))
+
         def visit(tt, x, xbar, h_sum, s_sum, alive):
             i = (tt - start) // stride
-            if model.dim == 1:
-                h = h_sum[:, 0, 0] / tt
-                s = s_sum[:, 0, 0] / tt
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    h_inv = 1.0 / h
-                    v = (h_inv * s) * h_inv
-                    rv = np.sqrt(v)
-                    w = np.abs(xbar[:, 0] - theta[0]) / rv
-                ok = alive & (h > 0.0) & np.isfinite(v) & (v > 0.0)
-                stats_sup[i, ok] = w[ok]
-                stats_two[i, ok] = w[ok]
-                base_two[i, ok] = rv[ok]
-                base_sup[i, ok] = rv[ok]
+            j = i % k_buf
+            buf_xbar[j] = xbar
+            buf_h[j] = h_sum
+            buf_s[j] = s_sum
+            if j < k_buf - 1 and i < n_grid - 1:
                 return
-            kappas = np.full(n, np.nan)
-            for r in np.flatnonzero(alive):
-                v_hat, singular = sandwich_from_moments(
-                    SymMatrix(h_sum[r] / tt), SymMatrix(s_sum[r] / tt)
-                )
-                if singular:
-                    continue
-                sub = SymMatrix(v_hat.entries[np.ix_(idx, idx)])
-                dec = sym_eig(sub)
-                w_eig = dec.values
-                if w_eig[-1] <= 0.0 or w_eig[0] <= PD_RTOL * w_eig[-1]:
-                    continue
-                delta = xbar[r][idx] - theta[idx]
-                white = (dec.vectors / np.sqrt(w_eig)) @ (dec.vectors.T @ delta)
-                stats_sup[i, r] = float(np.max(np.abs(white)))
-                stats_two[i, r] = float(np.sqrt(np.sum(white * white)))
-                sq = (dec.vectors * np.sqrt(w_eig)) @ dec.vectors.T
-                base_two[i, r] = float(np.mean(np.sqrt(np.diag(sub.entries))))
-                base_sup[i, r] = float(np.mean(np.sum(np.abs(sq), axis=1)))
-                kappas[r] = float(w_eig[-1] / w_eig[0])
+            m = j + 1
+            rows = slice(i - j, i + 1)
+            ts = grid[rows].astype(float)[:, None]
+            scale = ts[..., None, None]
+            v, _ = sandwich(buf_h[:m] / scale, buf_s[:m] / scale)
+            # Every field is nan where the sandwich or its sub-matrix is
+            # unavailable.
+            wh = whiten(v[..., idx[:, None], idx], buf_xbar[:m, :, idx] - theta[idx])
+            stats_sup[rows] = wh.stat_sup
+            stats_two[rows] = wh.stat_two
+            base_two[rows] = np.mean(wh.scale_two, axis=-1)
+            base_sup[rows] = np.mean(wh.scale_sup, axis=-1)
             for bi in rep_rad:
                 with np.errstate(invalid="ignore"):
-                    vals = bnd.radius_grid(specs[bi], float(tt), d_eff, kappa=kappas)
+                    vals = bnd.radius_grid(specs[bi], ts, d_eff, kappa=wh.kappa)
                 # nan kappa marks an unavailable evaluation, not an undefined
                 # boundary; keep it nan rather than the grid's +inf.
-                rep_rad[bi][i] = np.where(np.isnan(kappas), np.nan, vals)
+                rep_rad[bi][rows] = np.where(np.isnan(wh.kappa), np.nan, vals)
 
         diverged_at = run_lockstep(
-            model, sched, iters, np.zeros(model.dim), gens, grid, visit
+            model, sched, iters, np.zeros(d), gens, grid, visit
         )
         eff = diverged_at == -1
         for r in np.flatnonzero(~eff):
@@ -458,28 +456,28 @@ def run_gaussian_check(
     if len(set(kinds)) != len(specs):
         raise ValueError("boundary kinds must be distinct")
 
-    sq = sqrt_m(v).entries
-    isq = inv_sqrt(v).entries
-    kap = cond(v)
+    wh = whiten(v.entries)
+    if not wh.ok:
+        raise SingularMatrixError("covariance must be numerically positive definite")
     ts = np.arange(1, horizon + 1, dtype=np.int64)
-    radii = [bnd.radius_grid(b, ts, d, kappa=kap) * radius_scale for b in specs]
-    base_two = float(np.mean(np.sqrt(np.diag(v.entries))))
-    base_sup = float(np.mean(np.sum(np.abs(sq), axis=1)))
+    radii = [bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs]
+    base_two = float(np.mean(wh.scale_two))
+    base_sup = float(np.mean(wh.scale_sup))
 
     n_b = len(specs)
     fixed_counts = np.zeros((n_b, horizon), dtype=np.int64)
     unif_counts = np.zeros((n_b, horizon), dtype=np.int64)
     mean_final = np.zeros(d)
 
-    chunk = max(1, min(256, int(2.5e6 / max(1, horizon * d))))
+    chunk = _chunk_reps(horizon, d)
     inv_t = 1.0 / ts.astype(float)
     for lo in range(0, reps, chunk):
         hi = min(reps, lo + chunk)
         gens = [RngStream(seed, r).generator for r in range(lo, hi)]
         z = np.stack([g.standard_normal((horizon, d)) for g in gens])
-        g_inc = z @ sq
+        g_inc = z @ wh.root
         m_run = np.cumsum(g_inc, axis=1) * inv_t[None, :, None]
-        white = m_run @ isq
+        white = m_run @ wh.inv_root
         stats = {
             "sup_norm": np.max(np.abs(white), axis=2).T,
             "two_norm": np.sqrt(np.sum(white * white, axis=2)).T,

@@ -24,7 +24,7 @@ from sacs.boundaries import (
 )
 from sacs.covariance import plugin_estimate
 from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gaussian_check
-from sacs.numerics import SymMatrix, sqrt_m
+from sacs.numerics import SymMatrix, whiten
 from sacs.sa_engine import RngStream, SaState, StepSchedule, default_model, run_lockstep
 
 CS_KINDS = ("lilub", "gm", "lilen")
@@ -289,7 +289,7 @@ def test_criterion_8_martingale_mean_one():
     # variance of the martingale small enough for a 3 stderr check
     inv_v = np.linalg.inv(v.entries)
     sigma = SymMatrix(inv_v / 400.0)
-    sq = sqrt_m(v).entries
+    sq = whiten(v.entries).root
     n_paths, horizon = 10_000, 200
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((n_paths, horizon, 2))

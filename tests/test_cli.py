@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -103,6 +104,34 @@ def test_coverage_logistic_default_eta0(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert json.loads(out.read_text())["metadata"]["config"]["eta0"] == 0.5
+
+
+# At these large steps some iterates stay finite while their gradient
+# outer-product sums overflow. Such evaluations must be reported as
+# unavailable, without a warning, instead of aborting the whole run.
+STRICT = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+OVERFLOW_ARGS = ("--iters", "3000", "--reps", "6", "--start", "2", "--stride", "1")
+
+
+def test_coverage_overflowing_sums_count_as_unavailable(tmp_path):
+    out = tmp_path / "cov.json"
+    res = run_cli(
+        "coverage", "--dim", "3", "--eta0", "2", *OVERFLOW_ARGS,
+        "--format", "json", "--out", str(out), env=STRICT,
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta["unavailable_evaluations"] > 0
+    assert meta["reps_effective"] + meta["divergent"]["count"] == 6
+
+
+def test_coverage_all_diverged_exit_3(tmp_path):
+    res = run_cli(
+        "coverage", "--dim", "2", "--eta0", "5", *OVERFLOW_ARGS,
+        "--out", str(tmp_path / "cov.csv"), env=STRICT,
+    )  # fmt: skip
+    assert res.returncode == 3
+    assert "all repetitions diverged" in res.stderr
 
 
 # ------------------------------------------------------------ gaussian-check

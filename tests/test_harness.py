@@ -149,6 +149,8 @@ def test_experiment_config_validation():
         small_config(boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("gm", 0.05)))
     with pytest.raises(ValueError):
         small_config(subset=(1,))
+    with pytest.raises(ValueError):
+        small_config(iters=800, start=801)
     cfg = small_config(model=default_model("linear", 3), subset=(2, 0, 2))
     assert cfg.subset == (0, 2)
 

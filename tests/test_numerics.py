@@ -1,9 +1,8 @@
-"""Tests for the dependency-free numerical kernels.
+"""Tests for the numerical kernels.
 
 Reference values were frozen from independent oracles (mpmath at 40
 digits, scipy.special, scipy.stats) before the implementation existed.
-scipy and numpy.linalg appear here as oracles only; the library itself
-must not import them.
+scipy and numpy.linalg.eigvalsh / slogdet appear here as oracles.
 """
 
 import math
@@ -13,19 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sacs.boundaries import BoundarySpec, evaluate
+from sacs.covariance import sandwich
 from sacs.numerics import (
-    NumericalError,
     SingularMatrixError,
     SymMatrix,
     c_d_constant,
-    cond,
-    ellipsoid_volume,
-    inv_sqrt,
     lambert_w_m1,
-    log_det,
     normal_quantile,
-    sqrt_m,
-    sym_eig,
+    pd_eigh,
+    whiten,
 )
 
 
@@ -62,92 +58,149 @@ def test_symmatrix_constructors():
     assert np.array_equal(d.entries, np.diag([1.0, 4.0]))
 
 
-# ------------------------------------------------------------ eigensolver
+# ------------------------------------------------- eigh kernel
 
 
 def test_sym_eig_frozen_2x2():
-    dec = sym_eig(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-    assert dec.values == pytest.approx([1.0, 3.0], rel=1e-13)
+    w, q, ok = pd_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert ok
+    assert w == pytest.approx([1.0, 3.0], rel=1e-13)
     # eigenvectors are (1,-1)/sqrt2 and (1,1)/sqrt2 up to sign
-    v = dec.vectors
-    assert abs(v[0, 0] * v[1, 0]) == pytest.approx(0.5, rel=1e-12)
-    assert v[0, 1] * v[1, 1] == pytest.approx(0.5, rel=1e-12)
+    assert abs(q[0, 0] * q[1, 0]) == pytest.approx(0.5, rel=1e-12)
+    assert q[0, 1] * q[1, 1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_sym_eig_scalar_and_zero():
-    assert sym_eig(SymMatrix([[7.0]])).values[0] == 7.0
-    assert sym_eig(SymMatrix(np.zeros((3, 3)))).values == pytest.approx([0.0] * 3)
+    w, q, ok = pd_eigh(np.array([[7.0]]))
+    assert ok and w[0] == 7.0 and q[0, 0] == 1.0
+    # the zero matrix is not positive definite: masked, not raised
+    w, q, ok = pd_eigh(np.zeros((3, 3)))
+    assert not ok
+    assert np.isnan(w).all() and np.isnan(q).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_sym_eig_matches_numpy_oracle(d, seed):
+    # a stack of four PD matrices, decomposed in one call
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    m = SymMatrix(a + a.T)
-    dec = sym_eig(m)
-    scale = max(1.0, float(np.abs(m.entries).max()))
-    assert np.allclose(dec.values, np.linalg.eigvalsh(m.entries), atol=1e-10 * scale)
+    m = np.stack([random_pd(rng, d).entries for _ in range(4)])
+    w, q, ok = pd_eigh(m)
+    assert ok.all()
+    scale = float(np.abs(m).max())
+    assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-10 * scale)
     # reconstruction and orthonormality
-    rec = (dec.vectors * dec.values) @ dec.vectors.T
-    assert np.allclose(rec, m.entries, atol=1e-10 * scale)
-    assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(d), atol=1e-12)
-    assert np.all(np.diff(dec.values) >= 0)
+    rec = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    assert np.allclose(rec, m, atol=1e-10 * scale)
+    assert np.allclose(np.swapaxes(q, -1, -2) @ q, np.eye(d), atol=1e-12)
+    assert np.all(np.diff(w, axis=-1) >= 0)
 
 
-# ------------------------------------------------- matrix functions
+# ------------------------------------------------- whitening kernel
 
 
 def test_inv_sqrt_frozen_2x2():
-    m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    r = inv_sqrt(m).entries
+    wh = whiten(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]))
+    r = wh.inv_root
     assert r[0, 0] == pytest.approx(0.7886751345948129, rel=1e-12)
     assert r[0, 1] == pytest.approx(-0.21132486540518713, rel=1e-12)
-    assert r[0, 1] == r[1, 0]
-    assert r[1, 1] == r[0, 0]
+    assert r[1, 0] == pytest.approx(r[0, 1], rel=1e-12)
+    assert r[1, 1] == pytest.approx(r[0, 0], rel=1e-12)
+    # the statistics are the norms of inv_root @ delta = first column
+    assert wh.stat_sup == pytest.approx(0.7886751345948129, rel=1e-12)
+    assert wh.stat_two == pytest.approx(math.hypot(r[0, 0], r[0, 1]), rel=1e-12)
+    assert wh.scale_two == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-12)
+    assert wh.scale_sup == pytest.approx([math.sqrt(3.0)] * 2, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_inv_sqrt_whitens(d, seed):
-    m = random_pd(np.random.default_rng(seed), d)
-    w = inv_sqrt(m).entries
-    assert np.abs(w @ m.entries @ w - np.eye(d)).max() < 1e-8
+    rng = np.random.default_rng(seed)
+    m = np.stack([random_pd(rng, d).entries for _ in range(3)])
+    w = whiten(m).inv_root
+    assert np.abs(w @ m @ w - np.eye(d)).max() < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_sqrt_m_squares_back(d, seed):
-    m = random_pd(np.random.default_rng(seed), d)
-    r = sqrt_m(m).entries
-    scale = float(np.abs(m.entries).max())
-    assert np.abs(r @ r - m.entries).max() < 1e-9 * scale
+    rng = np.random.default_rng(seed)
+    m = np.stack([random_pd(rng, d).entries for _ in range(3)])
+    r = whiten(m).root
+    scale = float(np.abs(m).max())
+    assert np.abs(r @ r - m).max() < 1e-9 * scale
 
 
 def test_inv_sqrt_rejects_non_pd():
+    good = np.eye(2)
+    bad = [
+        np.diag([1.0, 0.0]),
+        -np.eye(2),
+        # eigenvalue ratio below the relative guard counts as singular
+        np.diag([1.0, 1e-13]),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ]
+    wh = whiten(np.stack([good] + bad), np.zeros((len(bad) + 1, 2)))
+    assert wh.ok.tolist() == [True] + [False] * len(bad)
+    assert wh.kappa[0] == 1.0 and wh.stat_sup[0] == 0.0 and wh.stat_two[0] == 0.0
+    for field in (wh.kappa, wh.stat_sup, wh.stat_two, wh.scale_two, wh.root):
+        assert np.isnan(field[1:]).all()
     with pytest.raises(SingularMatrixError):
-        inv_sqrt(SymMatrix([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt(SymMatrix([[-1.0]]))
-    # eigenvalue ratio below the relative guard counts as singular
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt(SymMatrix(np.diag([1.0, 1e-13])))
+        evaluate(BoundarySpec("gm", 0.1), SymMatrix(bad[0]), 10)
 
 
 def test_log_det_and_cond():
-    m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    assert log_det(m) == pytest.approx(math.log(3.0), rel=1e-13)
-    assert cond(m) == pytest.approx(3.0, rel=1e-12)
-    assert cond(SymMatrix.identity(4)) == pytest.approx(1.0, rel=1e-12)
+    w, _, _ = pd_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert float(np.sum(np.log(w))) == pytest.approx(math.log(3.0), rel=1e-13)
+    assert whiten(np.array([[2.0, 1.0], [1.0, 2.0]])).kappa == pytest.approx(3.0, rel=1e-12)
+    assert whiten(np.eye(4)).kappa == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_log_det_matches_slogdet(d, seed):
+    # gm_mixture_martingale takes its log-determinants from the eigenvalues
     m = random_pd(np.random.default_rng(seed), d)
     sign, ld = np.linalg.slogdet(m.entries)
+    w, _, _ = pd_eigh(m.entries)
     assert sign == 1.0
-    assert log_det(m) == pytest.approx(ld, abs=1e-9)
+    assert float(np.sum(np.log(w))) == pytest.approx(ld, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_d1_closed_form_matches_eigh_path(seed):
+    # d = 1 skips LAPACK; embedding the same moments as the first block of a
+    # block-diagonal 3x3 and restricting to subset [0] goes through eigh
+    rng = np.random.default_rng(seed)
+    n = 8
+    h = rng.uniform(0.5, 50.0, n)
+    s = rng.uniform(0.5, 500.0, n)
+    delta = rng.standard_normal(n)
+    h3 = np.zeros((n, 3, 3))
+    s3 = np.zeros((n, 3, 3))
+    h3[:, 0, 0], s3[:, 0, 0] = h, s
+    h3[:, 1:, 1:] = np.stack([random_pd(rng, 2).entries for _ in range(n)])
+    s3[:, 1:, 1:] = np.stack([random_pd(rng, 2).entries for _ in range(n)])
+
+    v1, ok1 = sandwich(h[:, None, None], s[:, None, None])
+    v3, ok3 = sandwich(h3, s3)
+    closed = whiten(v1, delta[:, None])
+    eig = whiten(v3[:, :1, :1], delta[:, None])
+    full = whiten(v3, np.stack([delta, np.zeros(n), np.zeros(n)], axis=-1))
+    assert ok1.all() and ok3.all() and closed.ok.all() and eig.ok.all()
+    assert np.allclose(closed.stat_sup, np.abs(delta) / np.sqrt(s / h**2), rtol=1e-12)
+    for ref in (eig, full):
+        for got, want in (
+            (closed.stat_sup, ref.stat_sup),
+            (closed.stat_two, ref.stat_two),
+            (closed.scale_two[:, 0], ref.scale_two[:, 0]),
+            (closed.scale_sup[:, 0], ref.scale_sup[:, 0]),
+        ):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(closed.kappa, np.ones(n))
 
 
 # --------------------------------------------------------- Lambert W
@@ -233,29 +286,3 @@ def test_c_d_constant_domain():
     for d in (0, -1):
         with pytest.raises(ValueError):
             c_d_constant(d)
-
-
-# ------------------------------------------------- ellipsoid volume
-
-
-def test_ellipsoid_volume_low_dim():
-    assert ellipsoid_volume([3.0]) == pytest.approx(6.0, rel=1e-12)
-    assert ellipsoid_volume([2.0, 0.5]) == pytest.approx(math.pi, rel=1e-12)
-    assert ellipsoid_volume([1.0, 1.0, 1.0]) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-
-def test_ellipsoid_volume_domain():
-    with pytest.raises(ValueError):
-        ellipsoid_volume([])
-    with pytest.raises(ValueError):
-        ellipsoid_volume([1.0, -2.0])
-
-
-# ------------------------------------------------- convergence guard
-
-
-def test_jacobi_raises_on_nonconvergence():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 5))
-    with pytest.raises(NumericalError):
-        sym_eig(SymMatrix(a + a.T), max_sweeps=1)
