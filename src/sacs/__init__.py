@@ -24,11 +24,8 @@ from .boundaries import (
 )
 from .covariance import (
     SANDWICH_RTOL,
-    PluginEstimate,
-    plugin_estimate,
     plugin_rate_exponent,
     sandwich,
-    sandwich_from_moments,
 )
 from .harness import (
     CSV_COLUMNS,
@@ -56,20 +53,14 @@ from .numerics import (
     whiten,
 )
 from .sa_engine import (
-    Datum,
     DivergenceError,
     ModelSpec,
     RngStream,
-    SaState,
     StepSchedule,
     TrajectoryPoint,
     default_model,
-    grad_oracle,
-    jac_oracle,
     run_trajectory,
-    sa_step,
     sample_data_block,
-    sample_datum,
     step_size,
     validate_rate_condition,
 )
@@ -92,25 +83,16 @@ __all__ = [
     "DivergenceError",
     "StepSchedule",
     "ModelSpec",
-    "Datum",
-    "SaState",
     "RngStream",
     "TrajectoryPoint",
     "step_size",
     "validate_rate_condition",
     "default_model",
     "sample_data_block",
-    "sample_datum",
-    "grad_oracle",
-    "jac_oracle",
-    "sa_step",
     "run_trajectory",
     # covariance
     "SANDWICH_RTOL",
-    "PluginEstimate",
-    "plugin_estimate",
     "sandwich",
-    "sandwich_from_moments",
     "plugin_rate_exponent",
     # boundaries
     "KINDS",

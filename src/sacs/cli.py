@@ -302,7 +302,7 @@ def _trace_csv(trace, dim: int) -> str:
         vals = [str(pt.t), format(pt.err_norm, ".9g"), str(int(pt.singular))]
         vals += [format(x, ".9g") for x in pt.xbar]
         for mat in (pt.h_hat, pt.s_hat):
-            vals += [format(mat.entries[i, j], ".9g") for i, j in upper]
+            vals += [format(mat[i, j], ".9g") for i, j in upper]
         if pt.sandwich is None:
             vals += ["" for _ in upper]
         else:

@@ -2,10 +2,9 @@
 
 Implements the recursion x_{t+1} = x_t - eta_t * G(x_t, xi_{t+1}) together
 with iterate averaging, running Jacobian and outer-product accumulators, and
-deterministic multi-stream data generation. Two execution styles share one
-data law: ``sa_step`` advances a single state object one draw at a time,
-while ``run_lockstep`` advances many independent repetitions in vectorized
-lockstep and powers both ``run_trajectory`` and the coverage harness.
+deterministic multi-stream data generation. ``run_lockstep`` advances many
+independent repetitions in vectorized lockstep and is the one execution
+path: it powers both ``run_trajectory`` and the coverage harness.
 """
 
 from __future__ import annotations
@@ -22,18 +21,12 @@ __all__ = [
     "DivergenceError",
     "StepSchedule",
     "ModelSpec",
-    "Datum",
-    "SaState",
     "RngStream",
     "TrajectoryPoint",
     "step_size",
     "validate_rate_condition",
     "default_model",
     "sample_data_block",
-    "sample_datum",
-    "grad_oracle",
-    "jac_oracle",
-    "sa_step",
     "run_lockstep",
     "run_trajectory",
 ]
@@ -42,12 +35,11 @@ MODEL_KINDS = ("linear", "logistic")
 
 
 class DivergenceError(NumericalError):
-    """An iterate left the finite floats. Carries the step index and norm."""
+    """An iterate left the finite floats. Carries the first divergent step."""
 
-    def __init__(self, t: int, norm: float) -> None:
-        super().__init__(f"iterate diverged at step {t} (norm {norm:g})")
+    def __init__(self, t: int) -> None:
+        super().__init__(f"iterate diverged at step {t}")
         self.t = t
-        self.norm = norm
 
 
 @dataclass(frozen=True)
@@ -69,9 +61,12 @@ class StepSchedule:
             raise ValueError(f"step exponent must satisfy 1/2 < a < 1, got {self.a}")
 
 
-def step_size(s: StepSchedule, t: int) -> float:
-    """Step size at step t (0-based): eta0 * (t+1)**(-a)."""
-    return s.eta0 * float(t + 1) ** (-s.a)
+def step_size(s: StepSchedule, t):
+    """Step size at step t (0-based): eta0 * (t+1)**(-a).
+
+    t may be an integer or an integer array; the result has its shape.
+    """
+    return s.eta0 * (np.asarray(t, dtype=float) + 1.0) ** (-s.a)
 
 
 def validate_rate_condition(
@@ -156,25 +151,6 @@ def default_model(kind: str, dim: int = 1) -> ModelSpec:
     raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class Datum:
-    """One observation: covariate vector x and scalar response y."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float, copy=True)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("covariate must be a finite vector")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        y = float(self.y)
-        if not math.isfinite(y):
-            raise ValueError(f"response must be finite, got {y}")
-        object.__setattr__(self, "y", y)
-
-
 class RngStream:
     """One named substream of a seeded generator family.
 
@@ -235,14 +211,12 @@ def sample_data_block(
     return xs, ys
 
 
-def sample_datum(model: ModelSpec, rng: RngStream) -> Datum:
-    """Draw a single observation from the model's data law."""
-    xs, ys = sample_data_block(model, rng.generator, 1)
-    return Datum(x=xs[0], y=float(ys[0]))
-
-
 def _grad_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # x: (R, d) iterates; xs: (R, d) covariates; ys: (R,) responses.
+    # Stochastic gradient G(x, xi) per repetition; x: (R, d) iterates,
+    # xs: (R, d) covariates, ys: (R,) responses. Linear: G = -(y - x'X) X,
+    # the squared-loss gradient, so x - eta*G descends. Logistic:
+    # G = (sigmoid(x'X) - y) X, the log-loss gradient. Both have mean zero
+    # at theta_star.
     if model.kind == "linear":
         resid = ys - np.sum(xs * x, axis=1)
         return -resid[:, None] * xs
@@ -252,100 +226,12 @@ def _grad_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray)
 
 def _jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # Per-sample Jacobian of the gradient in x, evaluated at x: (R, d, d).
+    # XX' (linear) or sigmoid'(x'X) XX' (logistic), symmetric PSD.
     outer = xs[:, :, None] * xs[:, None, :]
     if model.kind == "linear":
         return outer
     s = _sigmoid(np.sum(xs * x, axis=1))
     return (s * (1.0 - s))[:, None, None] * outer
-
-
-def _check_dims(model: ModelSpec, x, xi: Datum) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,) or xi.x.shape != (model.dim,):
-        raise ValueError(
-            f"dimension mismatch: model dim {model.dim}, iterate {x.shape}, "
-            f"covariate {xi.x.shape}"
-        )
-    return x
-
-
-def grad_oracle(model: ModelSpec, x, xi: Datum) -> np.ndarray:
-    """Stochastic gradient G(x, xi).
-
-    linear:   G = -(y - x'X) * X, the squared-loss gradient, so that the
-              update x - eta*G descends.
-    logistic: G = X * (sigmoid(x'X) - y), the log-loss gradient.
-    Both have mean zero at theta_star.
-    """
-    x = _check_dims(model, x, xi)
-    return _grad_batch(model, x[None, :], xi.x[None, :], np.array([xi.y]))[0]
-
-
-def jac_oracle(model: ModelSpec, x, xi: Datum) -> SymMatrix:
-    """Per-sample Jacobian of grad_oracle in x: XX' (linear) or
-    sigmoid'(x'X) XX' (logistic). Symmetric PSD by construction."""
-    x = _check_dims(model, x, xi)
-    return SymMatrix(_jac_batch(model, x[None, :], xi.x[None, :])[0])
-
-
-@dataclass(frozen=True)
-class SaState:
-    """Full recursion state after t steps.
-
-    xbar is the running mean of x_1..x_t (x_0 excluded). h_sum and s_sum
-    are the unnormalized accumulators of the per-sample Jacobians and
-    gradient outer products, both evaluated at the pre-update iterate.
-    """
-
-    t: int
-    x: np.ndarray
-    xbar: np.ndarray
-    h_sum: SymMatrix
-    s_sum: SymMatrix
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
-            raise ValueError(f"t must be a nonnegative integer, got {self.t!r}")
-        object.__setattr__(self, "t", int(self.t))
-        for name in ("x", "xbar"):
-            v = np.array(getattr(self, name), dtype=float, copy=True)
-            if v.ndim != 1:
-                raise ValueError(f"{name} must be a vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        d = self.x.shape[0]
-        if self.xbar.shape != (d,) or self.h_sum.dim != d or self.s_sum.dim != d:
-            raise ValueError("state fields disagree on dimension")
-
-    @classmethod
-    def initial(cls, dim: int, x0=None) -> "SaState":
-        x = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-        zero = SymMatrix(np.zeros((dim, dim)))
-        return cls(t=0, x=x, xbar=np.zeros(dim), h_sum=zero, s_sum=zero)
-
-
-def sa_step(st: SaState, s: StepSchedule, model: ModelSpec, rng: RngStream) -> SaState:
-    """Advance one step: draw a datum, update the iterate, average, accumulate.
-
-    Raises DivergenceError when the new iterate is not finite.
-    """
-    xi = sample_datum(model, rng)
-    g = grad_oracle(model, st.x, xi)
-    hbar = jac_oracle(model, st.x, xi)
-    # Overflow here is handled by the finiteness check, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_new = st.x - step_size(s, st.t) * g
-    t_new = st.t + 1
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError(t_new, math.inf)
-    xbar_new = st.xbar + (x_new - st.xbar) / t_new
-    return SaState(
-        t=t_new,
-        x=x_new,
-        xbar=xbar_new,
-        h_sum=SymMatrix(st.h_sum.entries + hbar.entries),
-        s_sum=SymMatrix(st.s_sum.entries + np.outer(g, g)),
-    )
 
 
 def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
@@ -382,10 +268,7 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
         raise ValueError("eval_times must be strictly ascending within [1, T]")
     k = 0
 
-    if schedule.eta0 == 0.0:
-        etas = np.zeros(T)
-    else:
-        etas = schedule.eta0 * np.arange(1.0, T + 1.0) ** (-schedule.a)
+    etas = step_size(schedule, np.arange(T))
 
     for t in range(T):
         tt = t + 1
@@ -410,12 +293,17 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """Checkpoint record: averaged iterate, normalized accumulators, the
-    sandwich covariance estimate when available, and the error norm."""
+    sandwich covariance estimate when available, and the error norm.
+
+    h_hat and s_hat are plain (d, d) arrays, since they may hold inf after
+    the accumulators overflow. sandwich is None exactly when singular is
+    True: h_hat failed the invertibility guard or the sandwich is not finite.
+    """
 
     t: int
     xbar: np.ndarray
-    h_hat: SymMatrix
-    s_hat: SymMatrix
+    h_hat: np.ndarray
+    s_hat: np.ndarray
     sandwich: SymMatrix | None
     singular: bool
     err_norm: float
@@ -431,12 +319,10 @@ def run_trajectory(
 ) -> tuple[TrajectoryPoint, ...]:
     """Run one trajectory for T steps and record the listed checkpoints.
 
-    checkpoints must be strictly ascending integers within [1, T]. The
-    repetition's data block is drawn up front in the canonical order of
-    sample_data_block, so the trace is a deterministic function of
-    (model, schedule, T, x0, seed, stream). Note a stepwise sa_step loop
-    consumes the same stream in a different (interleaved) order and yields
-    a different, equally valid trajectory.
+    checkpoints must be strictly ascending integers within [1, T]. This is
+    run_lockstep with a single repetition, so the trace is a deterministic
+    function of (model, schedule, T, x0, seed, stream) and equals that
+    repetition's path in the coverage harness.
 
     Raises DivergenceError if the iterate leaves the finite floats.
     """
@@ -453,28 +339,23 @@ def run_trajectory(
     def visit(tt, x, xbar, h_sum, s_sum, alive):
         if not alive[0]:
             return
-        st = SaState(
-            t=tt,
-            x=x[0],
-            xbar=xbar[0],
-            h_sum=SymMatrix(h_sum[0]),
-            s_sum=SymMatrix(s_sum[0]),
-        )
-        est = covariance.plugin_estimate(st)
-        delta = st.xbar - theta
+        h_hat = h_sum[0] / tt
+        s_hat = s_sum[0] / tt
+        v, ok = covariance.sandwich(h_hat, s_hat)
+        singular = not (ok and np.isfinite(v).all())
         trace.append(
             TrajectoryPoint(
                 t=tt,
-                xbar=st.xbar,
-                h_hat=est.h_hat,
-                s_hat=est.s_hat,
-                sandwich=est.sandwich,
-                singular=est.singular_flag,
-                err_norm=math.sqrt(float(np.sum(delta * delta))),
+                xbar=xbar[0].copy(),
+                h_hat=h_hat,
+                s_hat=s_hat,
+                sandwich=None if singular else SymMatrix(v),
+                singular=singular,
+                err_norm=math.hypot(*(xbar[0] - theta)),
             )
         )
 
     diverged_at = run_lockstep(model, schedule, T, x0, [rng.generator], checkpoints, visit)
     if diverged_at[0] != -1:
-        raise DivergenceError(int(diverged_at[0]), math.inf)
+        raise DivergenceError(int(diverged_at[0]))
     return tuple(trace)

@@ -22,10 +22,10 @@ from sacs.boundaries import (
     lambda_star,
     radius_grid,
 )
-from sacs.covariance import plugin_estimate
+from sacs.covariance import sandwich
 from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gaussian_check
 from sacs.numerics import SymMatrix, whiten
-from sacs.sa_engine import RngStream, SaState, StepSchedule, default_model, run_lockstep
+from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
 
 CS_KINDS = ("lilub", "gm", "lilen")
 LINEAR_ETA0 = 0.01
@@ -244,19 +244,10 @@ def test_criterion_6_plugin_limits():
     h_vals, v_vals = [], []
 
     def visit(tt, x, xbar, h_sum, s_sum, alive):
-        for r in np.flatnonzero(alive):
-            est = plugin_estimate(
-                SaState(
-                    t=tt,
-                    x=x[r],
-                    xbar=xbar[r],
-                    h_sum=SymMatrix(h_sum[r]),
-                    s_sum=SymMatrix(s_sum[r]),
-                )
-            )
-            h_vals.append(est.h_hat.entries[0, 0])
-            if not est.singular_flag:
-                v_vals.append(est.sandwich.entries[0, 0])
+        h_hat, s_hat = h_sum[alive] / tt, s_sum[alive] / tt
+        v, ok = sandwich(h_hat, s_hat)
+        h_vals.extend(h_hat[:, 0, 0])
+        v_vals.extend(v[ok, 0, 0])
 
     for lo in range(0, reps, 25):
         gens = [RngStream(0, r).generator for r in range(lo, lo + 25)]

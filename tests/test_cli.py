@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -310,6 +311,26 @@ def test_run_trace_dim2_columns(tmp_path):
         "vhat_0_1",
         "vhat_1_1",
     ]
+
+
+def test_run_trace_overflowing_sums_marked_singular(tmp_path):
+    # Same overflow as the coverage case above, on one trajectory: the
+    # iterate stays finite, the accumulators do not. Those checkpoints are
+    # written as singular with blank vhat_* instead of aborting the trace.
+    out = tmp_path / "trace.csv"
+    res = run_cli(
+        "run", "--dim", "3", "--eta0", "2", "--iters", "3000",
+        "--checkpoints", "every:1", "--out", str(out), env=STRICT,
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+    rows = read_rows(out)
+    assert len(rows) == 3000
+    vhat = [c for c in rows[0] if c.startswith("vhat_")]
+    assert any(r["singular"] == "1" for r in rows)
+    for r in rows:
+        blank = [r[c] == "" for c in vhat]
+        assert all(blank) if r["singular"] == "1" else not any(blank)
+        assert math.isfinite(float(r["err_norm"]))
 
 
 def test_run_bad_checkpoint_spec(tmp_path):

@@ -5,77 +5,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacs.covariance import (
-    SANDWICH_RTOL,
-    plugin_estimate,
-    plugin_rate_exponent,
-    sandwich_from_moments,
-)
-from sacs.numerics import SymMatrix
+from sacs.covariance import SANDWICH_RTOL, plugin_rate_exponent, sandwich
 from sacs.sa_engine import (
     RngStream,
-    SaState,
     StepSchedule,
     default_model,
     run_lockstep,
     run_trajectory,
-    sample_datum,
+    sample_data_block,
 )
-
-
-def state_with(t, h, s):
-    d = np.asarray(h).shape[0]
-    return SaState(
-        t=t,
-        x=np.zeros(d),
-        xbar=np.zeros(d),
-        h_sum=SymMatrix(np.asarray(h, dtype=float) * t),
-        s_sum=SymMatrix(np.asarray(s, dtype=float) * t),
-    )
 
 
 def test_single_datum_estimate():
     # after one linear step from x0 = 0: h_hat = X^2, s_hat = (yX)^2
     model = default_model("linear", 1)
-    xi = sample_datum(model, RngStream(2, 0))
+    (xv,), (y,) = sample_data_block(model, RngStream(2, 0).generator, 1)
     (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=RngStream(2, 0))
-    assert pt.h_hat.entries[0, 0] == xi.x[0] ** 2
-    assert pt.s_hat.entries[0, 0] == (xi.y * xi.x[0]) ** 2
+    assert pt.h_hat[0, 0] == xv[0] ** 2
+    assert pt.s_hat[0, 0] == (y * xv[0]) ** 2
     assert not pt.singular
     # d = 1 sandwich is s / h^2
-    expected = (xi.y * xi.x[0]) ** 2 / xi.x[0] ** 4
+    expected = (y * xv[0]) ** 2 / xv[0] ** 4
     assert pt.sandwich.entries[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_plugin_estimate_normalizes_by_t():
-    est = plugin_estimate(state_with(4, [[2.0]], [[8.0]]))
-    assert est.h_hat.entries[0, 0] == 2.0
-    assert est.s_hat.entries[0, 0] == 8.0
-    assert est.sandwich.entries[0, 0] == pytest.approx(2.0, rel=1e-14)
-    assert est.t == 4
+    # each checkpoint divides the accumulators of the same stream by t
+    model = default_model("linear", 2)
+    sched = StepSchedule(0.01, 0.67)
+    sums = {}
 
+    def visit(tt, x, xbar, h_sum, s_sum, alive):
+        sums[tt] = (h_sum[0].copy(), s_sum[0].copy())
 
-def test_plugin_estimate_requires_positive_t():
-    with pytest.raises(ValueError):
-        plugin_estimate(SaState.initial(1))
+    run_lockstep(model, sched, 40, np.zeros(2), [RngStream(5, 0).generator], [4, 40], visit)
+    trace = run_trajectory(model, sched, 40, [4, 40], rng=RngStream(5, 0))
+    for pt in trace:
+        h_sum, s_sum = sums[pt.t]
+        assert np.array_equal(pt.h_hat, h_sum / pt.t)
+        assert np.array_equal(pt.s_hat, s_sum / pt.t)
+        h_inv = np.linalg.inv(pt.h_hat)
+        assert pt.sandwich.entries == pytest.approx(h_inv @ pt.s_hat @ h_inv, rel=1e-9)
 
 
 def test_singular_flag_cases():
-    sw, flag = sandwich_from_moments(SymMatrix([[0.0]]), SymMatrix([[1.0]]))
-    assert flag and sw is None
-    sw, flag = sandwich_from_moments(SymMatrix([[-1.0]]), SymMatrix([[1.0]]))
-    assert flag and sw is None
+    v, ok = sandwich(np.array([[[0.0]], [[-1.0]], [[4.0]]]), np.ones((3, 1, 1)))
+    assert ok.tolist() == [False, False, True]
+    assert np.isnan(v[:2]).all() and v[2, 0, 0] == 1.0 / 16.0
     # eigenvalue ratio at the guard: 9e-9 <= 1e-8 singular, 2e-8 fine
-    sw, flag = sandwich_from_moments(SymMatrix(np.diag([1.0, 9e-9])), SymMatrix.identity(2))
-    assert flag and sw is None
-    sw, flag = sandwich_from_moments(SymMatrix(np.diag([1.0, 2e-8])), SymMatrix.identity(2))
-    assert not flag and sw is not None
+    h = np.stack([np.diag([1.0, 9e-9]), np.diag([1.0, 2e-8])])
+    v, ok = sandwich(h, np.stack([np.eye(2)] * 2))
+    assert ok.tolist() == [False, True]
+    assert np.isnan(v[0]).all() and np.isfinite(v[1]).all()
     assert SANDWICH_RTOL == 1e-8
 
 
 def test_plugin_estimate_singular_passthrough():
-    est = plugin_estimate(state_with(3, np.zeros((2, 2)), np.eye(2)))
-    assert est.singular_flag and est.sandwich is None
+    # at t = 1 the d = 2 Jacobian estimate is the rank-one X X'
+    model = default_model("linear", 2)
+    (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=RngStream(3, 0))
+    assert pt.singular and pt.sandwich is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,23 +77,21 @@ def test_sandwich_scale_equivariance(d, c, seed):
     # G -> c G maps (h, s) -> (c h, c^2 s) and leaves the sandwich fixed
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
-    h = SymMatrix(a @ a.T + 0.5 * np.eye(d))
+    h = a @ a.T + 0.5 * np.eye(d)
     b = rng.standard_normal((d, d))
-    s = SymMatrix(b @ b.T + 0.1 * np.eye(d))
-    base, _ = sandwich_from_moments(h, s)
-    scaled, _ = sandwich_from_moments(
-        SymMatrix(c * h.entries), SymMatrix(c * c * s.entries)
-    )
-    assert np.abs(scaled.entries - base.entries).max() <= 1e-9 * np.abs(base.entries).max()
+    s = b @ b.T + 0.1 * np.eye(d)
+    base, _ = sandwich(h, s)
+    scaled, _ = sandwich(c * h, c * c * s)
+    assert np.abs(scaled - base).max() <= 1e-9 * np.abs(base).max()
 
 
 def test_sandwich_is_exactly_symmetric():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 3))
-    h = SymMatrix(a @ a.T + np.eye(3))
-    s = SymMatrix(np.eye(3) + 0.3 * np.ones((3, 3)))
-    sw, _ = sandwich_from_moments(h, s)
-    assert np.array_equal(sw.entries, sw.entries.T)
+    model = default_model("linear", 3)
+    sched = StepSchedule(0.01, 0.67)
+    trace = run_trajectory(model, sched, 200, [50, 100, 200], rng=RngStream(3, 0))
+    for pt in trace:
+        assert not pt.singular
+        assert np.array_equal(pt.sandwich.entries, pt.sandwich.entries.T)
 
 
 def test_jacobian_estimate_accuracy_improves_with_t():

@@ -7,22 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacs.numerics import SymMatrix
 from sacs.sa_engine import (
-    Datum,
     DivergenceError,
     ModelSpec,
     RngStream,
-    SaState,
     StepSchedule,
+    _grad_batch,
+    _jac_batch,
     default_model,
-    grad_oracle,
-    jac_oracle,
     run_lockstep,
     run_trajectory,
-    sa_step,
     sample_data_block,
-    sample_datum,
     step_size,
     validate_rate_condition,
 )
@@ -40,6 +35,9 @@ def test_step_size_values():
     # eta0 * 4**(-3/4) = eta0 * 2**(-3/2)
     assert step_size(StepSchedule(1.0, 0.75), 3) == pytest.approx(2.0**-1.5, rel=1e-15)
     assert step_size(StepSchedule(0.0, 0.8), 17) == 0.0
+    # an array of steps gives the same values elementwise
+    s = StepSchedule(0.5, 0.67)
+    assert np.array_equal(step_size(s, np.arange(5)), [step_size(s, t) for t in range(5)])
 
 
 def test_step_schedule_validation():
@@ -109,8 +107,6 @@ def test_model_spec_validation():
         ModelSpec("linear", 1, np.array([1.0]), noise_sd=-1.0)
     with pytest.raises(ValueError):
         ModelSpec("linear", 1, np.array([1.0]), cov_halfwidth=0.0)
-    with pytest.raises(ValueError):
-        Datum(x=np.array([math.inf]), y=0.0)
 
 
 # ------------------------------------------------------------ rng streams
@@ -153,47 +149,41 @@ def test_sample_logistic_moments():
     assert abs(ys.mean() - 0.5) < 3.0 * 0.5 / math.sqrt(200_000)
 
 
-def test_sample_datum_matches_block_head():
-    model = default_model("linear", 2)
-    xi = sample_datum(model, RngStream(9, 1))
-    xs, ys = sample_data_block(model, RngStream(9, 1).generator, 1)
-    assert np.array_equal(xi.x, xs[0]) and xi.y == ys[0]
-
-
 # ------------------------------------------------------------- oracles
+
+
+def grad(model, x, xv, y):
+    # the batched oracle on a single (iterate, datum) pair
+    return _grad_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.array([y]))[0]
+
+
+def jac(model, x, xv):
+    return _jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv))[0]
 
 
 def test_grad_oracle_values():
     lin = ModelSpec("linear", 1, np.array([1.0]))
     # residual 5 - 2*1 = 3, gradient -3*2
-    assert grad_oracle(lin, np.array([1.0]), Datum(np.array([2.0]), 5.0))[0] == -6.0
+    assert grad(lin, [1.0], [2.0], 5.0)[0] == -6.0
     # zero residual at the root of a noiseless model
     model = ModelSpec("linear", 2, np.array([1.0, -2.0]), noise_sd=0.0)
-    xi = sample_datum(model, RngStream(3, 0))
-    assert np.array_equal(grad_oracle(model, model.theta_star, xi), [0.0, 0.0])
+    xs, ys = sample_data_block(model, RngStream(3, 0).generator, 1)
+    assert np.array_equal(grad(model, model.theta_star, xs[0], ys[0]), [0.0, 0.0])
     # logistic gradient vanishes when y equals the predicted probability
     logi = default_model("logistic", 1)
-    x = np.array([0.3])
-    xv = np.array([0.4])
     y = 1.0 / (1.0 + math.exp(-0.4 * 0.3))
-    assert grad_oracle(logi, x, Datum(xv, y)) == pytest.approx([0.0], abs=1e-15)
+    assert grad(logi, [0.3], [0.4], y) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_jac_oracle_values():
     lin = ModelSpec("linear", 1, np.array([1.0]))
-    assert jac_oracle(lin, np.array([0.0]), Datum(np.array([3.0]), 1.0)).entries[0, 0] == 9.0
-    logi = default_model("logistic", 1)
+    assert jac(lin, [0.0], [3.0])[0, 0] == 9.0
     # sigmoid'(0) * X^2 = 0.25 * 4
-    j = jac_oracle(logi, np.array([0.0]), Datum(np.array([2.0]), 1.0))
-    assert j.entries[0, 0] == 1.0
-
-
-def test_oracle_dimension_mismatch():
-    model = default_model("linear", 1)
-    with pytest.raises(ValueError):
-        grad_oracle(model, np.array([0.0, 0.0]), Datum(np.array([1.0]), 0.0))
-    with pytest.raises(ValueError):
-        jac_oracle(model, np.array([0.0]), Datum(np.array([1.0, 2.0]), 0.0))
+    assert jac(default_model("logistic", 1), [0.0], [2.0])[0, 0] == 1.0
+    # one row per repetition: a stack of outer products, each symmetric
+    xs = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    j = _jac_batch(default_model("linear", 2), np.zeros((2, 2)), xs)
+    assert np.array_equal(j, xs[:, :, None] * xs[:, None, :])
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,90 +193,82 @@ def test_oracle_dimension_mismatch():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_jacobian_is_gradient_derivative(kind, dim, seed):
-    # central differences of grad_oracle reproduce jac_oracle columnwise
+    # central differences of _grad_batch reproduce _jac_batch columnwise
     model = default_model(kind, dim)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=dim)
-    xi = sample_datum(model, RngStream(seed, 7))
-    jac = jac_oracle(model, x, xi).entries
+    (xv,), (y,) = sample_data_block(model, RngStream(seed, 7).generator, 1)
+    j = jac(model, x, xv)
     h = 1e-5
-    for j in range(dim):
+    for k in range(dim):
         e = np.zeros(dim)
-        e[j] = h
-        num = (grad_oracle(model, x + e, xi) - grad_oracle(model, x - e, xi)) / (2.0 * h)
-        assert np.abs(num - jac[:, j]).max() < 1e-6 * max(1.0, np.abs(jac).max())
+        e[k] = h
+        num = (grad(model, x + e, xv, y) - grad(model, x - e, xv, y)) / (2.0 * h)
+        assert np.abs(num - j[:, k]).max() < 1e-6 * max(1.0, np.abs(j).max())
 
 
-# --------------------------------------------------------------- sa_step
+# ------------------------------------------------- per-step recursion state
+
+
+def every_step(model, sched, T, x0, seed):
+    """One repetition through run_lockstep, its state copied after every step."""
+    states = []
+
+    def visit(tt, x, xbar, h_sum, s_sum, alive):
+        states.append((x[0].copy(), xbar[0].copy(), h_sum[0].copy(), s_sum[0].copy()))
+
+    gens = [RngStream(seed, 0).generator]
+    diverged_at = run_lockstep(model, sched, T, x0, gens, range(1, T + 1), visit)
+    return states, int(diverged_at[0])
 
 
 def test_sa_step_frozen_dynamics():
     model = default_model("linear", 1)
-    st0 = SaState.initial(1, x0=np.array([2.0]))
-    out = sa_step(st0, StepSchedule(0.0, 0.7), model, RngStream(0, 0))
-    assert out.t == 1
-    assert np.array_equal(out.x, [2.0]) and np.array_equal(out.xbar, [2.0])
-    # the datum is still consumed and accumulated
-    assert out.h_sum.entries[0, 0] > 0.0
+    states, _ = every_step(model, StepSchedule(0.0, 0.7), 5, np.array([2.0]), 0)
+    for x, xbar, h_sum, _ in states:
+        assert np.array_equal(x, [2.0]) and np.array_equal(xbar, [2.0])
+    # the data are still consumed and accumulated
+    assert 0.0 < states[0][2][0, 0] < states[-1][2][0, 0]
 
 
 def test_sa_step_noiseless_fixed_point():
     model = ModelSpec("linear", 2, np.array([1.0, 2.0]), noise_sd=0.0, cov_halfwidth=1.0)
-    stt = SaState.initial(2, x0=model.theta_star)
-    rng = RngStream(4, 0)
-    sched = StepSchedule(0.1, 0.7)
-    for _ in range(50):
-        stt = sa_step(stt, sched, model, rng)
-    assert np.array_equal(stt.x, model.theta_star)
-    assert np.array_equal(stt.xbar, model.theta_star)
+    states, _ = every_step(model, StepSchedule(0.1, 0.7), 50, model.theta_star, 4)
+    for x, xbar, _, s_sum in states:
+        assert np.array_equal(x, model.theta_star)
+        assert np.array_equal(xbar, model.theta_star)
+        assert not s_sum.any()
 
 
 def test_sa_step_averaging_identity():
     # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t; x0 is excluded from the mean
     model = default_model("linear", 2)
-    stt = SaState.initial(2)
-    rng = RngStream(11, 0)
-    sched = StepSchedule(0.01, 0.67)
-    prev_bar = stt.xbar
-    for _ in range(30):
-        stt = sa_step(stt, sched, model, rng)
-        lhs = stt.t * stt.xbar - (stt.t - 1) * prev_bar
-        assert np.abs(lhs - stt.x).max() <= 1e-9 * (1.0 + np.abs(stt.x).max())
-        prev_bar = stt.xbar
+    states, _ = every_step(model, StepSchedule(0.01, 0.67), 30, np.zeros(2), 11)
+    prev_bar = np.zeros(2)
+    for t, (x, xbar, _, _) in enumerate(states, start=1):
+        lhs = t * xbar - (t - 1) * prev_bar
+        assert np.abs(lhs - x).max() <= 1e-9 * (1.0 + np.abs(x).max())
+        prev_bar = xbar
 
 
 def test_sa_step_accumulators_one_step():
+    # the first step reads the head of the stream's canonical data block
     model = ModelSpec("linear", 1, np.array([1.0]), noise_sd=4.0, cov_halfwidth=10.0)
-    xi = sample_datum(model, RngStream(2, 0))
-    stt = sa_step(SaState.initial(1), StepSchedule(0.01, 0.67), model, RngStream(2, 0))
-    g = grad_oracle(model, np.zeros(1), xi)
-    assert stt.h_sum.entries[0, 0] == xi.x[0] ** 2
-    assert stt.s_sum.entries[0, 0] == g[0] ** 2
-    assert stt.x[0] == -0.01 * g[0]
+    xs, ys = sample_data_block(model, RngStream(2, 0).generator, 3)
+    states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, np.zeros(1), 2)
+    x, _, h_sum, s_sum = states[0]
+    g = -ys[0] * xs[0, 0]
+    assert h_sum[0, 0] == xs[0, 0] ** 2
+    assert s_sum[0, 0] == g**2
+    assert x[0] == -0.01 * g
 
 
 def test_sa_step_divergence_raises():
+    # the reported step is the first one whose iterate is not finite
     model = default_model("linear", 1)
-    stt = SaState.initial(1)
-    rng = RngStream(0, 0)
-    sched = StepSchedule(1e150, 0.67)
-    with pytest.raises(DivergenceError) as exc:
-        for _ in range(50):
-            stt = sa_step(stt, sched, model, rng)
-    assert exc.value.t >= 1 and exc.value.norm == math.inf
-
-
-def test_sa_state_validation():
-    with pytest.raises(ValueError):
-        SaState.initial(0)
-    with pytest.raises(ValueError):
-        SaState(
-            t=-1,
-            x=np.zeros(1),
-            xbar=np.zeros(1),
-            h_sum=SymMatrix([[0.0]]),
-            s_sum=SymMatrix([[0.0]]),
-        )
+    states, diverged_at = every_step(model, StepSchedule(1e150, 0.67), 50, np.zeros(1), 0)
+    finite = [bool(np.isfinite(x).all()) for x, _, _, _ in states]
+    assert diverged_at == finite.index(False) + 1 >= 1
 
 
 # ---------------------------------------------------------- trajectories
@@ -301,7 +283,7 @@ def test_run_trajectory_deterministic():
     for pa, pb in zip(a, b):
         assert pa.t == pb.t
         assert np.array_equal(pa.xbar, pb.xbar)
-        assert np.array_equal(pa.h_hat.entries, pb.h_hat.entries)
+        assert np.array_equal(pa.h_hat, pb.h_hat)
         assert pa.err_norm == pb.err_norm
 
 
@@ -319,9 +301,15 @@ def test_run_trajectory_empty_and_validation():
 
 
 def test_run_trajectory_divergence():
+    # the error carries the step that run_lockstep reports for the same stream
     model = default_model("linear", 1)
-    with pytest.raises(DivergenceError):
-        run_trajectory(model, StepSchedule(1e150, 0.67), 100, [100], rng=RngStream(0, 0))
+    sched = StepSchedule(1e150, 0.67)
+    with pytest.raises(DivergenceError) as exc:
+        run_trajectory(model, sched, 100, [100], rng=RngStream(0, 0))
+    gens = [RngStream(0, 0).generator]
+    diverged_at = run_lockstep(model, sched, 100, np.zeros(1), gens, [], None)
+    assert exc.value.t == diverged_at[0] >= 1
+    assert str(exc.value) == f"iterate diverged at step {exc.value.t}"
 
 
 def test_run_trajectory_converges_to_root():
