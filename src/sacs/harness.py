@@ -2,9 +2,9 @@
 rate diagnostics, and CSV/JSON report emission.
 
 Repetitions use disjoint RNG streams (repetition r gets stream r of the
-experiment seed) and execute in vectorized lockstep chunks; aggregation is
-an ordered reduction over chunks, so every report is a deterministic
-function of its configuration.
+experiment seed). One streamed pass runs them all in vectorized lockstep and
+tallies coverage by each repetition's first miss, so memory does not grow with
+T, and every report is a deterministic function of its configuration.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .sa_engine import (
     ModelSpec,
     RngStream,
     StepSchedule,
+    _time_blocks,
     run_lockstep,
     validate_rate_condition,
 )
@@ -229,9 +230,30 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
 # Coverage Monte Carlo.
 
 
-def _chunk_reps(iters: int, dim: int) -> int:
-    # Keep the pre-drawn data block around 20 MB per chunk.
-    return max(1, min(256, int(2.5e6 / max(1, iters * dim))))
+_FLUSH_ENTRIES = 2**14  # matrix entries per flush; fewer let the tally dominate
+
+
+class _MissTally:
+    """Coverage tallies of n_b boundaries on n_grid grid points, fed a block
+    of grid points at a time: per-grid covered counts (fixed) and, per
+    boundary and repetition, the first grid index missed (n_grid if none).
+    """
+
+    def __init__(self, n_b: int, n_grid: int, n_reps: int) -> None:
+        self.fixed = np.zeros((n_b, n_grid), dtype=np.int64)
+        self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
+
+    def add(self, bi: int, lo: int, covered: np.ndarray) -> None:
+        """Tally covered, (m, n_reps) bool, at grid indices lo .. lo+m-1."""
+        self.fixed[bi, lo : lo + len(covered)] += np.count_nonzero(covered, axis=1)
+        first = np.where(covered.all(axis=0), self.fixed.shape[1], lo + covered.argmin(axis=0))
+        np.minimum(self.first_miss[bi], first, out=self.first_miss[bi])
+
+    def uniform(self) -> np.ndarray:
+        """(n_b, n_grid) counts of repetitions with no miss up to each index."""
+        n_grid = self.fixed.shape[1]
+        misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in self.first_miss]
+        return self.first_miss.shape[1] - np.cumsum(misses, axis=1)
 
 
 def _spec_meta(b: bnd.BoundarySpec) -> dict:
@@ -280,37 +302,22 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         for bi, b in enumerate(specs)
     ]
 
-    fixed_counts = np.zeros((n_b, n_grid), dtype=np.int64)
-    unif_counts = np.zeros((n_b, n_grid), dtype=np.int64)
-    avail_counts = np.zeros(n_grid, dtype=np.int64)
-    hw_sums = np.zeros((n_b, n_grid))
-    rep_rad_sums = np.zeros((n_b, n_grid))
-    eff_total = 0
-    unavailable_total = 0
-    divergent: list[tuple[int, int]] = []
-
     d = model.dim
-    chunk = _chunk_reps(iters, d)
-    for lo in range(0, reps, chunk):
-        hi = min(reps, lo + chunk)
-        n = hi - lo
-        gens = [RngStream(cfg.seed, r).generator for r in range(lo, hi)]
-        stats_sup = np.full((n_grid, n), np.nan)
-        stats_two = np.full((n_grid, n), np.nan)
-        base_two = np.full((n_grid, n), np.nan)
-        base_sup = np.full((n_grid, n), np.nan)
-        rep_rad = {
-            bi: np.full((n_grid, n), np.nan)
-            for bi in range(n_b)
-            if per_rep_radius[bi]
-        }
+
+    def simulate(rep_ids):
+        # One lockstep pass over the listed repetitions: their first divergent
+        # steps, misses, per-grid available counts, half-width and radius sums.
+        n = len(rep_ids)
+        gens = [RngStream(cfg.seed, int(r)).generator for r in rep_ids]
+        tally = _MissTally(n_b, n_grid, n)
+        avail = np.zeros(n_grid, dtype=np.int64)
+        hw_sums = np.zeros((n_b, n_grid))
+        rad_sums = np.zeros((n_b, n_grid))
 
         # visit() only copies grid states into a ring buffer of k_buf grid
-        # points, and one kernel call evaluates them all. About 2,048 matrix
-        # entries per call amortise the per-call overhead while keeping the
-        # buffers small. The alive mask is not needed: repetitions that
-        # diverge are left out of every aggregate below.
-        k_buf = max(1, 2048 // (n * d * d))
+        # points; one kernel call evaluates and tallies them all. The alive
+        # mask is not needed: a second pass leaves divergent repetitions out.
+        k_buf = max(1, _FLUSH_ENTRIES // (n * d * d))
         buf_xbar = np.empty((k_buf, n, d))
         buf_h = np.empty((k_buf, n, d, d))
         buf_s = np.empty((k_buf, n, d, d))
@@ -329,49 +336,42 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             scale = ts[..., None, None]
             v, _ = sandwich(buf_h[:m] / scale, buf_s[:m] / scale)
             # Every field is nan where the sandwich or its sub-matrix is
-            # unavailable.
+            # unavailable; a nan statistic never covers.
             wh = whiten(v[..., idx[:, None], idx], buf_xbar[:m, :, idx] - theta[idx])
-            stats_sup[rows] = wh.stat_sup
-            stats_two[rows] = wh.stat_two
-            base_two[rows] = np.mean(wh.scale_two, axis=-1)
-            base_sup[rows] = np.mean(wh.scale_sup, axis=-1)
-            for bi in rep_rad:
+            avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
+            base_sup = np.mean(wh.scale_sup, axis=-1)
+            base_two = np.mean(wh.scale_two, axis=-1)
+            for bi, b in enumerate(specs):
+                if per_rep_radius[bi]:
+                    with np.errstate(invalid="ignore"):
+                        vals = bnd.radius_grid(b, ts, d_eff, kappa=wh.kappa)
+                    # nan kappa marks an unavailable evaluation, not an
+                    # undefined boundary; keep it nan rather than +inf.
+                    rad = np.where(np.isnan(wh.kappa), np.nan, vals)
+                    rad_sums[bi, rows] = np.nansum(rad, axis=1)
+                else:
+                    rad = shared_radius[bi][rows, None]
+                sup = b.norm_kind == "sup_norm"
                 with np.errstate(invalid="ignore"):
-                    vals = bnd.radius_grid(specs[bi], ts, d_eff, kappa=wh.kappa)
-                # nan kappa marks an unavailable evaluation, not an undefined
-                # boundary; keep it nan rather than the grid's +inf.
-                rep_rad[bi][rows] = np.where(np.isnan(wh.kappa), np.nan, vals)
+                    tally.add(bi, i - j, (wh.stat_sup if sup else wh.stat_two) <= rad)
+                    hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
 
-        diverged_at = run_lockstep(
-            model, sched, iters, np.zeros(d), gens, grid, visit
-        )
-        eff = diverged_at == -1
-        for r in np.flatnonzero(~eff):
-            divergent.append((lo + int(r), int(diverged_at[r])))
-        n_eff = int(eff.sum())
-        eff_total += n_eff
-        avail = ~np.isnan(stats_sup)
-        avail_eff = avail[:, eff].sum(axis=1)
-        avail_counts += avail_eff
-        unavailable_total += int(n_eff * n_grid - avail_eff.sum())
+        diverged_at = run_lockstep(model, sched, iters, np.zeros(d), gens, grid, visit)
+        return diverged_at, tally, avail, hw_sums, rad_sums
 
-        for bi, b in enumerate(specs):
-            rad = shared_radius[bi][:, None] if not per_rep_radius[bi] else rep_rad[bi]
-            stat = stats_sup if b.norm_kind == "sup_norm" else stats_two
-            with np.errstate(invalid="ignore"):
-                covered = stat <= rad
-            fixed_counts[bi] += covered[:, eff].sum(axis=1)
-            miss_run = np.logical_or.accumulate(~covered, axis=0)
-            unif_counts[bi] += (~miss_run)[:, eff].sum(axis=1)
-            base = base_sup if b.norm_kind == "sup_norm" else base_two
-            with np.errstate(invalid="ignore"):
-                hw = rad * base
-            hw_sums[bi] += np.nansum(hw[:, eff], axis=1)
-            if per_rep_radius[bi]:
-                rep_rad_sums[bi] += np.nansum(rep_rad[bi][:, eff], axis=1)
-
+    diverged_at, tally, avail_counts, hw_sums, rep_rad_sums = simulate(range(reps))
+    eff = diverged_at == -1
+    divergent = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(~eff)]
+    eff_total = int(eff.sum())
     if eff_total == 0:
         raise NumericalError("all repetitions diverged; nothing to aggregate")
+    if divergent:
+        # Divergence is known only once a pass ends. The tallies are taken
+        # again over the effective repetitions rather than corrected by
+        # subtraction, which would leave rounding error in the float sums.
+        _, tally, avail_counts, hw_sums, rep_rad_sums = simulate(np.flatnonzero(eff))
+    fixed_counts, unif_counts = tally.fixed, tally.uniform()
+    unavailable_total = eff_total * n_grid - int(avail_counts.sum())
 
     rows = []
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -464,31 +464,34 @@ def run_gaussian_check(
     base_two = float(np.mean(wh.scale_two))
     base_sup = float(np.mean(wh.scale_sup))
 
-    n_b = len(specs)
-    fixed_counts = np.zeros((n_b, horizon), dtype=np.int64)
-    unif_counts = np.zeros((n_b, horizon), dtype=np.int64)
-    mean_final = np.zeros(d)
-
-    chunk = _chunk_reps(horizon, d)
+    gens = [RngStream(seed, r).generator for r in range(reps)]
+    tally = _MissTally(len(specs), horizon, reps)
     inv_t = 1.0 / ts.astype(float)
-    for lo in range(0, reps, chunk):
-        hi = min(reps, lo + chunk)
-        gens = [RngStream(seed, r).generator for r in range(lo, hi)]
-        z = np.stack([g.standard_normal((horizon, d)) for g in gens])
+    total = np.zeros((reps, d))
+    for t0, n_t in _time_blocks(horizon, reps * d):
+        z = np.empty((reps, n_t, d))
+        for r, gen in enumerate(gens):
+            gen.standard_normal(out=z[r])
         g_inc = z @ wh.root
-        m_run = np.cumsum(g_inc, axis=1) * inv_t[None, :, None]
+        # Adding the running total to the block's first increment keeps the
+        # summation order of one cumsum over the whole horizon.
+        g_inc[:, 0] += total
+        m_run = np.cumsum(g_inc, axis=1)
+        total = m_run[:, -1].copy()
+        m_run *= inv_t[None, t0 : t0 + n_t, None]
         white = m_run @ wh.inv_root
-        stats = {
-            "sup_norm": np.max(np.abs(white), axis=2).T,
-            "two_norm": np.sqrt(np.sum(white * white, axis=2)).T,
-        }
-        mean_final += m_run[:, -1, :].sum(axis=0)
+        # Norms one column at a time, as numpy reduces a short last axis
+        # slowly; for d < 8 numpy's sum also adds in column order.
+        sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
+        for col in np.moveaxis(white[..., 1:], -1, 0):
+            np.maximum(sup, np.abs(col), out=sup)
+            two += col**2
+        stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
         for bi, b in enumerate(specs):
-            covered = stats[b.norm_kind] <= radii[bi][:, None]
-            fixed_counts[bi] += covered.sum(axis=1)
-            miss_run = np.logical_or.accumulate(~covered, axis=0)
-            unif_counts[bi] += (~miss_run).sum(axis=1)
-    mean_final /= reps
+            covered = stats[b.norm_kind] <= radii[bi][t0 : t0 + n_t]
+            tally.add(bi, t0, covered.T)
+    mean_final = m_run[:, -1].sum(axis=0) / reps
+    fixed_counts, unif_counts = tally.fixed, tally.uniform()
 
     rows = []
     for i in range(horizon):

@@ -9,6 +9,7 @@ path: it powers both ``run_trajectory`` and the coverage harness.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -194,21 +195,42 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def sample_data_block(
-    model: ModelSpec, gen: np.random.Generator, n: int
+    model: ModelSpec, gen: np.random.Generator, n: int, resp=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n observations at once; returns (covariates (n, d), responses (n,)).
 
     Canonical draw order, relied on for reproducibility: the full covariate
     block is consumed from the generator first, then the response block
     (normal noise for linear, uniforms for the Bernoulli comparison).
+    resp, if given, draws the responses instead of gen; run_lockstep passes
+    the generator itself, advanced past all covariates of a longer block.
     """
+    resp = gen if resp is None else resp
     hw = model.cov_halfwidth
     xs = gen.uniform(-hw, hw, size=(n, model.dim))
     if model.kind == "linear":
-        ys = xs @ model.theta_star + gen.normal(0.0, model.noise_sd, size=n)
+        ys = xs @ model.theta_star + resp.normal(0.0, model.noise_sd, size=n)
     else:
-        ys = (gen.random(n) < _sigmoid(xs @ model.theta_star)).astype(float)
+        ys = (resp.random(n) < _sigmoid(xs @ model.theta_star)).astype(float)
     return xs, ys
+
+
+_BLOCK_ENTRIES = 2**20  # floats per array of one streamed time block (8 MB)
+
+
+def _time_blocks(T: int, width: int):
+    """Yield (start, length) of blocks of about _BLOCK_ENTRIES / width steps
+    covering steps 0..T-1. They start at multiples of 64 and never end with
+    one step, so that a blocked BLAS product equals the product over all T
+    rows bit for bit: BLAS rounds a row by its place in a row group (d >= 4)
+    and takes another path for a single row."""
+    step = min(T, max(64, _BLOCK_ENTRIES // max(width, 1) // 64 * 64))
+    t0 = 0
+    while t0 < T:
+        b = min(step, T - t0)
+        b += T - t0 - b == 1
+        yield t0, b
+        t0 += b
 
 
 def _grad_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -237,13 +259,15 @@ def _jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
     """Advance len(gens) independent repetitions through T steps in lockstep.
 
-    Each repetition r consumes its own generator gens[r] in the canonical
-    block order of sample_data_block (covariate block, then response
-    block), so repetition results do not depend on how callers chunk the
-    generator list. visit(t, x, xbar, h_sum, s_sum, alive) is called at
-    each t in eval_times (ascending, within [1, T]) with live internal
-    arrays of shape (R, d) / (R, d, d); callees must copy what they keep
-    and must not mutate.
+    Data are drawn in time blocks: covariates from a copy of gens[r], and
+    responses from gens[r] advanced past them by T*d draws. Each block so
+    holds the rows of sample_data_block(model, gens[r], T), and results
+    depend neither on the block size nor on how callers chunk the generator
+    list; gens[r] ends in the state that call leaves it in.
+    visit(t, x, xbar, h_sum, s_sum, alive) is called at each t in
+    eval_times (ascending, within [1, T]) with live internal arrays of
+    shape (R, d) / (R, d, d); callees must copy what they keep and must not
+    mutate.
 
     Divergent repetitions are frozen (their rows turn nan and are dropped
     from alive) rather than raising, so surviving repetitions finish.
@@ -251,11 +275,14 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
     """
     n_reps = len(gens)
     d = model.dim
-    xs = np.empty((n_reps, T, d))
-    ys = np.empty((n_reps, T))
-    for r, gen in enumerate(gens):
-        xs[r], ys[r] = sample_data_block(model, gen, T)
+    ev = [int(t) for t in eval_times]
+    if ev and not (1 <= ev[0] and ev[-1] <= T and all(a < b for a, b in zip(ev, ev[1:]))):
+        raise ValueError("eval_times must be strictly ascending within [1, T]")
+    k = 0
 
+    covs = [copy.deepcopy(gen) for gen in gens]
+    for gen in gens:
+        gen.bit_generator.advance(T * d)
     x = np.tile(np.asarray(x0, dtype=float), (n_reps, 1))
     xbar = np.zeros((n_reps, d))
     h_sum = np.zeros((n_reps, d, d))
@@ -263,30 +290,28 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
     alive = np.ones(n_reps, dtype=bool)
     diverged_at = np.full(n_reps, -1, dtype=np.int64)
 
-    ev = [int(t) for t in eval_times]
-    if ev and not (1 <= ev[0] and ev[-1] <= T and all(a < b for a, b in zip(ev, ev[1:]))):
-        raise ValueError("eval_times must be strictly ascending within [1, T]")
-    k = 0
-
-    etas = step_size(schedule, np.arange(T))
-
-    for t in range(T):
-        tt = t + 1
-        # nan rows from already-diverged repetitions flow through harmlessly.
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            xt = xs[:, t, :]
-            g = _grad_batch(model, x, xt, ys[:, t])
-            h_sum += _jac_batch(model, x, xt)
-            s_sum += g[:, :, None] * g[:, None, :]
-            x = x - etas[t] * g
-            xbar = xbar + (x - xbar) / tt
-        newly = alive & ~np.isfinite(x).all(axis=1)
-        if newly.any():
-            diverged_at[newly] = tt
-            alive[newly] = False
-        if k < len(ev) and ev[k] == tt:
-            visit(tt, x, xbar, h_sum, s_sum, alive)
-            k += 1
+    for t0, b in _time_blocks(T, n_reps * d):
+        xs = np.empty((b, n_reps, d))
+        ys = np.empty((b, n_reps))
+        for r, (cov, gen) in enumerate(zip(covs, gens)):
+            xs[:, r], ys[:, r] = sample_data_block(model, cov, b, gen)
+        etas = step_size(schedule, np.arange(t0, t0 + b))
+        for j in range(b):
+            tt = t0 + j + 1
+            # nan rows from already-diverged repetitions flow through harmlessly.
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                g = _grad_batch(model, x, xs[j], ys[j])
+                h_sum += _jac_batch(model, x, xs[j])
+                s_sum += g[:, :, None] * g[:, None, :]
+                x = x - etas[j] * g
+                xbar = xbar + (x - xbar) / tt
+            newly = alive & ~np.isfinite(x).all(axis=1)
+            if newly.any():
+                diverged_at[newly] = tt
+                alive[newly] = False
+            if k < len(ev) and ev[k] == tt:
+                visit(tt, x, xbar, h_sum, s_sum, alive)
+                k += 1
     return diverged_at
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via subprocess."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -401,3 +402,41 @@ def test_determinism_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN_CSV_SHA256 = [
+    (
+        "coverage --dim 1 --iters 800 --reps 20 --start 100 --stride 1 --seed 3",
+        "c4ab7daf382943c828c9ddcfd4f0583951b36c616ff8ceedf161abd53b034e68",
+    ),
+    (
+        "coverage --dim 3 --iters 1500 --reps 12 --start 500 --stride 50 "
+        "--boundaries lilub,gm,lilen,fixed --seed 5",
+        "02144bb14c98b8c24a16ea4531c3d5c6a2542e3c1decc7bea7bb9dfe8abbcc79",
+    ),
+    # 6 of the 20 repetitions diverge
+    (
+        "coverage --dim 1 --eta0 7 --iters 1000 --reps 20 --start 20 --stride 10",
+        "176b7fe620f7396081f00268d5ea951c38b4a3c36daffe198c13d520789c1316",
+    ),
+    (
+        "gaussian-check --dim 2 --horizon 500 --reps 60 --seed 2",
+        "9368b2134cfe1554f84bc63303703bf285b4003403ccaa3e7e77db50d759314e",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
+def test_golden_csv_digests(tmp_path, args, digest):
+    """The sha256 of the CSVs of four small runs stays fixed.
+
+    The digests pin the output bits, so a change meant to keep them (a
+    faster kernel, another block size) cannot alter them silently. They
+    were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64 with AVX-512;
+    another numpy or BLAS build may round differently and then needs
+    digests of its own.
+    """
+    out = tmp_path / "out.csv"
+    res = run_cli(*args.split(), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

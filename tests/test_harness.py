@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sacs import harness, sa_engine
 from sacs.boundaries import KINDS, BoundarySpec
 from sacs.harness import (
     CSV_COLUMNS,
@@ -37,6 +39,18 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def divergent_config():
+    # the config of test_run_coverage_excludes_divergent_reps
+    return small_config(
+        schedule=StepSchedule(7.0, 0.67),
+        iters=2000,
+        reps=12,
+        start=500,
+        stride=500,
+        boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("fixed", 0.1)),
+    )
 
 
 # -------------------------------------------------------- rate exponents
@@ -195,15 +209,7 @@ def test_run_coverage_single_point_grid():
 def test_run_coverage_excludes_divergent_reps():
     # eta0 = 7 on the linear reference model makes a fraction of the
     # repetitions overflow; they must vanish from every aggregate
-    cfg = small_config(
-        schedule=StepSchedule(7.0, 0.67),
-        iters=2000,
-        reps=12,
-        start=500,
-        stride=500,
-        boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("fixed", 0.1)),
-    )
-    rep = run_coverage(cfg)
+    rep = run_coverage(divergent_config())
     count = rep.metadata["divergent"]["count"]
     assert 0 < count < 12
     assert rep.metadata["reps_effective"] == 12 - count
@@ -234,6 +240,77 @@ def test_run_coverage_subset_matches_full_in_d1_block():
     assert rep.metadata["config"]["subset"] == [0]
     for row in rep.rows:
         assert 0.0 <= row.uniform_coverage <= 1.0
+
+
+def assert_same_report(a, b):
+    # coverage counts exactly, float fields to 1e-12 relative
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert (ra.t, ra.boundary_kind, ra.reps_effective) == (
+            rb.t,
+            rb.boundary_kind,
+            rb.reps_effective,
+        )
+        assert ra.fixed_coverage == rb.fixed_coverage
+        assert ra.uniform_coverage == rb.uniform_coverage
+        for name in ("radius_mean", "halfwidth_mean"):
+            x, y = getattr(ra, name), getattr(rb, name)
+            assert (math.isnan(x) and math.isnan(y)) or x == pytest.approx(y, rel=1e-12)
+    meta_a = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
+    meta_b = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
+    if "mean_final" in meta_a:
+        assert meta_a.pop("mean_final") == pytest.approx(meta_b.pop("mean_final"), rel=1e-12)
+    assert meta_a == meta_b
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: run_coverage(small_config(reps=12, stride=50)),
+        # d = 2: lilen takes a radius per repetition
+        lambda: run_coverage(
+            small_config(model=default_model("linear", 2), reps=6, start=600, stride=30)
+        ),
+        lambda: run_coverage(divergent_config()),
+        lambda: run_gaussian_check(
+            2, SymMatrix([[2.0, 1.0], [1.0, 2.0]]), 0.1, 300, 40, KINDS, seed=4
+        ),
+    ],
+    ids=["d1", "d2-lilen", "divergent", "gaussian"],
+)
+def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
+    # the smallest time blocks (64 steps) and one grid point per flush give
+    # the report of the default sizes
+    default = make()
+    monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_FLUSH_ENTRIES", 1)
+    assert_same_report(make(), default)
+
+
+def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
+    # with a fixed 10-point grid, the streamed pass holds one short time
+    # block at a time, so its peak allocation does not depend on iters
+    monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 1)
+
+    def config(iters):
+        return small_config(
+            iters=iters,
+            reps=40,
+            start=iters // 10,
+            stride=iters // 10,
+            boundaries=(BoundarySpec("gm", 0.1),),
+        )
+
+    def peak(iters):
+        tracemalloc.start()
+        try:
+            run_coverage(config(iters))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_coverage(config(100))  # lazy imports and first-call set-up
+    assert peak(10_000) <= 1.25 * peak(1_000)
 
 
 # ------------------------------------------------------ gaussian check

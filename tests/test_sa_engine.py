@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sacs import sa_engine
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
@@ -323,27 +324,44 @@ def test_run_trajectory_converges_to_root():
     assert max(errs) < 0.1
 
 
-def test_lockstep_matches_chunked_runs():
-    # repetition r's trace must not depend on how generators are batched
-    model = default_model("linear", 2)
+@pytest.mark.parametrize(
+    "kind, dim", [("linear", 1), ("linear", 2), ("linear", 3), ("logistic", 2), ("linear", 8)]
+)
+@pytest.mark.parametrize("block_entries", [None, 1])
+def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
+    # repetition r's trace must depend neither on how generators are batched
+    # nor on the time blocks its data are drawn in. block_entries = 1 gives
+    # the shortest blocks, 64 steps, which do not divide T; d = 8 is where
+    # BLAS rounds xs @ theta_star by a row's place in its row group.
+    model = default_model(kind, dim)
     sched = StepSchedule(0.01, 0.67)
-    T = 150
+    T = 129
 
-    def final_xbars(gen_lists):
-        out = []
+    def final_state(gen_lists):
+        parts = []
         for gens in gen_lists:
-            rows = {}
+            seen = {}
 
             def visit(tt, x, xbar, h_sum, s_sum, alive):
-                rows[tt] = xbar.copy()
+                seen["state"] = (xbar.copy(), h_sum.copy(), s_sum.copy())
 
-            run_lockstep(model, sched, T, np.zeros(2), gens, [T], visit)
-            out.append(rows[T])
-        return np.vstack(out)
+            run_lockstep(model, sched, T, np.zeros(dim), gens, [T], visit)
+            parts.append(seen["state"])
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    gens_a = [[RngStream(42, r).generator for r in range(3)]]
-    gens_b = [[RngStream(42, r).generator] for r in range(3)]
-    assert np.array_equal(final_xbars(gens_a), final_xbars(gens_b))
+    reference = final_state([[RngStream(42, r).generator for r in range(3)]])
+    if block_entries is not None:
+        monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", block_entries)
+        # a block never ends with a single step, so the last one takes 65
+        assert list(sa_engine._time_blocks(T, dim)) == [(0, 64), (64, 65)]
+    gens = [RngStream(42, r).generator for r in range(3)]
+    for a, b in zip(reference, final_state([[g] for g in gens])):
+        assert np.array_equal(a, b)
+    # each generator ends where one unblocked draw of T rows leaves it
+    for r, gen in enumerate(gens):
+        direct = RngStream(42, r).generator
+        sample_data_block(model, direct, T)
+        assert gen.bit_generator.state == direct.bit_generator.state
 
 
 def test_lockstep_freezes_divergent_reps():
