@@ -4,7 +4,10 @@ rate diagnostics, and CSV/JSON report emission.
 Repetitions use disjoint RNG streams (repetition r gets stream r of the
 experiment seed). One streamed pass runs them all in vectorized lockstep and
 tallies coverage by each repetition's first miss, so memory does not grow with
-T, and every report is a deterministic function of its configuration.
+T, and every report is a deterministic function of its configuration. The
+Gaussian-oracle check has no per-step recursion, so it instead walks long
+per-repetition time blocks in tiles of a few repetitions, each array about
+_TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -243,17 +246,36 @@ class _MissTally:
         self.fixed = np.zeros((n_b, n_grid), dtype=np.int64)
         self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
 
-    def add(self, bi: int, lo: int, covered: np.ndarray) -> None:
-        """Tally covered, (m, n_reps) bool, at grid indices lo .. lo+m-1."""
+    def add(self, bi: int, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
+        """Tally covered, (m, n) bool, at grid indices lo .. lo+m-1 for the
+        n repetitions in the slice rs."""
         self.fixed[bi, lo : lo + len(covered)] += np.count_nonzero(covered, axis=1)
         first = np.where(covered.all(axis=0), self.fixed.shape[1], lo + covered.argmin(axis=0))
-        np.minimum(self.first_miss[bi], first, out=self.first_miss[bi])
+        miss = self.first_miss[bi, rs]
+        np.minimum(miss, first, out=miss)
 
     def uniform(self) -> np.ndarray:
         """(n_b, n_grid) counts of repetitions with no miss up to each index."""
         n_grid = self.fixed.shape[1]
         misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in self.first_miss]
         return self.first_miss.shape[1] - np.cumsum(misses, axis=1)
+
+
+def _rows(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> tuple:
+    """Step-major report rows from (n_b, n_grid) columns, one per boundary,
+    at the grid steps ts, with coverage rates over n_eff repetitions."""
+    return tuple(
+        map(
+            ReportRow,
+            np.repeat(ts, len(specs)).tolist(),
+            [b.kind for b in specs] * len(ts),
+            radius.T.ravel().tolist(),
+            (fixed_counts / n_eff).T.ravel().tolist(),
+            (unif_counts / n_eff).T.ravel().tolist(),
+            halfwidth.T.ravel().tolist(),
+            [n_eff] * (len(ts) * len(specs)),
+        )
+    )
 
 
 def _spec_meta(b: bnd.BoundarySpec) -> dict:
@@ -373,29 +395,14 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     fixed_counts, unif_counts = tally.fixed, tally.uniform()
     unavailable_total = eff_total * n_grid - int(avail_counts.sum())
 
-    rows = []
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_avail = np.where(avail_counts > 0, avail_counts, 1)
         hw_means = np.where(avail_counts > 0, hw_sums / safe_avail, np.nan)
         rep_rad_means = np.where(avail_counts > 0, rep_rad_sums / safe_avail, np.nan)
-    for i, t in enumerate(grid):
-        for bi, b in enumerate(specs):
-            radius_mean = (
-                float(shared_radius[bi][i])
-                if not per_rep_radius[bi]
-                else float(rep_rad_means[bi, i])
-            )
-            rows.append(
-                ReportRow(
-                    t=int(t),
-                    boundary_kind=b.kind,
-                    radius_mean=radius_mean,
-                    fixed_coverage=float(fixed_counts[bi, i] / eff_total),
-                    uniform_coverage=float(unif_counts[bi, i] / eff_total),
-                    halfwidth_mean=float(hw_means[bi, i]),
-                    reps_effective=eff_total,
-                )
-            )
+    radius = np.array(
+        [rep_rad_means[bi] if per_rep_radius[bi] else shared_radius[bi] for bi in range(n_b)]
+    )
+    rows = _rows(grid, specs, radius, fixed_counts, unif_counts, eff_total, hw_means)
 
     metadata = {
         "experiment": "coverage",
@@ -417,9 +424,12 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         "unavailable_evaluations": unavailable_total,
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(rows=tuple(rows), metadata=metadata)
+    report = CoverageReport(rows=rows, metadata=metadata)
     report.validate()
     return report
+
+
+_TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
 def run_gaussian_check(
@@ -440,6 +450,14 @@ def run_gaussian_check(
     every t in [1, horizon]. This isolates the boundary guarantee from
     plug-in and averaging error. radius_scale inflates every radius, for
     sanity-ceiling tests.
+
+    The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
+    (the whole horizon when it fits), and each block into tiles of
+    _TILE_ENTRIES // (steps * d) repetitions (at least one). A tile draws
+    its repetitions' normals, carries their running totals across blocks
+    and tallies its coverage, so every array holds about _TILE_ENTRIES
+    floats. Every operation is per repetition and each stream is drawn in
+    time order, so the report does not depend on the tile or block sizes.
     """
     if v.dim != d:
         raise ValueError(f"v has dimension {v.dim}, expected {d}")
@@ -460,55 +478,42 @@ def run_gaussian_check(
     if not wh.ok:
         raise SingularMatrixError("covariance must be numerically positive definite")
     ts = np.arange(1, horizon + 1, dtype=np.int64)
-    radii = [bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs]
-    base_two = float(np.mean(wh.scale_two))
-    base_sup = float(np.mean(wh.scale_sup))
+    radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs])
+    base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
 
     gens = [RngStream(seed, r).generator for r in range(reps)]
     tally = _MissTally(len(specs), horizon, reps)
     inv_t = 1.0 / ts.astype(float)
     total = np.zeros((reps, d))
-    for t0, n_t in _time_blocks(horizon, reps * d):
-        z = np.empty((reps, n_t, d))
-        for r, gen in enumerate(gens):
-            gen.standard_normal(out=z[r])
-        g_inc = z @ wh.root
-        # Adding the running total to the block's first increment keeps the
-        # summation order of one cumsum over the whole horizon.
-        g_inc[:, 0] += total
-        m_run = np.cumsum(g_inc, axis=1)
-        total = m_run[:, -1].copy()
-        m_run *= inv_t[None, t0 : t0 + n_t, None]
-        white = m_run @ wh.inv_root
-        # Norms one column at a time, as numpy reduces a short last axis
-        # slowly; for d < 8 numpy's sum also adds in column order.
-        sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
-        for col in np.moveaxis(white[..., 1:], -1, 0):
-            np.maximum(sup, np.abs(col), out=sup)
-            two += col**2
-        stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
-        for bi, b in enumerate(specs):
-            covered = stats[b.norm_kind] <= radii[bi][t0 : t0 + n_t]
-            tally.add(bi, t0, covered.T)
-    mean_final = m_run[:, -1].sum(axis=0) / reps
-    fixed_counts, unif_counts = tally.fixed, tally.uniform()
+    for t0, n_t in _time_blocks(horizon, d, _TILE_ENTRIES):
+        steps = slice(t0, t0 + n_t)
+        tile = max(1, _TILE_ENTRIES // (n_t * d))
+        for r0 in range(0, reps, tile):
+            rs = slice(r0, min(r0 + tile, reps))
+            z = np.empty((rs.stop - r0, n_t, d))
+            for zr, gen in zip(z, gens[rs]):
+                gen.standard_normal(out=zr)
+            g_inc = z @ wh.root
+            # Adding the running total to the block's first increment keeps
+            # the summation order of one cumsum over the whole horizon.
+            g_inc[:, 0] += total[rs]
+            m_run = np.cumsum(g_inc, axis=1)
+            total[rs] = m_run[:, -1]
+            m_run *= inv_t[None, steps, None]
+            white = m_run @ wh.inv_root
+            # Norms one column at a time, as numpy reduces a short last axis
+            # slowly; for d < 8 numpy's sum also adds in column order.
+            sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
+            for col in np.moveaxis(white[..., 1:], -1, 0):
+                np.maximum(sup, np.abs(col), out=sup)
+                two += col**2
+            stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
+            for bi, b in enumerate(specs):
+                tally.add(bi, t0, (stats[b.norm_kind] <= radii[bi, steps]).T, rs)
+    mean_final = (total * inv_t[-1]).sum(axis=0) / reps
 
-    rows = []
-    for i in range(horizon):
-        for bi, b in enumerate(specs):
-            base = base_sup if b.norm_kind == "sup_norm" else base_two
-            radius = float(radii[bi][i])
-            rows.append(
-                ReportRow(
-                    t=int(ts[i]),
-                    boundary_kind=b.kind,
-                    radius_mean=radius,
-                    fixed_coverage=float(fixed_counts[bi, i] / reps),
-                    uniform_coverage=float(unif_counts[bi, i] / reps),
-                    halfwidth_mean=radius * base,
-                    reps_effective=int(reps),
-                )
-            )
+    halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
+    rows = _rows(ts, specs, radii, tally.fixed, tally.uniform(), int(reps), halfwidth)
     metadata = {
         "experiment": "gaussian-check",
         "config": {
@@ -525,7 +530,7 @@ def run_gaussian_check(
         "mean_final": [float(x) for x in mean_final],
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(rows=tuple(rows), metadata=metadata)
+    report = CoverageReport(rows=rows, metadata=metadata)
     report.validate()
     return report
 
@@ -560,30 +565,13 @@ def fit_rate(checkpoints, window) -> float:
 # Emission.
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
-
-
 def report_to_csv(report: CoverageReport) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.t),
-                    row.boundary_kind,
-                    _fmt(row.radius_mean),
-                    _fmt(row.fixed_coverage),
-                    _fmt(row.uniform_coverage),
-                    _fmt(row.halfwidth_mean),
-                    str(row.reps_effective),
-                )
-            )
-        )
+    lines += [
+        f"{r.t},{r.boundary_kind},{r.radius_mean:.9g},{r.fixed_coverage:.9g},"
+        f"{r.uniform_coverage:.9g},{r.halfwidth_mean:.9g},{r.reps_effective}"
+        for r in report.rows
+    ]
     return "\n".join(lines) + "\n"
 
 

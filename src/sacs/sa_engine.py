@@ -218,13 +218,15 @@ def sample_data_block(
 _BLOCK_ENTRIES = 2**20  # floats per array of one streamed time block (8 MB)
 
 
-def _time_blocks(T: int, width: int):
-    """Yield (start, length) of blocks of about _BLOCK_ENTRIES / width steps
-    covering steps 0..T-1. They start at multiples of 64 and never end with
-    one step, so that a blocked BLAS product equals the product over all T
-    rows bit for bit: BLAS rounds a row by its place in a row group (d >= 4)
-    and takes another path for a single row."""
-    step = min(T, max(64, _BLOCK_ENTRIES // max(width, 1) // 64 * 64))
+def _time_blocks(T: int, width: int, entries: int | None = None):
+    """Yield (start, length) of blocks of about entries / width steps
+    (entries defaults to _BLOCK_ENTRIES) covering steps 0..T-1. They start
+    at multiples of 64 and never end with one step, so that a blocked BLAS
+    product equals the product over all T rows bit for bit: BLAS rounds a
+    row by its place in a row group (d >= 4) and takes another path for a
+    single row."""
+    entries = _BLOCK_ENTRIES if entries is None else entries
+    step = min(T, max(64, entries // max(width, 1) // 64 * 64))
     t0 = 0
     while t0 < T:
         b = min(step, T - t0)

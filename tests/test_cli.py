@@ -423,12 +423,18 @@ GOLDEN_CSV_SHA256 = [
         "gaussian-check --dim 2 --horizon 500 --reps 60 --seed 2",
         "9368b2134cfe1554f84bc63303703bf285b4003403ccaa3e7e77db50d759314e",
     ),
+    # a correlated covariance (so neither square root is the identity), in
+    # five repetition tiles
+    (
+        "gaussian-check --cov {tmp}/v.txt --horizon 2000 --reps 80 --seed 4",
+        "accc34b055536d7a4d41ed9e938eaa4e7debede76844233771b15aa2b887842d",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of four small runs stays fixed.
+    """The sha256 of the CSVs of five small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They
@@ -436,7 +442,8 @@ def test_golden_csv_digests(tmp_path, args, digest):
     another numpy or BLAS build may round differently and then needs
     digests of its own.
     """
+    (tmp_path / "v.txt").write_text("2\n2.0 1.0\n1.0 2.0\n")
     out = tmp_path / "out.csv"
-    res = run_cli(*args.split(), "--out", str(out))
+    res = run_cli(*args.format(tmp=tmp_path).split(), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -285,6 +285,15 @@ def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
     monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 1)
     monkeypatch.setattr(harness, "_FLUSH_ENTRIES", 1)
     assert_same_report(make(), default)
+    # so do Gaussian tiles of one repetition over 64-step blocks, and of
+    # three repetitions over the whole 300-step horizon (the last tile of
+    # the 40 repetitions holds one); the running means are bit-identical
+    for tile_entries in (1, 3 * 300 * 2):
+        monkeypatch.setattr(harness, "_TILE_ENTRIES", tile_entries)
+        report = make()
+        assert_same_report(report, default)
+        if "mean_final" in default.metadata:
+            assert report.metadata["mean_final"] == default.metadata["mean_final"]
 
 
 def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
@@ -314,6 +323,19 @@ def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
 
 
 # ------------------------------------------------------ gaussian check
+
+
+def test_gaussian_check_memory_does_not_grow_with_reps():
+    # the tiles hold a few repetitions at a time, so 2,000 repetitions over
+    # 2,000 steps (64 MB of draws) peak far below one array of all of them
+    run_gaussian_check(2, SymMatrix.identity(2), 0.05, 100, 10, ("gm",))
+    tracemalloc.start()
+    try:
+        run_gaussian_check(2, SymMatrix.identity(2), 0.05, 2000, 2000, ("gm",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_gaussian_check_basic_properties():
