@@ -8,6 +8,12 @@ T, and every report is a deterministic function of its configuration. The
 Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
+
+A report is columnar: one array per CSV column, built straight from the
+per-grid tallies, so a row costs about 68 bytes rather than a Python object
+per row. ``CoverageReport.rows`` builds ``ReportRow`` objects only when
+asked. CSV output is formatted and written _CSV_CHUNK rows at a time, so the
+whole text never exists in memory.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -113,38 +118,74 @@ class ReportRow:
     reps_effective: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
-    """Aggregated coverage rows plus run metadata.
+    """Aggregated coverage columns plus run metadata.
 
-    Row order is step-major (all boundaries at t, then t+stride, ...).
-    Metadata echoes the configuration, the seed layout, divergence and
-    availability accounting, and wall time; wall time never enters the
+    The report holds one 1-D array per CSV_COLUMNS entry, all of one
+    length, in step-major row order (all boundaries at t, then t+stride,
+    ...). Metadata echoes the configuration, the seed layout, divergence
+    and availability accounting, and wall time; wall time never enters the
     CSV so CSV output stays byte-deterministic.
     """
 
-    rows: tuple
+    t: np.ndarray
+    boundary_kind: np.ndarray
+    radius_mean: np.ndarray
+    fixed_coverage: np.ndarray
+    uniform_coverage: np.ndarray
+    halfwidth_mean: np.ndarray
+    reps_effective: np.ndarray
     metadata: dict
 
+    def __post_init__(self) -> None:
+        cols = [np.asarray(getattr(self, name)) for name in CSV_COLUMNS]
+        if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
+            raise ValueError("report columns must be 1-D arrays of one length")
+        for name, col in zip(CSV_COLUMNS, cols):
+            object.__setattr__(self, name, col)
+
+    @property
+    def rows(self) -> tuple:
+        """The report as ReportRows, built anew on every access."""
+        return tuple(map(ReportRow, *(getattr(self, c).tolist() for c in CSV_COLUMNS)))
+
     def validate(self) -> None:
-        by_kind: dict[str, list[ReportRow]] = {}
-        for row in self.rows:
-            by_kind.setdefault(row.boundary_kind, []).append(row)
-        for kind, rows in by_kind.items():
-            prev = 1.0
-            for row in rows:
-                for rate in (row.fixed_coverage, row.uniform_coverage):
-                    if not (0.0 <= rate <= 1.0):
-                        raise ValueError(
-                            f"{kind} rate {rate} at t={row.t} outside [0, 1]"
-                        )
-                if row.uniform_coverage > prev + 1e-12:
-                    raise ValueError(
-                        f"{kind} time-uniform coverage increased at t={row.t}"
-                    )
-                prev = row.uniform_coverage
-                if not (row.radius_mean > 0.0 or math.isnan(row.radius_mean)):
-                    raise ValueError(f"{kind} radius_mean at t={row.t} not positive")
+        """Raise ValueError unless, per boundary kind, every rate lies in
+        [0, 1], uniform coverage does not increase from 1.0 (1e-12 slack)
+        and every radius_mean is positive or nan. The message names the
+        kind and the first offending t."""
+        seen = np.zeros(len(self.t), dtype=bool)
+        while not seen.all():
+            # Kinds in order of first appearance, without sorting the column.
+            kind = str(self.boundary_kind[seen.argmin()])
+            mine = self.boundary_kind == kind
+            seen |= mine
+            at = np.flatnonzero(mine)
+            fixed, unif = self.fixed_coverage[at], self.uniform_coverage[at]
+            radius = self.radius_mean[at]
+            prev = np.concatenate(([1.0], unif[:-1]))
+            # One column per rule, in the order a row's rules are reported.
+            bad = np.stack(
+                [
+                    ~((0.0 <= fixed) & (fixed <= 1.0)),
+                    ~((0.0 <= unif) & (unif <= 1.0)),
+                    unif > prev + 1e-12,
+                    ~((radius > 0.0) | np.isnan(radius)),
+                ],
+                axis=1,
+            )
+            hits = np.argwhere(bad)
+            if not len(hits):
+                continue
+            i, rule = hits[0]
+            t = int(self.t[at[i]])
+            if rule < 2:
+                rate = float((fixed, unif)[rule][i])
+                raise ValueError(f"{kind} rate {rate} at t={t} outside [0, 1]")
+            if rule == 2:
+                raise ValueError(f"{kind} time-uniform coverage increased at t={t}")
+            raise ValueError(f"{kind} radius_mean at t={t} not positive")
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +302,19 @@ class _MissTally:
         return self.first_miss.shape[1] - np.cumsum(misses, axis=1)
 
 
-def _rows(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> tuple:
-    """Step-major report rows from (n_b, n_grid) columns, one per boundary,
-    at the grid steps ts, with coverage rates over n_eff repetitions."""
-    return tuple(
-        map(
-            ReportRow,
-            np.repeat(ts, len(specs)).tolist(),
-            [b.kind for b in specs] * len(ts),
-            radius.T.ravel().tolist(),
-            (fixed_counts / n_eff).T.ravel().tolist(),
-            (unif_counts / n_eff).T.ravel().tolist(),
-            halfwidth.T.ravel().tolist(),
-            [n_eff] * (len(ts) * len(specs)),
-        )
-    )
+def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> dict:
+    """Step-major report columns from (n_b, n_grid) arrays, one per
+    boundary, at the grid steps ts, with coverage rates over n_eff
+    repetitions."""
+    return {
+        "t": np.repeat(ts, len(specs)),
+        "boundary_kind": np.tile([b.kind for b in specs], len(ts)),
+        "radius_mean": radius.T.ravel(),
+        "fixed_coverage": (fixed_counts / n_eff).T.ravel(),
+        "uniform_coverage": (unif_counts / n_eff).T.ravel(),
+        "halfwidth_mean": halfwidth.T.ravel(),
+        "reps_effective": np.full(len(ts) * len(specs), n_eff),
+    }
 
 
 def _spec_meta(b: bnd.BoundarySpec) -> dict:
@@ -402,7 +441,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     radius = np.array(
         [rep_rad_means[bi] if per_rep_radius[bi] else shared_radius[bi] for bi in range(n_b)]
     )
-    rows = _rows(grid, specs, radius, fixed_counts, unif_counts, eff_total, hw_means)
+    columns = _columns(grid, specs, radius, fixed_counts, unif_counts, eff_total, hw_means)
 
     metadata = {
         "experiment": "coverage",
@@ -424,7 +463,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         "unavailable_evaluations": unavailable_total,
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(rows=rows, metadata=metadata)
+    report = CoverageReport(**columns, metadata=metadata)
     report.validate()
     return report
 
@@ -513,7 +552,7 @@ def run_gaussian_check(
     mean_final = (total * inv_t[-1]).sum(axis=0) / reps
 
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
-    rows = _rows(ts, specs, radii, tally.fixed, tally.uniform(), int(reps), halfwidth)
+    columns = _columns(ts, specs, radii, tally.fixed, tally.uniform(), int(reps), halfwidth)
     metadata = {
         "experiment": "gaussian-check",
         "config": {
@@ -530,7 +569,7 @@ def run_gaussian_check(
         "mean_final": [float(x) for x in mean_final],
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(rows=rows, metadata=metadata)
+    report = CoverageReport(**columns, metadata=metadata)
     report.validate()
     return report
 
@@ -565,14 +604,21 @@ def fit_rate(checkpoints, window) -> float:
 # Emission.
 
 
+_CSV_CHUNK = 2**10  # rows formatted into one piece of CSV text
+_CSV_ROW = "{},{},{:.9g},{:.9g},{:.9g},{:.9g},{}\n".format
+
+
+def _csv_pieces(report: CoverageReport):
+    """Yield the CSV text of the report: the header, then _CSV_CHUNK rows
+    at a time, so the whole text never has to exist at once."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    cols = [getattr(report, c) for c in CSV_COLUMNS]
+    for lo in range(0, len(report.t), _CSV_CHUNK):
+        yield "".join(map(_CSV_ROW, *(c[lo : lo + _CSV_CHUNK].tolist() for c in cols)))
+
+
 def report_to_csv(report: CoverageReport) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [
-        f"{r.t},{r.boundary_kind},{r.radius_mean:.9g},{r.fixed_coverage:.9g},"
-        f"{r.uniform_coverage:.9g},{r.halfwidth_mean:.9g},{r.reps_effective}"
-        for r in report.rows
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_pieces(report))
 
 
 def _jsonable(value):
@@ -592,19 +638,9 @@ def _jsonable(value):
 
 
 def report_to_json(report: CoverageReport) -> str:
+    cols = [_jsonable(getattr(report, c)) for c in CSV_COLUMNS]
     payload = {
-        "rows": [
-            {
-                "t": row.t,
-                "boundary_kind": row.boundary_kind,
-                "radius_mean": _jsonable(row.radius_mean),
-                "fixed_coverage": _jsonable(row.fixed_coverage),
-                "uniform_coverage": _jsonable(row.uniform_coverage),
-                "halfwidth_mean": _jsonable(row.halfwidth_mean),
-                "reps_effective": row.reps_effective,
-            }
-            for row in report.rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, row)) for row in zip(*cols)],
         "metadata": _jsonable(report.metadata),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -613,17 +649,18 @@ def report_to_json(report: CoverageReport) -> str:
 def emit_report(report: CoverageReport, format: str, path) -> None:
     """Write the report as CSV or JSON; validates invariants first.
 
-    Floats are printed with 9 significant digits. I/O failures are
-    re-raised as OSError naming the path.
+    Floats are printed with 9 significant digits. CSV is written a piece
+    at a time. I/O failures are re-raised as OSError naming the path.
     """
     report.validate()
     if format == "csv":
-        text = report_to_csv(report)
+        pieces = _csv_pieces(report)
     elif format == "json":
-        text = report_to_json(report)
+        pieces = (report_to_json(report),)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
     except OSError as e:
         raise OSError(f"cannot write report to {path}: {e}") from e

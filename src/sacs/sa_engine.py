@@ -314,6 +314,8 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
             if k < len(ev) and ev[k] == tt:
                 visit(tt, x, xbar, h_sum, s_sum, alive)
                 k += 1
+        # Free this block before the next is drawn, so one block is live.
+        del xs, ys
     return diverged_at
 
 

@@ -429,12 +429,17 @@ GOLDEN_CSV_SHA256 = [
         "gaussian-check --cov {tmp}/v.txt --horizon 2000 --reps 80 --seed 4",
         "accc34b055536d7a4d41ed9e938eaa4e7debede76844233771b15aa2b887842d",
     ),
+    # 7,604 rows, written in several chunks of harness._CSV_CHUNK rows
+    (
+        "coverage --dim 1 --iters 2000 --reps 10 --start 100 --stride 1 --seed 7",
+        "92a29fab9cb0deb0a96663eba624d4f273efefa969f13b1437207a0d528ab696",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of five small runs stays fixed.
+    """The sha256 of the CSVs of six small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo coverage harness and rate exponent tables."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -24,6 +25,8 @@ from sacs.harness import (
 )
 from sacs.numerics import NumericalError, SingularMatrixError, SymMatrix
 from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
+
+from helpers import make_report
 
 
 def small_config(**overrides):
@@ -416,7 +419,30 @@ def sample_report():
             reps_effective=10,
         ),
     )
-    return CoverageReport(rows=rows, metadata={"experiment": "coverage", "seed": 0})
+    return make_report(rows, {"experiment": "coverage", "seed": 0})
+
+
+def gm_rows(uniform, fixed=None, radius=0.1):
+    """One gm row per uniform coverage value, at t = 1, 2, ..."""
+    fixed = uniform if fixed is None else fixed
+    return [
+        ReportRow(t, "gm", radius, f, u, 0.1, 2)
+        for t, (f, u) in enumerate(zip(fixed, uniform), start=1)
+    ]
+
+
+def test_report_columns_and_rows():
+    rep = sample_report()
+    assert rep.t.tolist() == [500, 750]
+    assert rep.uniform_coverage.tolist() == [0.9, 0.85]
+    # rows are built from the columns on each access
+    assert rep.rows[1] == ReportRow(750, "gm", 0.15, 0.95, 0.85, 0.9, 10)
+    assert rep.rows is not rep.rows
+    # every column has one entry per row
+    columns = {c: [1.0] for c in CSV_COLUMNS}
+    columns["t"] = [1, 2]
+    with pytest.raises(ValueError):
+        CoverageReport(**columns, metadata={})
 
 
 def test_csv_format_and_header():
@@ -437,7 +463,7 @@ def test_csv_nine_significant_digits():
         halfwidth_mean=1234567.891,
         reps_effective=3,
     )
-    text = report_to_csv(CoverageReport(rows=(row,), metadata={}))
+    text = report_to_csv(make_report((row,)))
     assert text.strip().split("\n")[1] == "1,gm,3.14159265,0.333333333,0.25,1234567.89,3"
 
 
@@ -449,11 +475,32 @@ def test_json_round_trip():
 
 
 def test_json_maps_nonfinite_to_null():
-    rep = CoverageReport(rows=(), metadata={"x": math.inf, "y": math.nan, "z": 1.0})
+    rep = make_report((), {"x": math.inf, "y": math.nan, "z": 1.0})
     payload = json.loads(report_to_json(rep))
     assert payload["metadata"]["x"] is None
     assert payload["metadata"]["y"] is None
     assert payload["metadata"]["z"] == 1.0
+
+
+def test_json_rows_parse_equal_to_csv_rows(tmp_path):
+    # the divergent config has unavailable evaluations, so nan half-widths
+    rep = run_coverage(divergent_config())
+    emit_report(rep, "csv", tmp_path / "r.csv")
+    emit_report(rep, "json", tmp_path / "r.json")
+    with open(tmp_path / "r.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert len(csv_rows) == len(json_rows) == len(rep.t)
+    for c, j in zip(csv_rows, json_rows):
+        assert list(c) == list(j) == list(CSV_COLUMNS)
+        for name in CSV_COLUMNS:
+            value = j[name]
+            if value is None:
+                assert c[name] == "nan"
+            elif isinstance(value, float):
+                assert float(c[name]) == float(f"{value:.9g}")
+            else:
+                assert c[name] == str(value)
 
 
 def test_emit_report_validates_and_writes(tmp_path):
@@ -463,62 +510,93 @@ def test_emit_report_validates_and_writes(tmp_path):
     assert out.read_text() == report_to_csv(rep)
     out_json = tmp_path / "r.json"
     emit_report(rep, "json", out_json)
-    assert json.loads(out_json.read_text())["rows"]
+    assert out_json.read_text() == report_to_json(rep)
     with pytest.raises(ValueError):
         emit_report(rep, "parquet", tmp_path / "r.parquet")
     with pytest.raises(OSError) as exc:
         emit_report(rep, "csv", tmp_path / "missing" / "r.csv")
     assert "cannot write report to" in str(exc.value)
+    assert str(tmp_path / "missing" / "r.csv") in str(exc.value)
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
-    rep = CoverageReport(rows=(), metadata={})
+    rep = make_report(())
     out = tmp_path / "empty.csv"
     emit_report(rep, "csv", out)
     assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 4, 5, 6])
+def test_emit_report_streams_across_chunks(monkeypatch, tmp_path, n_rows):
+    # 0, 1, chunk - 1, chunk and chunk + 1 rows with a chunk of 5 rows
+    rows = gm_rows([1.0 - 0.01 * i for i in range(n_rows)], radius=math.pi)
+    rep = make_report(rows)
+    expected = ",".join(CSV_COLUMNS) + "\n" + "".join(
+        f"{r.t},gm,{r.radius_mean:.9g},{r.fixed_coverage:.9g},"
+        f"{r.uniform_coverage:.9g},0.1,2\n"
+        for r in rows
+    )
+    monkeypatch.setattr(harness, "_CSV_CHUNK", 5)
+    emit_report(rep, "csv", tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == report_to_csv(rep) == expected
+
+
+def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
+    # 10,000 steps x 4 kinds. Rows were once ~335 B objects each, with the
+    # whole CSV text on top (2.7 times the column bytes); now validation
+    # and one chunk of formatted rows take about a quarter of them
+    rep = run_gaussian_check(1, SymMatrix([[1.0]]), 0.05, 10_000, 4, KINDS, seed=1)
+    column_bytes = sum(getattr(rep, c).nbytes for c in CSV_COLUMNS)
+    assert len(rep.t) == 40_000
+    emit_report(rep, "csv", tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        emit_report(rep, "csv", tmp_path / "r.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * column_bytes
+    assert (tmp_path / "r.csv").read_text() == report_to_csv(rep)
+
+
 def test_validate_rejects_bad_reports():
     good = sample_report()
     good.validate()
-    bad_rate = CoverageReport(
-        rows=(
-            ReportRow(
-                t=1,
-                boundary_kind="gm",
-                radius_mean=0.1,
-                fixed_coverage=1.5,
-                uniform_coverage=0.9,
-                halfwidth_mean=0.1,
-                reps_effective=1,
-            ),
-        ),
-        metadata={},
-    )
-    with pytest.raises(ValueError):
+    bad_rate = make_report(gm_rows([0.9], fixed=[1.5]))
+    with pytest.raises(ValueError, match="gm rate 1.5 at t=1 outside"):
         bad_rate.validate()
-    increasing = CoverageReport(
-        rows=(
-            ReportRow(
-                t=1,
-                boundary_kind="gm",
-                radius_mean=0.1,
-                fixed_coverage=0.5,
-                uniform_coverage=0.5,
-                halfwidth_mean=0.1,
-                reps_effective=2,
-            ),
-            ReportRow(
-                t=2,
-                boundary_kind="gm",
-                radius_mean=0.1,
-                fixed_coverage=0.7,
-                uniform_coverage=0.7,
-                halfwidth_mean=0.1,
-                reps_effective=2,
-            ),
-        ),
-        metadata={},
-    )
-    with pytest.raises(ValueError):
+    increasing = make_report(gm_rows([0.5, 0.7]))
+    with pytest.raises(ValueError, match="gm time-uniform coverage increased at t=2"):
         increasing.validate()
+
+
+def test_validate_rejects_nan_rate():
+    for fixed, uniform in (([math.nan], [0.9]), ([0.9], [math.nan])):
+        with pytest.raises(ValueError, match="gm rate nan at t=1 outside"):
+            make_report(gm_rows(uniform, fixed=fixed)).validate()
+
+
+def test_validate_names_the_first_offending_t():
+    lilub = [ReportRow(t, "lilub", 0.1, 1.0, 1.0, 0.1, 2) for t in (1, 2, 3, 4)]
+    gm = gm_rows([1.0, 0.9, 0.95, 0.99])
+    gm[3] = ReportRow(4, "gm", -0.1, 0.9, 0.9, 0.1, 2)
+    # interleaved step-major; gm first fails at t=3 (an increase), then t=4
+    rows = [r for pair in zip(lilub, gm) for r in pair]
+    with pytest.raises(ValueError, match="^gm time-uniform coverage increased at t=3$"):
+        make_report(rows).validate()
+    # kinds are checked in order of first appearance
+    lilub[3] = ReportRow(4, "lilub", 0.0, 1.0, 1.0, 0.1, 2)
+    rows = [r for pair in zip(lilub, gm) for r in pair]
+    with pytest.raises(ValueError, match="^lilub radius_mean at t=4 not positive$"):
+        make_report(rows).validate()
+    # within a row the rate rules come before the increase rule
+    bad = gm_rows([1.0, 1.5])
+    with pytest.raises(ValueError, match="^gm rate 1.5 at t=2 outside"):
+        make_report(bad).validate()
+
+
+def test_validate_allows_slack_and_nan_radius():
+    # an increase within 1e-12 passes, as does a nan radius (unavailable)
+    make_report(gm_rows([1.0, 0.5, 0.5 + 1e-13], radius=math.nan)).validate()
+    with pytest.raises(ValueError, match="increased at t=3"):
+        make_report(gm_rows([1.0, 0.5, 0.5 + 1e-11])).validate()

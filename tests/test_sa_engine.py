@@ -1,6 +1,7 @@
 """Tests for the stochastic approximation recursion engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,30 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
         direct = RngStream(42, r).generator
         sample_data_block(model, direct, T)
         assert gen.bit_generator.state == direct.bit_generator.state
+
+
+def test_lockstep_holds_one_data_block(monkeypatch):
+    # 50 repetitions in blocks of 320 steps: the peak allocation of a
+    # 2,000-step run stays near one block's covariates and responses,
+    # rather than two blocks at each boundary
+    monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 2**14)
+    model, sched, n_reps, T = default_model("linear", 1), StepSchedule(0.01, 0.67), 50, 2000
+    block = max(b for _, b in sa_engine._time_blocks(T, n_reps))
+    assert block == 320 and T > 5 * block
+    block_bytes = block * n_reps * (model.dim + 1) * 8
+
+    def run(gens):
+        run_lockstep(model, sched, T, np.zeros(1), gens, [], lambda *a: None)
+
+    run([RngStream(3, r).generator for r in range(n_reps)])  # first-call set-up
+    gens = [RngStream(4, r).generator for r in range(n_reps)]
+    tracemalloc.start()
+    try:
+        run(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
 
 
 def test_lockstep_freezes_divergent_reps():
