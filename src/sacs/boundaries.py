@@ -1,4 +1,4 @@
-"""Confidence sequence radii, membership evaluation, and related objectives.
+"""Confidence sequence radii and membership evaluation.
 
 Four region families for the whitened averaged-iterate statistic, all in
 units of the estimated sandwich covariance:
@@ -29,7 +29,6 @@ from .numerics import (
     c_d_constant,
     lambert_w_m1,
     normal_quantile,
-    pd_eigh,
     whiten,
 )
 
@@ -40,14 +39,8 @@ __all__ = [
     "BoundarySpec",
     "CsEvaluation",
     "lambda_star",
-    "radius_lil_ub",
-    "radius_gm",
-    "radius_lil_en",
-    "radius_fixed",
     "radius_grid",
     "evaluate",
-    "gm_mixture_martingale",
-    "gm_volume_objective",
 ]
 
 KINDS = ("lilub", "gm", "lilen", "fixed")
@@ -111,8 +104,10 @@ class CsEvaluation:
 def lambda_star(alpha: float) -> float:
     """Volume-optimal mixing weight for the gm boundary.
 
-    lambda_star = -W_{-1}(-alpha^2 / e) - 1, the unique positive stationary
-    point of gm_volume_objective. Strictly positive for alpha in (0, 1).
+    lambda_star = -W_{-1}(-alpha^2 / e) - 1, the unique positive root of
+    lam - log(1 + lam) = 2 log(1/alpha), which minimizes the region volume
+    ((1 + lam)/lam * (log(1 + lam) + 2 log(1/alpha)))^{d/2} over lam > 0
+    for every d. Strictly positive for alpha in (0, 1).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -120,9 +115,9 @@ def lambda_star(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Radius formulas. The *_grid helpers are vectorized over t (and kappa where
-# applicable) and return +inf where the formula is undefined; the public
-# scalar functions turn +inf into UndefinedBoundaryError.
+# Radius formulas, one helper per family, vectorized over t (and kappa where
+# applicable). They return +inf where the formula is undefined; evaluate
+# turns that into UndefinedBoundaryError.
 
 
 def _loglog_or_inf(u: np.ndarray) -> np.ndarray:
@@ -169,89 +164,31 @@ def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
     return normal_quantile(1.0 - alpha / 2.0) / np.sqrt(ts)
 
 
-def _check_t_d_alpha(t: float, d: int, alpha: float) -> None:
-    if not t >= 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def radius_lil_ub(t: float, d: int, alpha: float) -> float:
-    """Iterated-logarithm radius 1.7 sqrt((loglog(2t) + 0.72 log(10.4 d / alpha)) / t).
-
-    Pairs with sup norm membership. Undefined where loglog(2t) does not
-    exist or the radicand is nonpositive (only possible for enormous
-    alpha); raises UndefinedBoundaryError there.
-    """
-    _check_t_d_alpha(t, d, alpha)
-    val = float(_lilub_grid(np.array([t]), d, alpha)[0])
-    if not math.isfinite(val):
-        raise UndefinedBoundaryError(
-            f"lilub radius undefined at t={t} (iterated logarithm domain)"
-        )
-    return val
-
-
-def radius_gm(t: float, d: int, alpha: float, t0: float = 100.0) -> float:
-    """Gaussian-mixture radius sqrt((1 + t0/(t l*)) (d log(1 + t l*/t0) + 2 log(1/alpha)) / t).
-
-    l* = lambda_star(alpha). Pairs with two norm membership; defined for
-    all t >= 1.
-    """
-    _check_t_d_alpha(t, d, alpha)
-    if not (math.isfinite(t0) and t0 >= 1.0):
-        raise ValueError(f"t0 must be >= 1, got {t0}")
-    return float(_gm_grid(np.array([t]), d, alpha, t0)[0])
-
-
-def radius_lil_en(
-    t: float, d: int, alpha: float, eps_net: float = 0.5, kappa: float = 1.0
-) -> float:
-    """Epsilon-net iterated-logarithm radius.
-
-    (2/(1-eps)) sqrt((1.4 loglog(2 t kappa) + log(5.2 C_d / alpha)
-    + (d-1) log(3 sqrt(kappa) / eps)) / t), where C_d = c_d_constant(d)
-    and kappa is the condition number of the covariance used for
-    whitening. Pairs with two norm membership. Raises
-    UndefinedBoundaryError where the iterated logarithm is undefined.
-    """
-    _check_t_d_alpha(t, d, alpha)
-    if not (0.0 < eps_net < 1.0):
-        raise ValueError(f"eps_net must lie in (0, 1), got {eps_net}")
-    if not (math.isfinite(kappa) and kappa >= 1.0):
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    val = float(_lilen_grid(np.array([t]), d, alpha, eps_net, kappa)[0])
-    if not math.isfinite(val):
-        raise UndefinedBoundaryError(
-            f"lilen radius undefined at t={t}, kappa={kappa} "
-            f"(iterated logarithm domain)"
-        )
-    return val
-
-
-def radius_fixed(t: float, alpha: float) -> float:
-    """Fixed-time per-coordinate radius z_{1 - alpha/2} / sqrt(t).
-
-    Pointwise normal interval in whitened units; no time-uniform
-    guarantee. Pairs with sup norm membership (per-coordinate check).
-    """
-    _check_t_d_alpha(t, 1, alpha)
-    return float(_fixed_grid(np.array([t]), alpha)[0])
-
-
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
-    """Vectorized radii of one boundary over an array of steps.
+    """Radii of one boundary over an array of steps ts >= 1.
 
-    Bulk counterpart of the scalar radius functions for Monte Carlo use:
-    entries where the formula is undefined come back as +inf (the region
-    is trivially the whole space there) instead of raising. ts and kappa
-    broadcast against each other; kappa is ignored except by lilen.
+    The families, in whitened units (l* = lambda_star(alpha), eps =
+    eps_net, C_d = c_d_constant(d)):
+
+      lilub  1.7 sqrt((loglog(2t) + 0.72 log(10.4 d / alpha)) / t)
+      gm     sqrt((1 + t0/(t l*)) (d log(1 + t l*/t0) + 2 log(1/alpha)) / t)
+      lilen  (2/(1-eps)) sqrt((1.4 loglog(2 t kappa) + log(5.2 C_d / alpha)
+             + (d-1) log(3 sqrt(kappa) / eps)) / t)
+      fixed  z_{1 - alpha/2} / sqrt(t), pointwise only
+
+    kappa >= 1 is the condition number of the covariance used for
+    whitening; only lilen reads it, and a nan kappa (an unavailable
+    evaluation) passes through. ts and kappa broadcast against each other.
+    Entries where an iterated logarithm or its radicand is undefined come
+    back as +inf: the region is the whole space there.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= 1.0):
+        raise ValueError("every t must be >= 1")
+    if np.any(np.asarray(kappa) < 1.0):
+        raise ValueError("kappa must be >= 1")
     if spec.kind == "lilub":
         return _lilub_grid(ts, d, spec.alpha)
     if spec.kind == "gm":
@@ -327,57 +264,3 @@ def evaluate(
         covered=covered,
         halfwidths=halfwidths,
     )
-
-
-def gm_mixture_martingale(t: float, sum_g, v: SymMatrix, sigma: SymMatrix) -> float:
-    """Closed-form value of the Gaussian mixture martingale at time t.
-
-    For the running sum s of mean-zero increments with common covariance
-    v, the mixture over Gaussian weights with mixing covariance sigma is
-
-        exp( s' (t v + sigma^{-1})^{-1} s / 2 )
-        / sqrt( det(sigma) det(t v + sigma^{-1}) ).
-
-    Equals 1 at t=0 and has expectation 1 in t under the Gaussian law.
-    Used by property tests of the gm boundary's derivation.
-    """
-    if not (t >= 0.0):
-        raise ValueError(f"t must be >= 0, got {t}")
-    s = np.asarray(sum_g, dtype=float)
-    if s.shape != (v.dim,) or sigma.dim != v.dim:
-        raise ValueError("dimension mismatch between sum_g, v, and sigma")
-
-    ws, qs, ok = pd_eigh(sigma.entries)
-    if not ok:
-        raise SingularMatrixError("mixing covariance must be positive definite")
-    sigma_inv = (qs / ws) @ qs.T
-    log_det_sigma = float(np.sum(np.log(ws)))
-
-    wa, qa, ok = pd_eigh(t * v.entries + sigma_inv)
-    if not ok:
-        raise SingularMatrixError("t*v + sigma^{-1} must be positive definite")
-    a_inv_s = (qa / wa) @ (qa.T @ s)
-    quad = 0.5 * float(s @ a_inv_s)
-    log_norm = 0.5 * (log_det_sigma + float(np.sum(np.log(wa))))
-    return math.exp(quad - log_norm)
-
-
-def gm_volume_objective(lam: float, d: int, alpha: float) -> float:
-    """Confidence region volume profile (up to constants) in the mixing weight.
-
-    The per-axis profile ((1+lam)/lam) * (log(1+lam) + 2 log(1/alpha)),
-    raised to the power d/2: the gm boundary scales every axis of the
-    mixing covariance by the same lam, so the region volume is the d-th
-    power of the one-dimensional profile. The unique minimizer over
-    lam > 0 is lambda_star(alpha) for every d (stationarity reduces to
-    lam - log(1+lam) = 2 log(1/alpha), which is d-free), and the minimum
-    value is (1 + lambda_star)^{d/2}.
-    """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be a positive real, got {lam}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    profile = ((1.0 + lam) / lam) * (math.log1p(lam) + 2.0 * math.log(1.0 / alpha))
-    return profile ** (d / 2.0)

@@ -13,6 +13,7 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -159,7 +160,11 @@ def _read_cov(path: str) -> tuple[int, SymMatrix]:
         if len(row) != d:
             raise ValueError(f"covariance file {path}: each row needs {d} entries")
         rows.append(row)
-    return d, SymMatrix(rows)
+    a = np.array(rows)
+    # Tolerate round-off in printed digits, not a different upper triangle.
+    if np.all(np.isfinite(a)) and np.max(np.abs(a - a.T)) > 1e-9 * np.max(np.abs(a)):
+        raise ValueError(f"covariance file {path}: matrix is not symmetric")
+    return d, SymMatrix(a)
 
 
 def _cmd_gaussian_check(args) -> int:
@@ -185,22 +190,7 @@ def _cmd_gaussian_check(args) -> int:
 
 
 def _profile_csv(profiles) -> str:
-    cols = (
-        "a",
-        "lambda",
-        "p",
-        "d",
-        "linear",
-        "e1",
-        "e2",
-        "e3",
-        "e4",
-        "e5",
-        "overall",
-        "a_opt",
-        "r_opt",
-        "violation",
-    )
+    names = [f.name for f in dataclasses.fields(harness.RateProfile)]
 
     def fmt(x) -> str:
         if x is None:
@@ -211,29 +201,9 @@ def _profile_csv(profiles) -> str:
             return "inf" if math.isinf(x) else format(x, ".9g")
         return str(x)
 
-    lines = [",".join(cols)]
+    lines = [",".join("lambda" if n == "lam" else n for n in names)]
     for pr in profiles:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    pr.a,
-                    pr.lam,
-                    pr.p,
-                    pr.d,
-                    pr.linear,
-                    pr.e1,
-                    pr.e2,
-                    pr.e3,
-                    pr.e4,
-                    pr.e5,
-                    pr.overall,
-                    pr.a_opt,
-                    pr.r_opt,
-                    pr.violation,
-                )
-            )
-        )
+        lines.append(",".join(fmt(getattr(pr, n)) for n in names))
     return "\n".join(lines) + "\n"
 
 

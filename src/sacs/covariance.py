@@ -10,8 +10,6 @@ case of a singular Jacobian estimate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .numerics import pd_eigh
@@ -19,7 +17,6 @@ from .numerics import pd_eigh
 __all__ = [
     "SANDWICH_RTOL",
     "sandwich",
-    "plugin_rate_exponent",
 ]
 
 # Relative invertibility guard: h_hat with min eigenvalue at or below this
@@ -41,19 +38,3 @@ def sandwich(h, s):
     with np.errstate(over="ignore", invalid="ignore"):
         h_inv = (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
         return h_inv @ s @ h_inv, ok
-
-
-def plugin_rate_exponent(p_bar: float, a: float) -> float:
-    """Almost-sure convergence rate exponent of the plug-in estimates.
-
-    Both the Jacobian estimate and the sandwich converge at rate
-    t^{-min(1 - 1/p_bar, a/2)} (up to logarithmic factors), where p_bar is
-    the moment order available for the per-sample Jacobians. p_bar may be
-    math.inf.
-    """
-    if not (p_bar > 1.0):
-        raise ValueError(f"p_bar must exceed 1, got {p_bar}")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"step exponent must lie in (0, 1), got {a}")
-    first = 1.0 if math.isinf(p_bar) else 1.0 - 1.0 / p_bar
-    return min(first, a / 2.0)

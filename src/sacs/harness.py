@@ -46,7 +46,6 @@ __all__ = [
     "rate_exponents",
     "run_coverage",
     "run_gaussian_check",
-    "fit_rate",
     "report_to_csv",
     "report_to_json",
     "emit_report",
@@ -206,7 +205,6 @@ class RateProfile:
     p: float
     d: int
     linear: bool
-    violation: str | None
     e1: float
     e2: float | None
     e3: float
@@ -215,6 +213,7 @@ class RateProfile:
     overall: float
     a_opt: float
     r_opt: float
+    violation: str | None
 
 
 def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> RateProfile:
@@ -258,7 +257,6 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
         p=p,
         d=int(d),
         linear=linear,
-        violation=violation,
         e1=e1,
         e2=e2,
         e3=e3,
@@ -267,6 +265,7 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
         overall=overall,
         a_opt=a_opt,
         r_opt=r_opt,
+        violation=violation,
     )
 
 
@@ -572,32 +571,6 @@ def run_gaussian_check(
     report = CoverageReport(**columns, metadata=metadata)
     report.validate()
     return report
-
-
-def fit_rate(checkpoints, window) -> float:
-    """Least-squares slope of log(error) against log(t) inside the window.
-
-    checkpoints is a sequence of (t, error) pairs; window a (t_lo, t_hi)
-    pair. Raises ValueError when fewer than 3 checkpoints fall in the
-    window, when any selected error or t is nonpositive, or when all
-    selected t coincide.
-    """
-    t_lo, t_hi = window
-    pts = [(float(t), float(e)) for t, e in checkpoints if t_lo <= t <= t_hi]
-    if len(pts) < 3:
-        raise ValueError(
-            f"degenerate window [{t_lo}, {t_hi}]: need >= 3 checkpoints, "
-            f"found {len(pts)}"
-        )
-    if any(t <= 0.0 or e <= 0.0 for t, e in pts):
-        raise ValueError("degenerate window: checkpoints must have t > 0, error > 0")
-    lx = np.log([t for t, _ in pts])
-    ly = np.log([e for _, e in pts])
-    dx = lx - lx.mean()
-    denom = float(np.sum(dx * dx))
-    if denom == 0.0:
-        raise ValueError("degenerate window: all checkpoints share one t")
-    return float(np.sum(dx * (ly - ly.mean())) / denom)
 
 
 # ---------------------------------------------------------------------------

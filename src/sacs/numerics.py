@@ -66,10 +66,6 @@ class SymMatrix:
     def identity(cls, dim: int) -> "SymMatrix":
         return cls(np.eye(dim))
 
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     @property
     def entries(self) -> np.ndarray:
         """Read-only view of the symmetrized entries."""

@@ -1,11 +1,97 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, including reference oracles that
+the library itself does not need: the Gaussian mixture martingale and the
+gm volume objective behind lambda_star, and a log-log rate fit.
+"""
+
+import math
 
 import numpy as np
 
 from sacs.harness import CSV_COLUMNS, CoverageReport
+from sacs.numerics import SingularMatrixError, SymMatrix, pd_eigh
 
 
 def make_report(rows, metadata=None):
     """A CoverageReport holding the given ReportRows, in order, as columns."""
     columns = {c: np.array([getattr(row, c) for row in rows]) for c in CSV_COLUMNS}
     return CoverageReport(**columns, metadata={} if metadata is None else metadata)
+
+
+def gm_mixture_martingale(t: float, sum_g, v: SymMatrix, sigma: SymMatrix) -> float:
+    """Closed-form value of the Gaussian mixture martingale at time t.
+
+    For the running sum s of mean-zero increments with common covariance
+    v, the mixture over Gaussian weights with mixing covariance sigma is
+
+        exp( s' (t v + sigma^{-1})^{-1} s / 2 )
+        / sqrt( det(sigma) det(t v + sigma^{-1}) ).
+
+    Equals 1 at t=0 and has expectation 1 in t under the Gaussian law.
+    Used by property tests of the gm boundary's derivation.
+    """
+    if not (t >= 0.0):
+        raise ValueError(f"t must be >= 0, got {t}")
+    s = np.asarray(sum_g, dtype=float)
+    if s.shape != (v.dim,) or sigma.dim != v.dim:
+        raise ValueError("dimension mismatch between sum_g, v, and sigma")
+
+    ws, qs, ok = pd_eigh(sigma.entries)
+    if not ok:
+        raise SingularMatrixError("mixing covariance must be positive definite")
+    sigma_inv = (qs / ws) @ qs.T
+    log_det_sigma = float(np.sum(np.log(ws)))
+
+    wa, qa, ok = pd_eigh(t * v.entries + sigma_inv)
+    if not ok:
+        raise SingularMatrixError("t*v + sigma^{-1} must be positive definite")
+    a_inv_s = (qa / wa) @ (qa.T @ s)
+    quad = 0.5 * float(s @ a_inv_s)
+    log_norm = 0.5 * (log_det_sigma + float(np.sum(np.log(wa))))
+    return math.exp(quad - log_norm)
+
+
+def gm_volume_objective(lam: float, d: int, alpha: float) -> float:
+    """Confidence region volume profile (up to constants) in the mixing weight.
+
+    The per-axis profile ((1+lam)/lam) * (log(1+lam) + 2 log(1/alpha)),
+    raised to the power d/2: the gm boundary scales every axis of the
+    mixing covariance by the same lam, so the region volume is the d-th
+    power of the one-dimensional profile. The unique minimizer over
+    lam > 0 is lambda_star(alpha) for every d (stationarity reduces to
+    lam - log(1+lam) = 2 log(1/alpha), which is d-free), and the minimum
+    value is (1 + lambda_star)^{d/2}.
+    """
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be a positive real, got {lam}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    profile = ((1.0 + lam) / lam) * (math.log1p(lam) + 2.0 * math.log(1.0 / alpha))
+    return profile ** (d / 2.0)
+
+
+def fit_rate(checkpoints, window) -> float:
+    """Least-squares slope of log(error) against log(t) inside the window.
+
+    checkpoints is a sequence of (t, error) pairs; window a (t_lo, t_hi)
+    pair. Raises ValueError when fewer than 3 checkpoints fall in the
+    window, when any selected error or t is nonpositive, or when all
+    selected t coincide.
+    """
+    t_lo, t_hi = window
+    pts = [(float(t), float(e)) for t, e in checkpoints if t_lo <= t <= t_hi]
+    if len(pts) < 3:
+        raise ValueError(
+            f"degenerate window [{t_lo}, {t_hi}]: need >= 3 checkpoints, "
+            f"found {len(pts)}"
+        )
+    if any(t <= 0.0 or e <= 0.0 for t, e in pts):
+        raise ValueError("degenerate window: checkpoints must have t > 0, error > 0")
+    lx = np.log([t for t, _ in pts])
+    ly = np.log([e for _, e in pts])
+    dx = lx - lx.mean()
+    denom = float(np.sum(dx * dx))
+    if denom == 0.0:
+        raise ValueError("degenerate window: all checkpoints share one t")
+    return float(np.sum(dx * (ly - ly.mean())) / denom)

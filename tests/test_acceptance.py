@@ -15,17 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from sacs.boundaries import (
-    BoundarySpec,
-    gm_mixture_martingale,
-    gm_volume_objective,
-    lambda_star,
-    radius_grid,
-)
+from sacs.boundaries import BoundarySpec, lambda_star, radius_grid
 from sacs.covariance import sandwich
 from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gaussian_check
 from sacs.numerics import SymMatrix, whiten
 from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
+
+from helpers import gm_mixture_martingale, gm_volume_objective
 
 CS_KINDS = ("lilub", "gm", "lilen")
 LINEAR_ETA0 = 0.01

@@ -17,16 +17,17 @@ from sacs.boundaries import (
     BoundarySpec,
     UndefinedBoundaryError,
     evaluate,
-    gm_mixture_martingale,
-    gm_volume_objective,
     lambda_star,
-    radius_fixed,
-    radius_gm,
     radius_grid,
-    radius_lil_en,
-    radius_lil_ub,
 )
 from sacs.numerics import SingularMatrixError, SymMatrix
+
+from helpers import gm_mixture_martingale, gm_volume_objective
+
+
+def radius(kind, t, d, alpha, kappa=1.0, **shape):
+    """One radius through radius_grid, as a float (+inf where undefined)."""
+    return float(radius_grid(BoundarySpec(kind, alpha, **shape), [t], d, kappa)[0])
 
 
 # ----------------------------------------------------------- lambda_star
@@ -63,13 +64,13 @@ def test_lambda_star_domain():
 
 
 def test_radius_frozen_values():
-    assert radius_lil_ub(100, 1, 0.05) == pytest.approx(0.3990627054803708, rel=1e-12)
-    assert radius_lil_ub(100, 2, 0.05) == pytest.approx(0.41674218581564854, rel=1e-12)
-    assert radius_gm(100, 1, 0.05, t0=100.0) == pytest.approx(0.3035122413028551, rel=1e-12)
-    assert radius_lil_en(100, 1, 0.05, eps_net=0.5, kappa=1.0) == pytest.approx(
+    assert radius("lilub", 100, 1, 0.05) == pytest.approx(0.3990627054803708, rel=1e-12)
+    assert radius("lilub", 100, 2, 0.05) == pytest.approx(0.41674218581564854, rel=1e-12)
+    assert radius("gm", 100, 1, 0.05, t0=100.0) == pytest.approx(0.3035122413028551, rel=1e-12)
+    assert radius("lilen", 100, 1, 0.05, eps_net=0.5, kappa=1.0) == pytest.approx(
         1.1079265743684903, rel=1e-12
     )
-    assert radius_fixed(100, 0.05) == pytest.approx(0.19599639845400538, rel=1e-12)
+    assert radius("fixed", 100, 1, 0.05) == pytest.approx(0.19599639845400538, rel=1e-12)
 
 
 def test_radius_gm_t0_equals_t_identity():
@@ -79,13 +80,13 @@ def test_radius_gm_t0_equals_t_identity():
         direct = math.sqrt(
             (1.0 + 1.0 / ls) * (d * math.log1p(ls) + 2.0 * math.log(1.0 / alpha)) / t
         )
-        assert radius_gm(t, d, alpha, t0=float(t)) == pytest.approx(direct, rel=1e-13)
+        assert radius("gm", t, d, alpha, t0=float(t)) == pytest.approx(direct, rel=1e-13)
 
 
 def test_radius_lil_en_d1_drops_net_term():
     # for d = 1 the epsilon-net term vanishes for every kappa
     for kappa in (1.0, 7.5):
-        val = radius_lil_en(200, 1, 0.1, eps_net=0.3, kappa=kappa)
+        val = radius("lilen", 200, 1, 0.1, kappa, eps_net=0.3)
         direct = (2.0 / 0.7) * math.sqrt(
             (1.4 * math.log(math.log(400.0 * kappa)) + math.log(5.2 * 2.0 / 0.1)) / 200.0
         )
@@ -93,14 +94,14 @@ def test_radius_lil_en_d1_drops_net_term():
 
 
 def test_radius_lil_en_diverges_as_net_degenerates():
-    base = radius_lil_en(100, 2, 0.1, eps_net=0.5)
-    assert radius_lil_en(100, 2, 0.1, eps_net=1.0 - 1e-9) > 1e6 * base
+    base = radius("lilen", 100, 2, 0.1, eps_net=0.5)
+    assert radius("lilen", 100, 2, 0.1, eps_net=1.0 - 1e-9) > 1e6 * base
 
 
 def test_radius_fixed_alpha_limits():
     # alpha near 0.3173 makes z about 1; alpha near 1 sends the radius to 0
-    assert radius_fixed(1, 0.3173) == pytest.approx(1.0, abs=1e-3)
-    assert radius_fixed(1, 0.9999) < 1e-3
+    assert radius("fixed", 1, 1, 0.3173) == pytest.approx(1.0, abs=1e-3)
+    assert radius("fixed", 1, 1, 0.9999) < 1e-3
 
 
 def test_radii_decrease_in_t():
@@ -114,14 +115,12 @@ def test_radii_decrease_in_t():
 
 
 def test_radius_undefined_cases():
-    # 2t below e leaves the iterated logarithm undefined
-    with pytest.raises(UndefinedBoundaryError):
-        radius_lil_ub(1, 1, 0.05)
-    with pytest.raises(UndefinedBoundaryError):
-        radius_lil_en(1, 1, 0.05, kappa=1.0)
+    # 2t below e leaves the iterated logarithm undefined: the region is everything
+    assert radius("lilub", 1, 1, 0.05) == math.inf
+    assert radius("lilen", 1, 1, 0.05, kappa=1.0) == math.inf
     # gm and fixed are defined from t = 1
-    assert math.isfinite(radius_gm(1, 1, 0.05))
-    assert math.isfinite(radius_fixed(1, 0.05))
+    assert math.isfinite(radius("gm", 1, 1, 0.05))
+    assert math.isfinite(radius("fixed", 1, 1, 0.05))
 
 
 def test_radius_grid_matches_scalars_and_infs():
@@ -129,11 +128,11 @@ def test_radius_grid_matches_scalars_and_infs():
     grid = radius_grid(BoundarySpec("lilub", 0.05), ts, 2)
     assert grid[0] == np.inf
     for i in (1, 2, 3):
-        assert grid[i] == radius_lil_ub(int(ts[i]), 2, 0.05)
+        assert grid[i] == radius("lilub", int(ts[i]), 2, 0.05)
     # kappa = 2 pushes 2*t*kappa above e already at t = 1
     grid = radius_grid(BoundarySpec("lilen", 0.05), ts, 3, kappa=2.0)
     for i in range(4):
-        assert grid[i] == radius_lil_en(int(ts[i]), 3, 0.05, kappa=2.0)
+        assert grid[i] == radius("lilen", int(ts[i]), 3, 0.05, kappa=2.0)
     assert radius_grid(BoundarySpec("lilen", 0.05), ts, 3, kappa=1.0)[0] == np.inf
 
 
@@ -143,23 +142,31 @@ def test_radius_grid_broadcasts_kappa():
     grid = radius_grid(BoundarySpec("lilen", 0.1), ts, 2, kappa=kap)
     # radius grows with the condition number
     assert grid[0] < grid[1] < grid[2]
+    # a nan kappa marks an unavailable evaluation and passes the domain check
+    grid = radius_grid(BoundarySpec("lilen", 0.1), ts, 2, kappa=[2.0, np.nan, 1.0])
+    assert grid[0] == radius("lilen", 100, 2, 0.1, kappa=2.0) and grid[2] < grid[0]
 
 
 def test_radius_domain_errors():
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            radius(kind, 0, 1, 0.05)
+        with pytest.raises(ValueError):
+            radius(kind, 10, 0, 0.05)
+        with pytest.raises(ValueError):
+            radius(kind, 10, 1, 0.05, kappa=0.5)
+        with pytest.raises(ValueError):
+            radius(kind, 10, 1, 1.5)
+        with pytest.raises(ValueError):
+            radius(kind, 10, 1, 0.0)
     with pytest.raises(ValueError):
-        radius_lil_ub(0, 1, 0.05)
+        radius_grid(BoundarySpec("lilub", 0.05), [10, 0.5], 1)
     with pytest.raises(ValueError):
-        radius_lil_ub(10, 0, 0.05)
+        radius_grid(BoundarySpec("lilen", 0.05), [10, 10], 2, kappa=[1.0, 0.5])
     with pytest.raises(ValueError):
-        radius_gm(10, 1, 1.5)
+        radius("gm", 10, 1, 0.05, t0=0.5)
     with pytest.raises(ValueError):
-        radius_gm(10, 1, 0.05, t0=0.5)
-    with pytest.raises(ValueError):
-        radius_lil_en(10, 1, 0.05, eps_net=1.0)
-    with pytest.raises(ValueError):
-        radius_lil_en(10, 1, 0.05, kappa=0.5)
-    with pytest.raises(ValueError):
-        radius_fixed(10, 0.0)
+        radius("lilen", 10, 1, 0.05, eps_net=1.0)
 
 
 def test_boundary_spec_validation():

@@ -202,6 +202,22 @@ def test_gaussian_check_cov_dim_mismatch(tmp_path):
     assert res.returncode == 2
 
 
+def test_gaussian_check_asymmetric_cov_exit_2(tmp_path):
+    cov = tmp_path / "v.txt"
+    cov.write_text("2\n2 100\n-100 2\n")
+    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert str(cov) in res.stderr and "not symmetric" in res.stderr
+    assert not (tmp_path / "g.csv").exists()
+    # round-off in the printed digits is not asymmetry
+    cov.write_text("2\n2.0 0.333333333333\n0.3333333333333333 2.0\n")
+    res = run_cli(
+        "gaussian-check", "--cov", str(cov), "--horizon", "50", "--reps", "5",
+        "--out", str(tmp_path / "g.csv"),
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+
+
 def test_gaussian_check_singular_cov_exit_3(tmp_path):
     cov = tmp_path / "v.txt"
     cov.write_text("2\n1.0 1.0\n1.0 1.0\n")

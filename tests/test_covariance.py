@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacs.covariance import SANDWICH_RTOL, plugin_rate_exponent, sandwich
+from sacs.covariance import SANDWICH_RTOL, sandwich
 from sacs.sa_engine import (
     RngStream,
     StepSchedule,
@@ -114,17 +114,3 @@ def test_jacobian_estimate_accuracy_improves_with_t():
     med_lo = np.median(np.concatenate(errs[1000]))
     med_hi = np.median(np.concatenate(errs[100_000]))
     assert med_hi < med_lo
-
-
-@pytest.mark.parametrize(
-    "p_bar,a,expected",
-    [(2.0, 0.5, 0.25), (np.inf, 0.8, 0.4), (1.25, 0.9, 0.2)],
-)
-def test_plugin_rate_exponent(p_bar, a, expected):
-    assert plugin_rate_exponent(p_bar, a) == pytest.approx(expected, rel=1e-12)
-
-
-def test_plugin_rate_exponent_domain():
-    for p_bar, a in ((1.0, 0.5), (0.5, 0.5), (2.0, 0.0), (2.0, 1.0)):
-        with pytest.raises(ValueError):
-            plugin_rate_exponent(p_bar, a)

@@ -16,7 +16,6 @@ from sacs.harness import (
     ExperimentConfig,
     ReportRow,
     emit_report,
-    fit_rate,
     rate_exponents,
     report_to_csv,
     report_to_json,
@@ -26,7 +25,7 @@ from sacs.harness import (
 from sacs.numerics import NumericalError, SingularMatrixError, SymMatrix
 from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
 
-from helpers import make_report
+from helpers import fit_rate, make_report
 
 
 def small_config(**overrides):

@@ -54,7 +54,7 @@ def test_symmatrix_rejects_bad_input():
 
 def test_symmatrix_constructors():
     assert np.array_equal(SymMatrix.identity(3).entries, np.eye(3))
-    d = SymMatrix.diagonal([1.0, 4.0])
+    d = SymMatrix(np.diag([1.0, 4.0]))
     assert np.array_equal(d.entries, np.diag([1.0, 4.0]))
 
 

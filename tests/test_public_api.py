@@ -1,0 +1,38 @@
+"""The package namespace re-exports exactly the library modules' public names."""
+
+import sacs
+from sacs import boundaries, covariance, harness, numerics, sa_engine
+
+MODULES = (numerics, sa_engine, covariance, boundaries, harness)
+
+# Scalar radii duplicated radius_grid; the oracles now live in tests/helpers.py.
+REMOVED = (
+    "radius_lil_ub",
+    "radius_gm",
+    "radius_lil_en",
+    "radius_fixed",
+    "gm_mixture_martingale",
+    "gm_volume_objective",
+    "plugin_rate_exponent",
+    "fit_rate",
+)
+
+
+def test_all_is_the_union_of_the_modules():
+    union = {name for m in MODULES for name in m.__all__}
+    assert set(sacs.__all__) == union | {"__version__"}
+    assert len(sacs.__all__) == len(set(sacs.__all__))
+
+
+def test_every_exported_name_resolves():
+    for m in MODULES:
+        for name in m.__all__:
+            assert getattr(sacs, name) is getattr(m, name), name
+    assert isinstance(sacs.__version__, str)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in sacs.__all__
+        assert not hasattr(sacs, name), name
+        assert not any(hasattr(m, name) for m in MODULES), name

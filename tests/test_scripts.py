@@ -1,0 +1,22 @@
+"""Every experiment script in scripts/ imports and parses its arguments."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def test_scripts_found():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_runs(script):
+    res = subprocess.run(
+        [sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage:")
