@@ -20,12 +20,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sacs import SymMatrix, run_gaussian_check  # noqa: E402
+from sacs import run_gaussian_check  # noqa: E402
 
 CONFIGS = (
-    ("identity d=1", 1, np.eye(1)),
-    ("identity d=2", 2, np.eye(2)),
-    ("correlated d=2", 2, np.array([[2.0, 1.0], [1.0, 2.0]])),
+    ("identity d=1", np.eye(1)),
+    ("identity d=2", np.eye(2)),
+    ("correlated d=2", np.array([[2.0, 1.0], [1.0, 2.0]])),
 )
 
 
@@ -49,10 +49,8 @@ def main(argv=None) -> int:
     )
 
     worst = 1.0
-    for label, d, v in CONFIGS:
-        report = run_gaussian_check(
-            d, SymMatrix(v), args.alpha, args.horizon, args.reps, kinds, seed=args.seed
-        )
+    for label, v in CONFIGS:
+        report = run_gaussian_check(v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed)
         end_by_kind = {r.boundary_kind: r for r in report.rows[-len(kinds):]}
         parts = []
         for kind in kinds:

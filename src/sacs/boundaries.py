@@ -1,4 +1,4 @@
-"""Confidence sequence radii and membership evaluation.
+"""Confidence sequence radii.
 
 Four region families for the whitened averaged-iterate statistic, all in
 units of the estimated sandwich covariance:
@@ -10,9 +10,11 @@ units of the estimated sandwich covariance:
           (baseline only, no time-uniform guarantee)
 
 The first three hold uniformly over time at level alpha; the fixed-time
-baseline is pointwise and is included for contrast. Radii are strict about
-their domain: where an iterated logarithm is undefined the boundary is
-reported undefined rather than extrapolated.
+baseline is pointwise and is included for contrast. A region is the set of
+centred vectors whose whitened statistic (numerics.whiten) has norm at most
+the radius (radius_grid). Radii are strict about their domain: where an
+iterated logarithm is undefined the radius is +inf, the whole space, rather
+than extrapolated.
 """
 
 from __future__ import annotations
@@ -22,25 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    NumericalError,
-    SingularMatrixError,
-    SymMatrix,
-    c_d_constant,
-    lambert_w_m1,
-    normal_quantile,
-    whiten,
-)
+from .numerics import c_d_constant, lambert_w_m1, normal_quantile
 
 __all__ = [
     "KINDS",
     "NORM_BY_KIND",
-    "UndefinedBoundaryError",
     "BoundarySpec",
-    "CsEvaluation",
     "lambda_star",
     "radius_grid",
-    "evaluate",
 ]
 
 KINDS = ("lilub", "gm", "lilen", "fixed")
@@ -55,10 +46,6 @@ NORM_BY_KIND = {
 
 # Iterated-logarithm arguments below this are treated as out of domain.
 _LOGLOG_MIN = math.e + 1e-12
-
-
-class UndefinedBoundaryError(NumericalError):
-    """The boundary formula is undefined at the requested arguments."""
 
 
 @dataclass(frozen=True)
@@ -89,18 +76,6 @@ class BoundarySpec:
         return NORM_BY_KIND[self.kind]
 
 
-@dataclass(frozen=True)
-class CsEvaluation:
-    """Outcome of one membership evaluation at one step."""
-
-    t: int
-    radius: float
-    norm_kind: str
-    whitened_stat: float | None
-    covered: bool | None
-    halfwidths: np.ndarray
-
-
 def lambda_star(alpha: float) -> float:
     """Volume-optimal mixing weight for the gm boundary.
 
@@ -116,8 +91,7 @@ def lambda_star(alpha: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Radius formulas, one helper per family, vectorized over t (and kappa where
-# applicable). They return +inf where the formula is undefined; evaluate
-# turns that into UndefinedBoundaryError.
+# applicable). They return +inf where the formula is undefined.
 
 
 def _loglog_or_inf(u: np.ndarray) -> np.ndarray:
@@ -196,71 +170,3 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     if spec.kind == "lilen":
         return _lilen_grid(ts, d, spec.alpha, spec.eps_net, kappa)
     return _fixed_grid(ts, spec.alpha)
-
-
-def evaluate(
-    spec: BoundarySpec,
-    v_hat: SymMatrix,
-    t: int,
-    xbar_minus_xstar=None,
-    subset=None,
-) -> CsEvaluation:
-    """Evaluate one boundary at step t against a sandwich estimate.
-
-    subset selects coordinates for inference; the sub-matrix of v_hat is
-    extracted first and all quantities (dimension, condition number,
-    whitening) refer to it. When the centered vector xbar_minus_xstar is
-    given, the whitened statistic in the family's norm is compared to the
-    radius; otherwise whitened_stat and covered are None.
-
-    halfwidths are the per-coordinate half-widths of the region's
-    bounding box: radius * sqrt(v_ii) for two norm regions, and
-    radius * (1-norm of row i of the sub-matrix square root) for sup norm
-    regions.
-
-    Raises SingularMatrixError when the selected sub-matrix is not
-    numerically PD, and UndefinedBoundaryError where the radius is.
-    """
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
-    d_full = v_hat.dim
-    if subset is None:
-        idx = np.arange(d_full)
-    else:
-        idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
-        if idx.size == 0 or idx[0] < 0 or idx[-1] >= d_full:
-            raise ValueError(f"subset must be nonempty coordinates in [0, {d_full})")
-    vec = None
-    if xbar_minus_xstar is not None:
-        vec = np.asarray(xbar_minus_xstar, dtype=float)
-        if vec.shape != (d_full,):
-            raise ValueError(
-                f"xbar_minus_xstar must have shape ({d_full},), got {vec.shape}"
-            )
-        vec = vec[idx]
-
-    wh = whiten(v_hat.entries[np.ix_(idx, idx)], vec)
-    if not wh.ok:
-        raise SingularMatrixError(
-            f"sandwich sub-matrix is numerically singular or indefinite at t={t}"
-        )
-    radius = float(radius_grid(spec, [t], int(idx.size), kappa=wh.kappa)[0])
-    if not math.isfinite(radius):
-        raise UndefinedBoundaryError(f"{spec.kind} radius undefined at t={t}")
-    two = spec.norm_kind == "two_norm"
-    halfwidths = radius * (wh.scale_two if two else wh.scale_sup)
-
-    whitened_stat = None
-    covered = None
-    if vec is not None:
-        whitened_stat = float(wh.stat_two if two else wh.stat_sup)
-        covered = bool(whitened_stat <= radius)
-
-    return CsEvaluation(
-        t=int(t),
-        radius=radius,
-        norm_kind=spec.norm_kind,
-        whitened_stat=whitened_stat,
-        covered=covered,
-        halfwidths=halfwidths,
-    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import harness
 from .boundaries import KINDS, BoundarySpec
-from .numerics import NumericalError, SymMatrix
-from .sa_engine import RngStream, StepSchedule, default_model, run_trajectory
+from .numerics import NumericalError
+from .sa_engine import StepSchedule, default_model, rng_stream, run_trajectory
 
 __all__ = ["build_parser", "main"]
 
@@ -118,6 +119,15 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     return kinds
 
 
+def _check_out(path: str) -> None:
+    """Raise OSError unless path's directory exists and is writable, so an
+    unusable --out fails before the simulation rather than after it. The
+    file itself is neither created nor truncated here."""
+    parent = Path(path).parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _schedule(args) -> StepSchedule:
     eta0 = args.eta0 if args.eta0 is not None else _DEFAULT_ETA0[args.model]
     return StepSchedule(eta0=eta0, a=args.a)
@@ -139,12 +149,13 @@ def _cmd_coverage(args) -> int:
         boundaries=specs,
         seed=args.seed,
     )
+    _check_out(args.out)
     report = harness.run_coverage(cfg)
     harness.emit_report(report, args.format, args.out)
     return 0
 
 
-def _read_cov(path: str) -> tuple[int, SymMatrix]:
+def _read_cov(path: str) -> np.ndarray:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"covariance file {path} is empty")
@@ -161,29 +172,27 @@ def _read_cov(path: str) -> tuple[int, SymMatrix]:
             raise ValueError(f"covariance file {path}: each row needs {d} entries")
         rows.append(row)
     a = np.array(rows)
+    if not np.isfinite(a).all():
+        raise ValueError(f"covariance file {path}: entries must be finite")
     # Tolerate round-off in printed digits, not a different upper triangle.
-    if np.all(np.isfinite(a)) and np.max(np.abs(a - a.T)) > 1e-9 * np.max(np.abs(a)):
+    if np.max(np.abs(a - a.T)) > 1e-9 * np.max(np.abs(a)):
         raise ValueError(f"covariance file {path}: matrix is not symmetric")
-    return d, SymMatrix(a)
+    return 0.5 * (a + a.T)
 
 
 def _cmd_gaussian_check(args) -> int:
     if args.cov == "identity":
         if args.dim is None:
             raise ValueError("--dim is required when --cov is 'identity'")
-        d, v = args.dim, SymMatrix.identity(args.dim)
+        v = np.eye(args.dim)
     else:
-        d, v = _read_cov(args.cov)
-        if args.dim is not None and args.dim != d:
-            raise ValueError(f"--dim {args.dim} disagrees with file dimension {d}")
+        v = _read_cov(args.cov)
+        if args.dim is not None and args.dim != len(v):
+            raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
+    kinds = _parse_kinds(args.boundaries)
+    _check_out(args.out)
     report = harness.run_gaussian_check(
-        d,
-        v,
-        args.alpha,
-        args.horizon,
-        args.reps,
-        _parse_kinds(args.boundaries),
-        seed=args.seed,
+        v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed
     )
     harness.emit_report(report, "csv", args.out)
     return 0
@@ -208,8 +217,7 @@ def _profile_csv(profiles) -> str:
 
 
 def _cmd_rates(args) -> int:
-    text = args.p.strip().lower() if isinstance(args.p, str) else args.p
-    p = math.inf if text in ("inf", "infinity") else float(text)
+    p = float(args.p)
     if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
@@ -239,15 +247,8 @@ def _cmd_rates(args) -> int:
 
 def _checkpoint_list(spec: str, iters: int) -> list[int]:
     if spec == "dyadic":
-        out = []
-        t = 1
-        while t <= iters:
-            out.append(t)
-            t *= 2
-        if iters >= 1 and (not out or out[-1] != iters):
-            out.append(iters)
-        return out
-    if spec.startswith("every:"):
+        out = [2**k for k in range(iters.bit_length())]
+    elif spec.startswith("every:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError:
@@ -255,10 +256,11 @@ def _checkpoint_list(spec: str, iters: int) -> list[int]:
         if k < 1:
             raise ValueError("checkpoint interval must be >= 1")
         out = list(range(k, iters + 1, k))
-        if iters >= 1 and (not out or out[-1] != iters):
-            out.append(iters)
-        return out
-    raise ValueError(f"--checkpoints must be 'dyadic' or 'every:K', got {spec!r}")
+    else:
+        raise ValueError(f"--checkpoints must be 'dyadic' or 'every:K', got {spec!r}")
+    if iters >= 1 and out[-1:] != [iters]:
+        out.append(iters)
+    return out
 
 
 def _trace_csv(trace, dim: int) -> str:
@@ -276,7 +278,7 @@ def _trace_csv(trace, dim: int) -> str:
         if pt.sandwich is None:
             vals += ["" for _ in upper]
         else:
-            vals += [format(pt.sandwich.entries[i, j], ".9g") for i, j in upper]
+            vals += [format(pt.sandwich[i, j], ".9g") for i, j in upper]
         lines.append(",".join(vals))
     return "\n".join(lines) + "\n"
 
@@ -286,13 +288,9 @@ def _cmd_run(args) -> int:
     if args.iters < 0:
         raise ValueError(f"--iters must be >= 0, got {args.iters}")
     checkpoints = _checkpoint_list(args.checkpoints, args.iters)
-    trace = run_trajectory(
-        model,
-        _schedule(args),
-        args.iters,
-        checkpoints,
-        rng=RngStream(args.seed, 0),
-    )
+    schedule, rng = _schedule(args), rng_stream(args.seed, 0)
+    _check_out(args.out)
+    trace = run_trajectory(model, schedule, args.iters, checkpoints, rng=rng)
     text = _trace_csv(trace, model.dim)
     try:
         Path(args.out).write_text(text)

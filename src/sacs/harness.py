@@ -27,12 +27,12 @@ import numpy as np
 
 from . import boundaries as bnd
 from .covariance import sandwich
-from .numerics import NumericalError, SingularMatrixError, SymMatrix, whiten
+from .numerics import NumericalError, SingularMatrixError, whiten
 from .sa_engine import (
     ModelSpec,
-    RngStream,
     StepSchedule,
     _time_blocks,
+    rng_stream,
     run_lockstep,
     validate_rate_condition,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "rate_exponents",
     "run_coverage",
     "run_gaussian_check",
-    "report_to_csv",
     "report_to_json",
     "emit_report",
 ]
@@ -368,7 +367,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         # One lockstep pass over the listed repetitions: their first divergent
         # steps, misses, per-grid available counts, half-width and radius sums.
         n = len(rep_ids)
-        gens = [RngStream(cfg.seed, int(r)).generator for r in rep_ids]
+        gens = [rng_stream(cfg.seed, int(r)) for r in rep_ids]
         tally = _MissTally(n_b, n_grid, n)
         avail = np.zeros(n_grid, dtype=np.int64)
         hw_sums = np.zeros((n_b, n_grid))
@@ -471,8 +470,7 @@ _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
 def run_gaussian_check(
-    d: int,
-    v: SymMatrix,
+    v,
     alpha: float,
     horizon: int,
     reps: int,
@@ -482,12 +480,12 @@ def run_gaussian_check(
 ) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
-    Simulates M_t = (1/t) sum of i.i.d. N(0, v) vectors through the
-    square root of v, whitens with the TRUE v, and evaluates every listed
-    boundary kind (strings; level alpha, default shape parameters) at
-    every t in [1, horizon]. This isolates the boundary guarantee from
-    plug-in and averaging error. radius_scale inflates every radius, for
-    sanity-ceiling tests.
+    Simulates M_t = (1/t) sum of i.i.d. N(0, v) vectors, v a (d, d)
+    array, through the square root of v, whitens with the TRUE v, and
+    evaluates every listed boundary kind (strings; level alpha, default
+    shape parameters) at every t in [1, horizon]. This isolates the
+    boundary guarantee from plug-in and averaging error. radius_scale
+    inflates every radius, for sanity-ceiling tests.
 
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
     (the whole horizon when it fits), and each block into tiles of
@@ -496,9 +494,19 @@ def run_gaussian_check(
     and tallies its coverage, so every array holds about _TILE_ENTRIES
     floats. Every operation is per repetition and each stream is drawn in
     time order, so the report does not depend on the tile or block sizes.
+
+    Raises ValueError unless v is a nonempty square matrix that is finite
+    and exactly symmetric, and SingularMatrixError unless it is
+    numerically positive definite.
     """
-    if v.dim != d:
-        raise ValueError(f"v has dimension {v.dim}, expected {d}")
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
+        raise ValueError(f"v must be a nonempty square matrix, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("v must have finite entries")
+    if not np.array_equal(v, v.T):
+        raise ValueError("v must be exactly symmetric")
+    d = v.shape[0]
     for name, value in (("horizon", horizon), ("reps", reps)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -512,14 +520,14 @@ def run_gaussian_check(
     if len(set(kinds)) != len(specs):
         raise ValueError("boundary kinds must be distinct")
 
-    wh = whiten(v.entries)
+    wh = whiten(v)
     if not wh.ok:
         raise SingularMatrixError("covariance must be numerically positive definite")
     ts = np.arange(1, horizon + 1, dtype=np.int64)
     radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs])
     base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
 
-    gens = [RngStream(seed, r).generator for r in range(reps)]
+    gens = [rng_stream(seed, r) for r in range(reps)]
     tally = _MissTally(len(specs), horizon, reps)
     inv_t = 1.0 / ts.astype(float)
     total = np.zeros((reps, d))
@@ -555,8 +563,8 @@ def run_gaussian_check(
     metadata = {
         "experiment": "gaussian-check",
         "config": {
-            "d": int(d),
-            "v": [[float(x) for x in row] for row in v.entries],
+            "d": d,
+            "v": v.tolist(),
             "alpha": alpha,
             "horizon": int(horizon),
             "reps": int(reps),
@@ -588,10 +596,6 @@ def _csv_pieces(report: CoverageReport):
     cols = [getattr(report, c) for c in CSV_COLUMNS]
     for lo in range(0, len(report.t), _CSV_CHUNK):
         yield "".join(map(_CSV_ROW, *(c[lo : lo + _CSV_CHUNK].tolist() for c in cols)))
-
-
-def report_to_csv(report: CoverageReport) -> str:
-    return "".join(_csv_pieces(report))
 
 
 def _jsonable(value):

@@ -1,10 +1,10 @@
 """Numerical kernels for small dense symmetric problems.
 
 Everything the rest of the package needs from linear algebra and special
-functions lives here: a thin symmetric matrix wrapper, the batched
-eigendecomposition with the positive-definiteness rule and the whitening
-kernel built on it (numpy's eigh), the lower branch of the Lambert W
-function, the inverse normal CDF (stdlib) and a geometric constant.
+functions lives here: the batched eigendecomposition with the
+positive-definiteness rule and the whitening kernel built on it (numpy's
+eigh), the lower branch of the Lambert W function, the inverse normal CDF
+(stdlib) and a geometric constant. Matrices are plain (..., k, k) arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "SingularMatrixError",
-    "SymMatrix",
     "PD_RTOL",
     "pd_eigh",
     "Whitening",
@@ -38,45 +37,6 @@ class NumericalError(RuntimeError):
 
 class SingularMatrixError(NumericalError):
     """A matrix required to be positive definite was singular or indefinite."""
-
-
-class SymMatrix:
-    """Dense symmetric matrix with a defensive constructor.
-
-    The constructor copies its input, checks shape and finiteness, and
-    symmetrizes via (A + A^T) / 2 so downstream code never sees asymmetry
-    introduced by accumulated round-off. The stored array is frozen.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValueError("matrix must have at least one row")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Read-only view of the symmetrized entries."""
-        return self._a
-
-    @property
-    def dim(self) -> int:
-        return self._a.shape[0]
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self._a.tolist()!r})"
 
 
 def pd_eigh(a, rtol: float = PD_RTOL):

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .numerics import NumericalError, SymMatrix
+from .numerics import NumericalError
 
 __all__ = [
     "DivergenceError",
     "StepSchedule",
     "ModelSpec",
-    "RngStream",
     "TrajectoryPoint",
     "step_size",
     "validate_rate_condition",
     "default_model",
+    "rng_stream",
     "sample_data_block",
     "run_lockstep",
     "run_trajectory",
@@ -152,35 +152,19 @@ def default_model(kind: str, dim: int = 1) -> ModelSpec:
     raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
 
 
-class RngStream:
-    """One named substream of a seeded generator family.
+def rng_stream(seed: int, stream: int) -> np.random.Generator:
+    """Generator of stream `stream` of seed `seed`.
 
-    Stream r of seed s is ``default_rng(SeedSequence(s, spawn_key=(r,)))``,
-    so distinct streams are statistically independent and each (seed,
-    stream) pair reproduces the identical draw sequence within one build.
-    The underlying generator is created lazily and is stateful: reuse of a
-    stream object continues where previous draws left off.
+    It is ``default_rng(SeedSequence(seed, spawn_key=(stream,)))``, so
+    distinct streams are statistically independent and each (seed, stream)
+    pair reproduces the identical draw sequence within one build. Both must
+    be integers in [0, 2**64).
     """
-
-    __slots__ = ("seed", "stream", "_gen")
-
-    def __init__(self, seed: int = 0, stream: int = 0) -> None:
-        for name, value in (("seed", seed), ("stream", stream)):
-            if not isinstance(value, (int, np.integer)) or not (0 <= value < 2**64):
-                raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-            self._gen = np.random.default_rng(ss)
-        return self._gen
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not isinstance(value, (int, np.integer)) or not (0 <= value < 2**64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    return np.random.default_rng(ss)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -324,16 +308,17 @@ class TrajectoryPoint:
     """Checkpoint record: averaged iterate, normalized accumulators, the
     sandwich covariance estimate when available, and the error norm.
 
-    h_hat and s_hat are plain (d, d) arrays, since they may hold inf after
-    the accumulators overflow. sandwich is None exactly when singular is
-    True: h_hat failed the invertibility guard or the sandwich is not finite.
+    h_hat, s_hat and sandwich are plain (d, d) arrays; h_hat and s_hat may
+    hold inf after the accumulators overflow. sandwich is symmetrized,
+    (v + v^T) / 2, and is None exactly when singular is True: h_hat failed
+    the invertibility guard or the sandwich is not finite.
     """
 
     t: int
     xbar: np.ndarray
     h_hat: np.ndarray
     s_hat: np.ndarray
-    sandwich: SymMatrix | None
+    sandwich: np.ndarray | None
     singular: bool
     err_norm: float
 
@@ -344,14 +329,15 @@ def run_trajectory(
     T: int,
     checkpoints,
     x0=None,
-    rng: RngStream | None = None,
+    rng: np.random.Generator | None = None,
 ) -> tuple[TrajectoryPoint, ...]:
     """Run one trajectory for T steps and record the listed checkpoints.
 
     checkpoints must be strictly ascending integers within [1, T]. This is
-    run_lockstep with a single repetition, so the trace is a deterministic
-    function of (model, schedule, T, x0, seed, stream) and equals that
-    repetition's path in the coverage harness.
+    run_lockstep with a single repetition drawing from rng (default
+    rng_stream(0, 0)), so the trace is a deterministic function of (model,
+    schedule, T, x0, seed, stream) and equals that repetition's path in the
+    coverage harness.
 
     Raises DivergenceError if the iterate leaves the finite floats.
     """
@@ -361,7 +347,7 @@ def run_trajectory(
     if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite vector of length dim")
     if rng is None:
-        rng = RngStream(0, 0)
+        rng = rng_stream(0, 0)
     theta = model.theta_star
     trace: list[TrajectoryPoint] = []
 
@@ -378,13 +364,13 @@ def run_trajectory(
                 xbar=xbar[0].copy(),
                 h_hat=h_hat,
                 s_hat=s_hat,
-                sandwich=None if singular else SymMatrix(v),
+                sandwich=None if singular else 0.5 * (v + v.T),
                 singular=singular,
                 err_norm=math.hypot(*(xbar[0] - theta)),
             )
         )
 
-    diverged_at = run_lockstep(model, schedule, T, x0, [rng.generator], checkpoints, visit)
+    diverged_at = run_lockstep(model, schedule, T, x0, [rng], checkpoints, visit)
     if diverged_at[0] != -1:
         raise DivergenceError(int(diverged_at[0]))
     return tuple(trace)

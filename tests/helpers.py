@@ -1,14 +1,15 @@
 """Helpers shared by the test modules, including reference oracles that
 the library itself does not need: the Gaussian mixture martingale and the
-gm volume objective behind lambda_star, and a log-log rate fit.
+gm volume objective behind lambda_star, and a log-log rate fit; and a
+report's whole CSV text, which the library only ever streams to a file.
 """
 
 import math
 
 import numpy as np
 
-from sacs.harness import CSV_COLUMNS, CoverageReport
-from sacs.numerics import SingularMatrixError, SymMatrix, pd_eigh
+from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
+from sacs.numerics import SingularMatrixError, pd_eigh
 
 
 def make_report(rows, metadata=None):
@@ -17,11 +18,17 @@ def make_report(rows, metadata=None):
     return CoverageReport(**columns, metadata={} if metadata is None else metadata)
 
 
-def gm_mixture_martingale(t: float, sum_g, v: SymMatrix, sigma: SymMatrix) -> float:
+def csv_text(report) -> str:
+    """The CSV text emit_report writes for the report, as one string."""
+    return "".join(_csv_pieces(report))
+
+
+def gm_mixture_martingale(t: float, sum_g, v, sigma) -> float:
     """Closed-form value of the Gaussian mixture martingale at time t.
 
     For the running sum s of mean-zero increments with common covariance
-    v, the mixture over Gaussian weights with mixing covariance sigma is
+    v, a (d, d) array, the mixture over Gaussian weights with mixing
+    covariance sigma, another, is
 
         exp( s' (t v + sigma^{-1})^{-1} s / 2 )
         / sqrt( det(sigma) det(t v + sigma^{-1}) ).
@@ -32,16 +39,17 @@ def gm_mixture_martingale(t: float, sum_g, v: SymMatrix, sigma: SymMatrix) -> fl
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     s = np.asarray(sum_g, dtype=float)
-    if s.shape != (v.dim,) or sigma.dim != v.dim:
+    v, sigma = np.asarray(v, dtype=float), np.asarray(sigma, dtype=float)
+    if s.shape != v.shape[:1] or sigma.shape != v.shape:
         raise ValueError("dimension mismatch between sum_g, v, and sigma")
 
-    ws, qs, ok = pd_eigh(sigma.entries)
+    ws, qs, ok = pd_eigh(sigma)
     if not ok:
         raise SingularMatrixError("mixing covariance must be positive definite")
     sigma_inv = (qs / ws) @ qs.T
     log_det_sigma = float(np.sum(np.log(ws)))
 
-    wa, qa, ok = pd_eigh(t * v.entries + sigma_inv)
+    wa, qa, ok = pd_eigh(t * v + sigma_inv)
     if not ok:
         raise SingularMatrixError("t*v + sigma^{-1} must be positive definite")
     a_inv_s = (qa / wa) @ (qa.T @ s)

@@ -18,8 +18,8 @@ import pytest
 from sacs.boundaries import BoundarySpec, lambda_star, radius_grid
 from sacs.covariance import sandwich
 from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gaussian_check
-from sacs.numerics import SymMatrix, whiten
-from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
+from sacs.numerics import whiten
+from sacs.sa_engine import StepSchedule, default_model, rng_stream, run_lockstep
 
 from helpers import gm_mixture_martingale, gm_volume_objective
 
@@ -95,21 +95,21 @@ def logistic_coverage_report():
 def test_criterion_1_gaussian_oracle_coverage():
     threshold = 0.90 - 2.0 * math.sqrt(0.1 * 0.9 / 2000.0)
     configs = (
-        (1, SymMatrix([[1.0]])),
-        (2, SymMatrix.identity(2)),
-        (2, SymMatrix([[2.0, 1.0], [1.0, 2.0]])),
+        np.array([[1.0]]),
+        np.eye(2),
+        np.array([[2.0, 1.0], [1.0, 2.0]]),
     )
     start = time.perf_counter()
     worst = 1.0
     details = []
-    for d, v in configs:
+    for v in configs:
         rep = run_gaussian_check(
-            d, v, alpha=0.1, horizon=10_000, reps=2000, boundaries=CS_KINDS, seed=0
+            v, alpha=0.1, horizon=10_000, reps=2000, boundaries=CS_KINDS, seed=0
         )
         for kind in CS_KINDS:
             cov = uniform_at_end(rep, kind)
             worst = min(worst, cov)
-            details.append(f"d={d} {kind} {cov:.4f}")
+            details.append(f"d={len(v)} {kind} {cov:.4f}")
     elapsed = time.perf_counter() - start
     ok = worst >= threshold and elapsed < 300.0
     assert record(
@@ -179,7 +179,7 @@ def test_logistic_default_step_still_biased():
     def visit(tt, x, xbar, h_sum, s_sum, alive):
         seen["bias"] = xbar[alive, 0] - theta
 
-    gens = [RngStream(0, r).generator for r in range(reps)]
+    gens = [rng_stream(0, r) for r in range(reps)]
     run_lockstep(model, sched, t, np.zeros(1), gens, [t], visit)
     bias = seen["bias"]
     mean = float(bias.mean())
@@ -246,7 +246,7 @@ def test_criterion_6_plugin_limits():
         v_vals.extend(v[ok, 0, 0])
 
     for lo in range(0, reps, 25):
-        gens = [RngStream(0, r).generator for r in range(lo, lo + 25)]
+        gens = [rng_stream(0, r) for r in range(lo, lo + 25)]
         run_lockstep(model, sched, T, np.zeros(1), gens, [T], visit)
 
     h_med = float(np.median(h_vals))
@@ -271,12 +271,12 @@ def test_criterion_7_lambda_star_grid_optimality():
 
 
 def test_criterion_8_martingale_mean_one():
-    v = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
     # mixing covariance v^{-1}/400: a concentrated prior keeps the MC
     # variance of the martingale small enough for a 3 stderr check
-    inv_v = np.linalg.inv(v.entries)
-    sigma = SymMatrix(inv_v / 400.0)
-    sq = whiten(v.entries).root
+    inv_v = np.linalg.inv(v)
+    sigma = np.array(inv_v / 400.0)
+    sq = whiten(v).root
     n_paths, horizon = 10_000, 200
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((n_paths, horizon, 2))

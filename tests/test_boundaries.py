@@ -8,19 +8,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from sacs.boundaries import (
     KINDS,
     NORM_BY_KIND,
     BoundarySpec,
-    UndefinedBoundaryError,
-    evaluate,
     lambda_star,
     radius_grid,
 )
-from sacs.numerics import SingularMatrixError, SymMatrix
+from sacs.numerics import SingularMatrixError, whiten
 
 from helpers import gm_mixture_martingale, gm_volume_objective
 
@@ -204,143 +200,35 @@ def test_ordering_and_ratio_band():
     assert ratio.min() >= 1.5 and ratio.max() <= 3.0
 
 
-# -------------------------------------------------------------- evaluate
+# ------------------------------------------------------------ membership
 
 
-def test_evaluate_d1_halfwidth_equals_radius():
-    v = SymMatrix([[1.0]])
+def test_membership_flips_at_radius():
+    # a region is {delta : |whiten(v, delta)| <= radius} in the kind's norm;
+    # delta = r (1 -+ 1e-9) root(v) e_0 has whitened norm r (1 -+ 1e-9)
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    root = whiten(v).root
     for kind in KINDS:
-        spec = BoundarySpec(kind, 0.05)
-        ev = evaluate(spec, v, 100, xbar_minus_xstar=np.zeros(1))
-        assert ev.covered is True
-        assert ev.whitened_stat == 0.0
-        assert ev.halfwidths[0] == pytest.approx(ev.radius, rel=1e-12)
-        assert ev.norm_kind == NORM_BY_KIND[kind]
-
-
-def test_evaluate_without_vector_reports_no_membership():
-    ev = evaluate(BoundarySpec("gm", 0.1), SymMatrix.identity(2), 50)
-    assert ev.whitened_stat is None and ev.covered is None
-    assert ev.halfwidths.shape == (2,)
-
-
-def test_evaluate_membership_flips_at_radius():
-    spec = BoundarySpec("gm", 0.1)
-    v = SymMatrix.identity(2)
-    r = evaluate(spec, v, 500).radius
-    inside = evaluate(spec, v, 500, np.array([r * (1.0 - 1e-9), 0.0]))
-    outside = evaluate(spec, v, 500, np.array([r * (1.0 + 1e-9), 0.0]))
-    assert inside.covered is True and outside.covered is False
-    assert inside.whitened_stat == pytest.approx(r * (1.0 - 1e-9), rel=1e-12)
-
-
-def test_evaluate_halfwidths_2x2():
-    v = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    # two norm box: radius * sqrt(diag); sup norm box: radius * |sqrt(v)| row sums
-    ev2 = evaluate(BoundarySpec("gm", 0.05), v, 100)
-    assert ev2.halfwidths == pytest.approx([ev2.radius * math.sqrt(2.0)] * 2, rel=1e-12)
-    evs = evaluate(BoundarySpec("lilub", 0.05), v, 100)
-    assert evs.halfwidths == pytest.approx([evs.radius * math.sqrt(3.0)] * 2, rel=1e-12)
-
-
-def test_evaluate_subset_matches_restriction():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 3))
-    v = SymMatrix(a @ a.T + np.eye(3))
-    vec = rng.standard_normal(3)
-    idx = [0, 2]
-    sub = SymMatrix(v.entries[np.ix_(idx, idx)])
-    for kind in KINDS:
-        spec = BoundarySpec(kind, 0.1)
-        whole = evaluate(spec, v, 250, vec, subset=idx)
-        direct = evaluate(spec, sub, 250, vec[idx])
-        assert whole.radius == direct.radius
-        assert whole.whitened_stat == pytest.approx(direct.whitened_stat, rel=1e-12)
-        assert whole.covered == direct.covered
-        assert whole.halfwidths == pytest.approx(direct.halfwidths, rel=1e-12)
-
-
-def test_evaluate_subset_singleton_uses_full_matrix_first():
-    # the 1x1 restriction of a correlated sandwich is not the (0,0) scalar
-    # of some other object: halfwidth must come from v[0,0] alone
-    v = SymMatrix([[4.0, 1.9], [1.9, 1.0]])
-    ev = evaluate(BoundarySpec("gm", 0.1), v, 100, subset=[0])
-    assert ev.halfwidths == pytest.approx([ev.radius * 2.0], rel=1e-12)
-
-
-def test_evaluate_validation_and_singularity():
-    v = SymMatrix.identity(2)
-    spec = BoundarySpec("gm", 0.1)
-    with pytest.raises(ValueError):
-        evaluate(spec, v, 0)
-    with pytest.raises(ValueError):
-        evaluate(spec, v, 10, subset=[2])
-    with pytest.raises(ValueError):
-        evaluate(spec, v, 10, subset=[])
-    with pytest.raises(ValueError):
-        evaluate(spec, v, 10, xbar_minus_xstar=np.zeros(3))
-    with pytest.raises(SingularMatrixError):
-        evaluate(spec, SymMatrix(np.diag([1.0, 0.0])), 10)
-    with pytest.raises(SingularMatrixError):
-        evaluate(spec, SymMatrix(np.diag([1.0, 1e-13])), 10)
-    with pytest.raises(UndefinedBoundaryError):
-        evaluate(BoundarySpec("lilub", 0.05), SymMatrix.identity(1), 1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.sampled_from(KINDS),
-    st.floats(min_value=0.1, max_value=10.0),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_evaluate_scalar_whitening_invariance(kind, c, seed):
-    # (v, vec) -> (c^2 v, c vec) preserves the whitened statistic and the
-    # membership flag for every family (the condition number is unchanged)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((2, 2))
-    v = SymMatrix(a @ a.T + 0.5 * np.eye(2))
-    vec = rng.standard_normal(2)
-    spec = BoundarySpec(kind, 0.1)
-    base = evaluate(spec, v, 300, vec)
-    scaled = evaluate(spec, SymMatrix(c * c * v.entries), 300, c * vec)
-    assume(abs(base.whitened_stat - base.radius) > 1e-6 * base.radius)
-    assert scaled.whitened_stat == pytest.approx(base.whitened_stat, rel=1e-9)
-    assert scaled.covered == base.covered
-    assert scaled.radius == pytest.approx(base.radius, rel=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_evaluate_gm_affine_invariance(seed):
-    # gm's radius ignores conditioning, so any invertible diagonal map
-    # leaves the membership decision unchanged
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 3))
-    v = SymMatrix(a @ a.T + 0.5 * np.eye(3))
-    vec = rng.standard_normal(3)
-    diag = rng.uniform(0.2, 5.0, size=3)
-    spec = BoundarySpec("gm", 0.1)
-    base = evaluate(spec, v, 300, vec)
-    mapped = evaluate(
-        spec, SymMatrix(diag[:, None] * v.entries * diag[None, :]), 300, diag * vec
-    )
-    assume(abs(base.whitened_stat - base.radius) > 1e-6 * base.radius)
-    assert mapped.whitened_stat == pytest.approx(base.whitened_stat, rel=1e-8)
-    assert mapped.covered == base.covered
-    assert mapped.radius == base.radius
+        r = radius(kind, 500, 2, 0.1, kappa=3.0)
+        delta = np.stack([r * (1.0 - 1e-9) * root[:, 0], r * (1.0 + 1e-9) * root[:, 0]])
+        wh = whiten(np.stack([v, v]), delta)
+        assert wh.kappa == pytest.approx([3.0, 3.0], rel=1e-12)
+        stat = wh.stat_sup if NORM_BY_KIND[kind] == "sup_norm" else wh.stat_two
+        assert (stat <= r).tolist() == [True, False], kind
+        assert stat[0] == pytest.approx(r * (1.0 - 1e-9), rel=1e-12)
 
 
 # ---------------------------------------------------- mixture martingale
 
 
 def test_martingale_is_one_at_time_zero():
-    v = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    sigma = SymMatrix(np.eye(2) / 400.0)
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    sigma = np.array(np.eye(2) / 400.0)
     assert gm_mixture_martingale(0.0, np.zeros(2), v, sigma) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_martingale_diffuse_prior_vanishes():
-    val = gm_mixture_martingale(10.0, np.array([3.0]), SymMatrix([[1.0]]), SymMatrix([[1e12]]))
+    val = gm_mixture_martingale(10.0, np.array([3.0]), np.array([[1.0]]), np.array([[1e12]]))
     assert val < 1e-5
 
 
@@ -348,7 +236,7 @@ def test_martingale_d1_closed_form():
     # d=1 with sigma = 1/400: exp(s^2 / (2(tv+400))) / sqrt((tv+400)/400)
     t, s, vv = 50.0, 4.0, 1.0
     direct = math.exp(s * s / (2.0 * (t * vv + 400.0))) / math.sqrt((t * vv + 400.0) / 400.0)
-    got = gm_mixture_martingale(t, np.array([s]), SymMatrix([[vv]]), SymMatrix([[1.0 / 400.0]]))
+    got = gm_mixture_martingale(t, np.array([s]), np.array([[vv]]), np.array([[1.0 / 400.0]]))
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -358,10 +246,10 @@ def test_martingale_mc_mean_one_and_no_drift():
     n, v = 2000, 1.0
     z = rng.standard_normal((n, 200))
     sums = np.cumsum(z, axis=1)
-    sig = SymMatrix([[1.0 / 400.0]])
+    sig = np.array([[1.0 / 400.0]])
     vals = {
         t: np.array(
-            [gm_mixture_martingale(t, sums[i, t - 1 : t], SymMatrix([[v]]), sig) for i in range(n)]
+            [gm_mixture_martingale(t, sums[i, t - 1 : t], np.array([[v]]), sig) for i in range(n)]
         )
         for t in (100, 200)
     }
@@ -374,13 +262,13 @@ def test_martingale_mc_mean_one_and_no_drift():
 
 
 def test_martingale_validation():
-    v = SymMatrix.identity(2)
+    v = np.eye(2)
     with pytest.raises(ValueError):
         gm_mixture_martingale(-1.0, np.zeros(2), v, v)
     with pytest.raises(ValueError):
         gm_mixture_martingale(1.0, np.zeros(3), v, v)
     with pytest.raises(SingularMatrixError):
-        gm_mixture_martingale(1.0, np.zeros(2), v, SymMatrix(np.diag([1.0, 0.0])))
+        gm_mixture_martingale(1.0, np.zeros(2), v, np.array(np.diag([1.0, 0.0])))
 
 
 # ------------------------------------------------------ volume objective

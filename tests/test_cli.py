@@ -10,6 +10,9 @@ import sys
 
 import pytest
 
+from sacs import cli, harness
+from sacs.cli import main
+
 RUN = [sys.executable, "-m", "sacs"]
 
 
@@ -218,6 +221,14 @@ def test_gaussian_check_asymmetric_cov_exit_2(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_gaussian_check_nonfinite_cov_exit_2(tmp_path):
+    cov = tmp_path / "v.txt"
+    cov.write_text("2\n2.0 nan\nnan 2.0\n")
+    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert str(cov) in res.stderr and "finite" in res.stderr
+
+
 def test_gaussian_check_singular_cov_exit_3(tmp_path):
     cov = tmp_path / "v.txt"
     cov.write_text("2\n1.0 1.0\n1.0 1.0\n")
@@ -254,6 +265,14 @@ def test_rates_inf_p_and_nonlinear():
     assert row[2] == "inf"
     assert row[6] == "0.7"  # e2 = a (1 + lambda) / 2 with lambda = 1
     assert row[11] == "0.666666667" and row[12] == "0.666666667"
+
+
+def test_rates_p_inf_spellings(capsys):
+    tables = []
+    for p in ("inf", "INF", " Infinity ", "1e400"):
+        assert main(["rates", "--a", "0.7", "--nonlinear", "--p", p]) == 0
+        tables.append(capsys.readouterr().out)
+    assert len(set(tables)) == 1 and ",inf," in tables[0]
 
 
 def test_rates_grid_and_out(tmp_path):
@@ -400,6 +419,26 @@ def test_unwritable_out_exit_4():
     assert "i/o error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coverage", "--iters", "200", "--reps", "2", "--start", "100"],
+        ["gaussian-check", "--dim", "1", "--horizon", "100", "--reps", "2"],
+        ["run", "--iters", "100"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_unusable_out_exit_4_before_simulating(monkeypatch, capsys, args):
+    def fail(*a, **k):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(harness, "run_coverage", fail)
+    monkeypatch.setattr(harness, "run_gaussian_check", fail)
+    monkeypatch.setattr(cli, "run_trajectory", fail)
+    assert main([*args, "--out", "/no/such/dir/c.csv"]) == 4
+    assert "/no/such/dir" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     args = [
         "coverage",
@@ -450,12 +489,17 @@ GOLDEN_CSV_SHA256 = [
         "coverage --dim 1 --iters 2000 --reps 10 --start 100 --stride 1 --seed 7",
         "92a29fab9cb0deb0a96663eba624d4f273efefa969f13b1437207a0d528ab696",
     ),
+    # a trace, whose vhat columns are the symmetrized sandwich
+    (
+        "run --dim 2 --iters 3000 --checkpoints every:500 --seed 3",
+        "c06767c81d4f1ea8fcf45d1210aecc38f62fa090b856841e2f0cbfe2733ce3be",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of six small runs stays fixed.
+    """The sha256 of the CSVs of seven small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

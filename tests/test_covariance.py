@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from sacs.covariance import SANDWICH_RTOL, sandwich
 from sacs.sa_engine import (
-    RngStream,
     StepSchedule,
     default_model,
+    rng_stream,
     run_lockstep,
     run_trajectory,
     sample_data_block,
@@ -19,14 +19,14 @@ from sacs.sa_engine import (
 def test_single_datum_estimate():
     # after one linear step from x0 = 0: h_hat = X^2, s_hat = (yX)^2
     model = default_model("linear", 1)
-    (xv,), (y,) = sample_data_block(model, RngStream(2, 0).generator, 1)
-    (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=RngStream(2, 0))
+    (xv,), (y,) = sample_data_block(model, rng_stream(2, 0), 1)
+    (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=rng_stream(2, 0))
     assert pt.h_hat[0, 0] == xv[0] ** 2
     assert pt.s_hat[0, 0] == (y * xv[0]) ** 2
     assert not pt.singular
     # d = 1 sandwich is s / h^2
     expected = (y * xv[0]) ** 2 / xv[0] ** 4
-    assert pt.sandwich.entries[0, 0] == pytest.approx(expected, rel=1e-14)
+    assert pt.sandwich[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_plugin_estimate_normalizes_by_t():
@@ -38,14 +38,14 @@ def test_plugin_estimate_normalizes_by_t():
     def visit(tt, x, xbar, h_sum, s_sum, alive):
         sums[tt] = (h_sum[0].copy(), s_sum[0].copy())
 
-    run_lockstep(model, sched, 40, np.zeros(2), [RngStream(5, 0).generator], [4, 40], visit)
-    trace = run_trajectory(model, sched, 40, [4, 40], rng=RngStream(5, 0))
+    run_lockstep(model, sched, 40, np.zeros(2), [rng_stream(5, 0)], [4, 40], visit)
+    trace = run_trajectory(model, sched, 40, [4, 40], rng=rng_stream(5, 0))
     for pt in trace:
         h_sum, s_sum = sums[pt.t]
         assert np.array_equal(pt.h_hat, h_sum / pt.t)
         assert np.array_equal(pt.s_hat, s_sum / pt.t)
         h_inv = np.linalg.inv(pt.h_hat)
-        assert pt.sandwich.entries == pytest.approx(h_inv @ pt.s_hat @ h_inv, rel=1e-9)
+        assert pt.sandwich == pytest.approx(h_inv @ pt.s_hat @ h_inv, rel=1e-9)
 
 
 def test_singular_flag_cases():
@@ -63,7 +63,7 @@ def test_singular_flag_cases():
 def test_plugin_estimate_singular_passthrough():
     # at t = 1 the d = 2 Jacobian estimate is the rank-one X X'
     model = default_model("linear", 2)
-    (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=RngStream(3, 0))
+    (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=rng_stream(3, 0))
     assert pt.singular and pt.sandwich is None
 
 
@@ -88,10 +88,10 @@ def test_sandwich_scale_equivariance(d, c, seed):
 def test_sandwich_is_exactly_symmetric():
     model = default_model("linear", 3)
     sched = StepSchedule(0.01, 0.67)
-    trace = run_trajectory(model, sched, 200, [50, 100, 200], rng=RngStream(3, 0))
+    trace = run_trajectory(model, sched, 200, [50, 100, 200], rng=rng_stream(3, 0))
     for pt in trace:
         assert not pt.singular
-        assert np.array_equal(pt.sandwich.entries, pt.sandwich.entries.T)
+        assert np.array_equal(pt.sandwich, pt.sandwich.T)
 
 
 def test_jacobian_estimate_accuracy_improves_with_t():
@@ -101,7 +101,7 @@ def test_jacobian_estimate_accuracy_improves_with_t():
     reps = 200
     errs = {}
     for start in range(0, reps, 100):
-        gens = [RngStream(31, r).generator for r in range(start, start + 100)]
+        gens = [rng_stream(31, r) for r in range(start, start + 100)]
         chunk_errs = {}
 
         def visit(tt, x, xbar, h_sum, s_sum, alive):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sacs import harness, sa_engine
-from sacs.boundaries import KINDS, BoundarySpec
+from sacs.boundaries import KINDS, BoundarySpec, radius_grid
 from sacs.harness import (
     CSV_COLUMNS,
     CoverageReport,
@@ -17,15 +17,20 @@ from sacs.harness import (
     ReportRow,
     emit_report,
     rate_exponents,
-    report_to_csv,
     report_to_json,
     run_coverage,
     run_gaussian_check,
 )
-from sacs.numerics import NumericalError, SingularMatrixError, SymMatrix
-from sacs.sa_engine import RngStream, StepSchedule, default_model, run_lockstep
+from sacs.numerics import NumericalError, SingularMatrixError, whiten
+from sacs.sa_engine import (
+    StepSchedule,
+    default_model,
+    rng_stream,
+    run_lockstep,
+    run_trajectory,
+)
 
-from helpers import fit_rate, make_report
+from helpers import csv_text, fit_rate, make_report
 
 
 def small_config(**overrides):
@@ -139,7 +144,7 @@ def test_fit_rate_on_simulated_decay():
     # median error of the averaged iterate decays near t^{-1/2}
     model = default_model("linear", 1)
     sched = StepSchedule(0.01, 0.67)
-    gens = [RngStream(17, r).generator for r in range(20)]
+    gens = [rng_stream(17, r) for r in range(20)]
     ckpts = [1000, 2000, 4000, 8000, 16000]
     med = {}
 
@@ -184,8 +189,8 @@ def test_run_coverage_shapes_and_grid():
 
 
 def test_run_coverage_deterministic():
-    a = report_to_csv(run_coverage(small_config()))
-    b = report_to_csv(run_coverage(small_config()))
+    a = csv_text(run_coverage(small_config()))
+    b = csv_text(run_coverage(small_config()))
     assert a == b
 
 
@@ -244,6 +249,33 @@ def test_run_coverage_subset_matches_full_in_d1_block():
         assert 0.0 <= row.uniform_coverage <= 1.0
 
 
+def test_run_coverage_subset_whitens_the_restricted_sandwich():
+    # replaying each repetition with run_trajectory and whitening the
+    # restriction v[idx][:, idx] of its sandwich by hand gives the
+    # report's coverage, radii and half-widths
+    model = default_model("linear", 3)
+    cfg = small_config(model=model, subset=(2, 0), reps=8, iters=1200, start=400, stride=400)
+    rep = run_coverage(cfg)
+    idx = [0, 2]
+    grid = [400, 800, 1200]
+    covered = np.zeros((len(grid), len(KINDS)))
+    radius = np.zeros_like(covered)
+    halfwidth = np.zeros_like(covered)
+    for r in range(cfg.reps):
+        pts = run_trajectory(model, cfg.schedule, cfg.iters, grid, rng=rng_stream(0, r))
+        for i, pt in enumerate(pts):
+            wh = whiten(pt.sandwich[np.ix_(idx, idx)], (pt.xbar - model.theta_star)[idx])
+            for k, spec in enumerate(cfg.boundaries):
+                rad = radius_grid(spec, [pt.t], len(idx), kappa=wh.kappa)[0]
+                sup = spec.norm_kind == "sup_norm"
+                covered[i, k] += (wh.stat_sup if sup else wh.stat_two) <= rad
+                radius[i, k] += rad / cfg.reps
+                halfwidth[i, k] += rad * np.mean(wh.scale_sup if sup else wh.scale_two) / cfg.reps
+    assert rep.fixed_coverage.tolist() == (covered / cfg.reps).ravel().tolist()
+    assert rep.radius_mean == pytest.approx(radius.ravel(), rel=1e-12)
+    assert rep.halfwidth_mean == pytest.approx(halfwidth.ravel(), rel=1e-9)
+
+
 def assert_same_report(a, b):
     # coverage counts exactly, float fields to 1e-12 relative
     assert len(a.rows) == len(b.rows)
@@ -275,7 +307,7 @@ def assert_same_report(a, b):
         ),
         lambda: run_coverage(divergent_config()),
         lambda: run_gaussian_check(
-            2, SymMatrix([[2.0, 1.0], [1.0, 2.0]]), 0.1, 300, 40, KINDS, seed=4
+            np.array([[2.0, 1.0], [1.0, 2.0]]), 0.1, 300, 40, KINDS, seed=4
         ),
     ],
     ids=["d1", "d2-lilen", "divergent", "gaussian"],
@@ -330,10 +362,10 @@ def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
 def test_gaussian_check_memory_does_not_grow_with_reps():
     # the tiles hold a few repetitions at a time, so 2,000 repetitions over
     # 2,000 steps (64 MB of draws) peak far below one array of all of them
-    run_gaussian_check(2, SymMatrix.identity(2), 0.05, 100, 10, ("gm",))
+    run_gaussian_check(np.eye(2), 0.05, 100, 10, ("gm",))
     tracemalloc.start()
     try:
-        run_gaussian_check(2, SymMatrix.identity(2), 0.05, 2000, 2000, ("gm",))
+        run_gaussian_check(np.eye(2), 0.05, 2000, 2000, ("gm",))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,8 +373,8 @@ def test_gaussian_check_memory_does_not_grow_with_reps():
 
 
 def test_gaussian_check_basic_properties():
-    v = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    rep = run_gaussian_check(2, v, 0.1, horizon=400, reps=200, boundaries=KINDS, seed=3)
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    rep = run_gaussian_check(v, 0.1, horizon=400, reps=200, boundaries=KINDS, seed=3)
     assert len(rep.rows) == 400 * len(KINDS)
     # the three CS families keep time-uniform coverage near 1 - alpha;
     # the fixed baseline holds no such guarantee and is excluded
@@ -357,8 +389,7 @@ def test_gaussian_check_basic_properties():
 
 def test_gaussian_check_radius_scale_ceiling():
     rep = run_gaussian_check(
-        1,
-        SymMatrix([[1.0]]),
+        np.array([[1.0]]),
         0.1,
         horizon=300,
         reps=100,
@@ -372,26 +403,41 @@ def test_gaussian_check_radius_scale_ceiling():
 
 
 def test_gaussian_check_deterministic_and_validated():
-    v = SymMatrix([[1.0]])
-    a = report_to_csv(run_gaussian_check(1, v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
-    b = report_to_csv(run_gaussian_check(1, v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
+    v = np.array([[1.0]])
+    a = csv_text(run_gaussian_check(v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
+    b = csv_text(run_gaussian_check(v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
     assert a == b
 
 
 def test_gaussian_check_validation():
-    v = SymMatrix([[1.0]])
+    v = np.array([[1.0]])
     with pytest.raises(ValueError):
-        run_gaussian_check(2, v, 0.1, 100, 10, ("gm",))
+        run_gaussian_check(v, 0.1, 100, 10, ())
     with pytest.raises(ValueError):
-        run_gaussian_check(1, v, 0.1, 100, 10, ())
+        run_gaussian_check(v, 0.1, 100, 10, ("gm", "gm"))
     with pytest.raises(ValueError):
-        run_gaussian_check(1, v, 0.1, 100, 10, ("gm", "gm"))
+        run_gaussian_check(v, 0.1, 0, 10, ("gm",))
     with pytest.raises(ValueError):
-        run_gaussian_check(1, v, 0.1, 0, 10, ("gm",))
-    with pytest.raises(ValueError):
-        run_gaussian_check(1, v, 0.1, 100, 10, ("gm",), radius_scale=0.0)
+        run_gaussian_check(v, 0.1, 100, 10, ("gm",), radius_scale=0.0)
     with pytest.raises(SingularMatrixError):
-        run_gaussian_check(2, SymMatrix(np.diag([1.0, 0.0])), 0.1, 100, 10, ("gm",))
+        run_gaussian_check(np.diag([1.0, 0.0]), 0.1, 100, 10, ("gm",))
+
+
+@pytest.mark.parametrize(
+    "v, match",
+    [
+        (np.ones(2), "square"),
+        (np.ones((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
+        (np.array([[np.inf]]), "finite"),
+        (np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), "symmetric"),
+    ],
+    ids=["vector", "not-square", "empty", "nan", "inf", "asymmetric"],
+)
+def test_gaussian_check_rejects_bad_v(v, match):
+    with pytest.raises(ValueError, match=match):
+        run_gaussian_check(v, 0.1, 100, 10, ("gm",))
 
 
 # --------------------------------------------------------------- emission
@@ -445,7 +491,7 @@ def test_report_columns_and_rows():
 
 
 def test_csv_format_and_header():
-    text = report_to_csv(sample_report())
+    text = csv_text(sample_report())
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "500,gm,0.182711207,0.9,0.9,1.05678901,10"
@@ -462,7 +508,7 @@ def test_csv_nine_significant_digits():
         halfwidth_mean=1234567.891,
         reps_effective=3,
     )
-    text = report_to_csv(make_report((row,)))
+    text = csv_text(make_report((row,)))
     assert text.strip().split("\n")[1] == "1,gm,3.14159265,0.333333333,0.25,1234567.89,3"
 
 
@@ -506,7 +552,7 @@ def test_emit_report_validates_and_writes(tmp_path):
     rep = sample_report()
     out = tmp_path / "r.csv"
     emit_report(rep, "csv", out)
-    assert out.read_text() == report_to_csv(rep)
+    assert out.read_text() == csv_text(rep)
     out_json = tmp_path / "r.json"
     emit_report(rep, "json", out_json)
     assert out_json.read_text() == report_to_json(rep)
@@ -537,14 +583,14 @@ def test_emit_report_streams_across_chunks(monkeypatch, tmp_path, n_rows):
     )
     monkeypatch.setattr(harness, "_CSV_CHUNK", 5)
     emit_report(rep, "csv", tmp_path / "r.csv")
-    assert (tmp_path / "r.csv").read_text() == report_to_csv(rep) == expected
+    assert (tmp_path / "r.csv").read_text() == csv_text(rep) == expected
 
 
 def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
     # 10,000 steps x 4 kinds. Rows were once ~335 B objects each, with the
     # whole CSV text on top (2.7 times the column bytes); now validation
     # and one chunk of formatted rows take about a quarter of them
-    rep = run_gaussian_check(1, SymMatrix([[1.0]]), 0.05, 10_000, 4, KINDS, seed=1)
+    rep = run_gaussian_check(np.array([[1.0]]), 0.05, 10_000, 4, KINDS, seed=1)
     column_bytes = sum(getattr(rep, c).nbytes for c in CSV_COLUMNS)
     assert len(rep.t) == 40_000
     emit_report(rep, "csv", tmp_path / "warm.csv")
@@ -555,7 +601,7 @@ def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * column_bytes
-    assert (tmp_path / "r.csv").read_text() == report_to_csv(rep)
+    assert (tmp_path / "r.csv").read_text() == csv_text(rep)
 
 
 def test_validate_rejects_bad_reports():

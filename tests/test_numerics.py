@@ -12,11 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacs.boundaries import BoundarySpec, evaluate
 from sacs.covariance import sandwich
 from sacs.numerics import (
-    SingularMatrixError,
-    SymMatrix,
     c_d_constant,
     lambert_w_m1,
     normal_quantile,
@@ -27,35 +24,7 @@ from sacs.numerics import (
 
 def random_pd(rng, d):
     a = rng.standard_normal((d, d))
-    return SymMatrix(a @ a.T + 0.5 * np.eye(d))
-
-
-# ---------------------------------------------------------------- SymMatrix
-
-
-def test_symmatrix_symmetrizes_and_freezes():
-    m = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-    assert m.entries[0, 1] == m.entries[1, 0] == 1.0
-    assert m.dim == 2
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0
-
-
-def test_symmatrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SymMatrix([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        SymMatrix([[math.nan]])
-    with pytest.raises(ValueError):
-        SymMatrix([[math.inf, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        SymMatrix(np.zeros((0, 0)))
-
-
-def test_symmatrix_constructors():
-    assert np.array_equal(SymMatrix.identity(3).entries, np.eye(3))
-    d = SymMatrix(np.diag([1.0, 4.0]))
-    assert np.array_equal(d.entries, np.diag([1.0, 4.0]))
+    return a @ a.T + 0.5 * np.eye(d)
 
 
 # ------------------------------------------------- eigh kernel
@@ -84,7 +53,7 @@ def test_sym_eig_scalar_and_zero():
 def test_sym_eig_matches_numpy_oracle(d, seed):
     # a stack of four PD matrices, decomposed in one call
     rng = np.random.default_rng(seed)
-    m = np.stack([random_pd(rng, d).entries for _ in range(4)])
+    m = np.stack([random_pd(rng, d) for _ in range(4)])
     w, q, ok = pd_eigh(m)
     assert ok.all()
     scale = float(np.abs(m).max())
@@ -117,7 +86,7 @@ def test_inv_sqrt_frozen_2x2():
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_inv_sqrt_whitens(d, seed):
     rng = np.random.default_rng(seed)
-    m = np.stack([random_pd(rng, d).entries for _ in range(3)])
+    m = np.stack([random_pd(rng, d) for _ in range(3)])
     w = whiten(m).inv_root
     assert np.abs(w @ m @ w - np.eye(d)).max() < 1e-8
 
@@ -126,7 +95,7 @@ def test_inv_sqrt_whitens(d, seed):
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_sqrt_m_squares_back(d, seed):
     rng = np.random.default_rng(seed)
-    m = np.stack([random_pd(rng, d).entries for _ in range(3)])
+    m = np.stack([random_pd(rng, d) for _ in range(3)])
     r = whiten(m).root
     scale = float(np.abs(m).max())
     assert np.abs(r @ r - m).max() < 1e-9 * scale
@@ -147,8 +116,47 @@ def test_inv_sqrt_rejects_non_pd():
     assert wh.kappa[0] == 1.0 and wh.stat_sup[0] == 0.0 and wh.stat_two[0] == 0.0
     for field in (wh.kappa, wh.stat_sup, wh.stat_two, wh.scale_two, wh.root):
         assert np.isnan(field[1:]).all()
-    with pytest.raises(SingularMatrixError):
-        evaluate(BoundarySpec("gm", 0.1), SymMatrix(bad[0]), 10)
+
+
+def test_whiten_scales_without_delta():
+    # d = 1: both half-width scales are sqrt(v), so a half-width is the
+    # radius in units of the standard deviation; no delta, no statistics
+    wh = whiten(np.array([[[4.0]], [[0.25]]]))
+    assert wh.scale_two[:, 0].tolist() == wh.scale_sup[:, 0].tolist() == [2.0, 0.5]
+    assert wh.stat_sup is None and wh.stat_two is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_whiten_scalar_invariance(d, c, seed):
+    # (v, delta) -> (c^2 v, c delta) leaves both statistics and kappa, and
+    # so every radius and membership decision, unchanged
+    rng = np.random.default_rng(seed)
+    v = np.stack([random_pd(rng, d) for _ in range(3)])
+    delta = rng.standard_normal((3, d))
+    base = whiten(v, delta)
+    scaled = whiten(c * c * v, c * delta)
+    for name in ("stat_two", "stat_sup", "kappa"):
+        assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-9), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+def test_whiten_diagonal_affine_invariance(d, seed):
+    # (v, delta) -> (D v D, D delta) for an invertible diagonal D leaves the
+    # two-norm statistic unchanged; gm's radius ignores kappa, so its
+    # membership decision is unchanged too
+    rng = np.random.default_rng(seed)
+    v = np.stack([random_pd(rng, d) for _ in range(3)])
+    delta = rng.standard_normal((3, d))
+    diag = rng.uniform(0.2, 5.0, size=(3, d))
+    base = whiten(v, delta)
+    mapped = whiten(diag[:, :, None] * v * diag[:, None, :], diag * delta)
+    assert mapped.stat_two == pytest.approx(base.stat_two, rel=1e-8)
 
 
 def test_log_det_and_cond():
@@ -163,8 +171,8 @@ def test_log_det_and_cond():
 def test_log_det_matches_slogdet(d, seed):
     # gm_mixture_martingale takes its log-determinants from the eigenvalues
     m = random_pd(np.random.default_rng(seed), d)
-    sign, ld = np.linalg.slogdet(m.entries)
-    w, _, _ = pd_eigh(m.entries)
+    sign, ld = np.linalg.slogdet(m)
+    w, _, _ = pd_eigh(m)
     assert sign == 1.0
     assert float(np.sum(np.log(w))) == pytest.approx(ld, abs=1e-9)
 
@@ -182,8 +190,8 @@ def test_d1_closed_form_matches_eigh_path(seed):
     h3 = np.zeros((n, 3, 3))
     s3 = np.zeros((n, 3, 3))
     h3[:, 0, 0], s3[:, 0, 0] = h, s
-    h3[:, 1:, 1:] = np.stack([random_pd(rng, 2).entries for _ in range(n)])
-    s3[:, 1:, 1:] = np.stack([random_pd(rng, 2).entries for _ in range(n)])
+    h3[:, 1:, 1:] = np.stack([random_pd(rng, 2) for _ in range(n)])
+    s3[:, 1:, 1:] = np.stack([random_pd(rng, 2) for _ in range(n)])
 
     v1, ok1 = sandwich(h[:, None, None], s[:, None, None])
     v3, ok3 = sandwich(h3, s3)

@@ -6,6 +6,8 @@ from sacs import boundaries, covariance, harness, numerics, sa_engine
 MODULES = (numerics, sa_engine, covariance, boundaries, harness)
 
 # Scalar radii duplicated radius_grid; the oracles now live in tests/helpers.py.
+# Plain arrays and generators replaced SymMatrix and RngStream; whiten and
+# radius_grid replaced the scalar evaluate path; CSV is only streamed.
 REMOVED = (
     "radius_lil_ub",
     "radius_gm",
@@ -15,6 +17,12 @@ REMOVED = (
     "gm_volume_objective",
     "plugin_rate_exponent",
     "fit_rate",
+    "SymMatrix",
+    "RngStream",
+    "evaluate",
+    "CsEvaluation",
+    "UndefinedBoundaryError",
+    "report_to_csv",
 )
 
 

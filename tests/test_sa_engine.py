@@ -12,11 +12,11 @@ from sacs import sa_engine
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
-    RngStream,
     StepSchedule,
     _grad_batch,
     _jac_batch,
     default_model,
+    rng_stream,
     run_lockstep,
     run_trajectory,
     sample_data_block,
@@ -115,17 +115,20 @@ def test_model_spec_validation():
 
 
 def test_rng_stream_reproducible_and_distinct():
-    a = RngStream(12, 3).generator.uniform(size=8)
-    b = RngStream(12, 3).generator.uniform(size=8)
-    c = RngStream(12, 4).generator.uniform(size=8)
+    a = rng_stream(12, 3).uniform(size=8)
+    b = rng_stream(12, 3).uniform(size=8)
+    c = rng_stream(12, 4).uniform(size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # the stream layout: stream r of seed s is spawn key (r,) of s
+    ss = np.random.SeedSequence(12, spawn_key=(3,))
+    assert np.array_equal(a, np.random.default_rng(ss).uniform(size=8))
 
 
 def test_rng_stream_validation():
     for seed, stream in ((-1, 0), (0, -1), (2**64, 0), (1.5, 0)):
         with pytest.raises(ValueError):
-            RngStream(seed, stream)
+            rng_stream(seed, stream)
 
 
 # ------------------------------------------------------------- sampling
@@ -133,7 +136,7 @@ def test_rng_stream_validation():
 
 def test_sample_linear_moments():
     model = default_model("linear", 1)
-    xs, ys = sample_data_block(model, RngStream(5, 0).generator, 1_000_000)
+    xs, ys = sample_data_block(model, rng_stream(5, 0), 1_000_000)
     assert np.abs(xs).max() <= 10.0
     # E[y] = 0, sd(y) = sqrt(100/3 + 16); tolerance is 3 standard errors
     assert abs(ys.mean()) < 3.0 * math.sqrt(100.0 / 3.0 + 16.0) / 1000.0
@@ -144,7 +147,7 @@ def test_sample_linear_moments():
 
 def test_sample_logistic_moments():
     model = default_model("logistic", 1)
-    xs, ys = sample_data_block(model, RngStream(6, 0).generator, 200_000)
+    xs, ys = sample_data_block(model, rng_stream(6, 0), 200_000)
     assert np.abs(xs).max() <= 0.5
     assert set(np.unique(ys)) <= {0.0, 1.0}
     # E[y] = E[sigmoid(X)] = 1/2 by symmetry of the covariate law
@@ -169,7 +172,7 @@ def test_grad_oracle_values():
     assert grad(lin, [1.0], [2.0], 5.0)[0] == -6.0
     # zero residual at the root of a noiseless model
     model = ModelSpec("linear", 2, np.array([1.0, -2.0]), noise_sd=0.0)
-    xs, ys = sample_data_block(model, RngStream(3, 0).generator, 1)
+    xs, ys = sample_data_block(model, rng_stream(3, 0), 1)
     assert np.array_equal(grad(model, model.theta_star, xs[0], ys[0]), [0.0, 0.0])
     # logistic gradient vanishes when y equals the predicted probability
     logi = default_model("logistic", 1)
@@ -199,7 +202,7 @@ def test_jacobian_is_gradient_derivative(kind, dim, seed):
     model = default_model(kind, dim)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=dim)
-    (xv,), (y,) = sample_data_block(model, RngStream(seed, 7).generator, 1)
+    (xv,), (y,) = sample_data_block(model, rng_stream(seed, 7), 1)
     j = jac(model, x, xv)
     h = 1e-5
     for k in range(dim):
@@ -219,7 +222,7 @@ def every_step(model, sched, T, x0, seed):
     def visit(tt, x, xbar, h_sum, s_sum, alive):
         states.append((x[0].copy(), xbar[0].copy(), h_sum[0].copy(), s_sum[0].copy()))
 
-    gens = [RngStream(seed, 0).generator]
+    gens = [rng_stream(seed, 0)]
     diverged_at = run_lockstep(model, sched, T, x0, gens, range(1, T + 1), visit)
     return states, int(diverged_at[0])
 
@@ -256,7 +259,7 @@ def test_sa_step_averaging_identity():
 def test_sa_step_accumulators_one_step():
     # the first step reads the head of the stream's canonical data block
     model = ModelSpec("linear", 1, np.array([1.0]), noise_sd=4.0, cov_halfwidth=10.0)
-    xs, ys = sample_data_block(model, RngStream(2, 0).generator, 3)
+    xs, ys = sample_data_block(model, rng_stream(2, 0), 3)
     states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, np.zeros(1), 2)
     x, _, h_sum, s_sum = states[0]
     g = -ys[0] * xs[0, 0]
@@ -279,8 +282,8 @@ def test_sa_step_divergence_raises():
 def test_run_trajectory_deterministic():
     model = default_model("linear", 2)
     sched = StepSchedule(0.01, 0.67)
-    a = run_trajectory(model, sched, 300, [100, 300], rng=RngStream(7, 3))
-    b = run_trajectory(model, sched, 300, [100, 300], rng=RngStream(7, 3))
+    a = run_trajectory(model, sched, 300, [100, 300], rng=rng_stream(7, 3))
+    b = run_trajectory(model, sched, 300, [100, 300], rng=rng_stream(7, 3))
     assert len(a) == len(b) == 2
     for pa, pb in zip(a, b):
         assert pa.t == pb.t
@@ -307,8 +310,8 @@ def test_run_trajectory_divergence():
     model = default_model("linear", 1)
     sched = StepSchedule(1e150, 0.67)
     with pytest.raises(DivergenceError) as exc:
-        run_trajectory(model, sched, 100, [100], rng=RngStream(0, 0))
-    gens = [RngStream(0, 0).generator]
+        run_trajectory(model, sched, 100, [100], rng=rng_stream(0, 0))
+    gens = [rng_stream(0, 0)]
     diverged_at = run_lockstep(model, sched, 100, np.zeros(1), gens, [], None)
     assert exc.value.t == diverged_at[0] >= 1
     assert str(exc.value) == f"iterate diverged at step {exc.value.t}"
@@ -320,7 +323,7 @@ def test_run_trajectory_converges_to_root():
     sched = StepSchedule(0.01, 0.67)
     errs = []
     for r in range(30):
-        (pt,) = run_trajectory(model, sched, 20_000, [20_000], rng=RngStream(123, r))
+        (pt,) = run_trajectory(model, sched, 20_000, [20_000], rng=rng_stream(123, r))
         errs.append(pt.err_norm)
     assert max(errs) < 0.1
 
@@ -350,17 +353,17 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
             parts.append(seen["state"])
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    reference = final_state([[RngStream(42, r).generator for r in range(3)]])
+    reference = final_state([[rng_stream(42, r) for r in range(3)]])
     if block_entries is not None:
         monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", block_entries)
         # a block never ends with a single step, so the last one takes 65
         assert list(sa_engine._time_blocks(T, dim)) == [(0, 64), (64, 65)]
-    gens = [RngStream(42, r).generator for r in range(3)]
+    gens = [rng_stream(42, r) for r in range(3)]
     for a, b in zip(reference, final_state([[g] for g in gens])):
         assert np.array_equal(a, b)
     # each generator ends where one unblocked draw of T rows leaves it
     for r, gen in enumerate(gens):
-        direct = RngStream(42, r).generator
+        direct = rng_stream(42, r)
         sample_data_block(model, direct, T)
         assert gen.bit_generator.state == direct.bit_generator.state
 
@@ -378,8 +381,8 @@ def test_lockstep_holds_one_data_block(monkeypatch):
     def run(gens):
         run_lockstep(model, sched, T, np.zeros(1), gens, [], lambda *a: None)
 
-    run([RngStream(3, r).generator for r in range(n_reps)])  # first-call set-up
-    gens = [RngStream(4, r).generator for r in range(n_reps)]
+    run([rng_stream(3, r) for r in range(n_reps)])  # first-call set-up
+    gens = [rng_stream(4, r) for r in range(n_reps)]
     tracemalloc.start()
     try:
         run(gens)
@@ -393,7 +396,7 @@ def test_lockstep_freezes_divergent_reps():
     # one exploding schedule: every repetition freezes to nan, none raises
     model = default_model("linear", 1)
     sched = StepSchedule(1e150, 0.67)
-    gens = [RngStream(1, r).generator for r in range(4)]
+    gens = [rng_stream(1, r) for r in range(4)]
     seen = {}
 
     def visit(tt, x, xbar, h_sum, s_sum, alive):
@@ -409,7 +412,7 @@ def test_lockstep_freezes_divergent_reps():
 def test_lockstep_rejects_bad_eval_times():
     model = default_model("linear", 1)
     sched = StepSchedule(0.01, 0.67)
-    gens = [RngStream(0, 0).generator]
+    gens = [rng_stream(0, 0)]
     for bad in ([0], [3, 2], [7]):
         with pytest.raises(ValueError):
             run_lockstep(model, sched, 5, np.zeros(1), gens, bad, lambda *a: None)
@@ -421,7 +424,7 @@ def test_l2_decay_probe():
     model = default_model("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     reps, T = 200, 10_000
-    gens = [RngStream(77, r).generator for r in range(reps)]
+    gens = [rng_stream(77, r) for r in range(reps)]
     ratios = {}
 
     def visit(tt, x, xbar, h_sum, s_sum, alive):

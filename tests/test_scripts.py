@@ -1,4 +1,5 @@
-"""Every experiment script in scripts/ imports and parses its arguments."""
+"""Every experiment script in scripts/ imports, parses its arguments and
+runs once at tiny scale."""
 
 import subprocess
 import sys
@@ -8,15 +9,39 @@ import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
+# Tiny arguments per script, and the exit codes that count as a run.
+TINY_RUNS = {
+    "coverage_experiment.py": (
+        ["--iters", "300", "--reps", "4", "--start", "100", "--stride", "100"],
+        (0,),
+    ),
+    # 1 is the script's "LOW" verdict, which 20 paths may well reach
+    "gaussian_oracle.py": (["--horizon", "200", "--reps", "20"], (0, 1)),
+}
+
+
+def run_script(script, *args):
+    return subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True, timeout=120
+    )
+
 
 def test_scripts_found():
     assert SCRIPTS
+    assert sorted(TINY_RUNS) == [p.name for p in SCRIPTS]
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help_runs(script):
-    res = subprocess.run(
-        [sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=120
-    )
+    res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_tiny_run(script):
+    args, codes = TINY_RUNS[script.name]
+    res = run_script(script, *args)
+    assert res.returncode in codes, res.stderr
+    if script.name == "gaussian_oracle.py":
+        assert "worst time-uniform coverage" in res.stdout
