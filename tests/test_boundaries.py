@@ -218,6 +218,27 @@ def test_membership_flips_at_radius():
         assert stat[0] == pytest.approx(r * (1.0 - 1e-9), rel=1e-12)
 
 
+def test_evaluate_d1_halfwidth_equals_radius():
+    # d = 1, v = 1: a half-width is radius * scale in the kind's norm, and
+    # the scale is 1, so the half-width is the radius; delta = 0 is covered
+    wh = whiten(np.array([[1.0]]), np.zeros(1))
+    for kind in KINDS:
+        spec = BoundarySpec(kind, 0.05)
+        r = radius(kind, 100, 1, 0.05, kappa=float(wh.kappa))
+        sup = spec.norm_kind == "sup_norm"
+        stat = wh.stat_sup if sup else wh.stat_two
+        scale = wh.scale_sup if sup else wh.scale_two
+        assert stat == 0.0 and stat <= r
+        assert r * scale[0] == pytest.approx(r, rel=1e-12)
+        assert spec.norm_kind == NORM_BY_KIND[kind]
+
+
+def test_evaluate_without_vector_reports_no_membership():
+    wh = whiten(np.eye(2))
+    assert wh.stat_sup is None and wh.stat_two is None
+    assert wh.scale_two.shape == (2,) and wh.scale_sup.shape == (2,)
+
+
 # ---------------------------------------------------- mixture martingale
 
 
