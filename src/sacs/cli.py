@@ -120,9 +120,12 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
 
 
 def _check_out(path: str) -> None:
-    """Raise OSError unless path's directory exists and is writable, so an
-    unusable --out fails before the simulation rather than after it. The
-    file itself is neither created nor truncated here."""
+    """Raise OSError if path is a directory or its directory does not exist
+    or is not writable, so an unusable --out fails before the simulation
+    rather than after it. The file itself is neither created nor truncated
+    here."""
+    if Path(path).is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
     parent = Path(path).parent
     if not (parent.is_dir() and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")

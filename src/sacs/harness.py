@@ -8,6 +8,8 @@ T, and every report is a deterministic function of its configuration. The
 Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
+Its tiles are independent and run on every CPU the process may use; the
+report does not depend on how many.
 
 A report is columnar: one array per CSV column, built straight from the
 per-grid tallies, so a row costs about 68 bytes rather than a Python object
@@ -18,8 +20,11 @@ whole text never exists in memory.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -279,19 +284,25 @@ class _MissTally:
     """Coverage tallies of n_b boundaries on n_grid grid points, fed a block
     of grid points at a time: per-grid covered counts (fixed) and, per
     boundary and repetition, the first grid index missed (n_grid if none).
+    Threads may add at once for disjoint repetition slices.
     """
 
     def __init__(self, n_b: int, n_grid: int, n_reps: int) -> None:
         self.fixed = np.zeros((n_b, n_grid), dtype=np.int64)
         self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
+        self._lock = threading.Lock()
 
     def add(self, bi: int, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
         """Tally covered, (m, n) bool, at grid indices lo .. lo+m-1 for the
         n repetitions in the slice rs."""
-        self.fixed[bi, lo : lo + len(covered)] += np.count_nonzero(covered, axis=1)
+        counts = np.count_nonzero(covered, axis=1)
         first = np.where(covered.all(axis=0), self.fixed.shape[1], lo + covered.argmin(axis=0))
         miss = self.first_miss[bi, rs]
         np.minimum(miss, first, out=miss)
+        # numpy releases the GIL inside a large +=, so two threads adding to
+        # the shared counts could lose an update; integer adds commute.
+        with self._lock:
+            self.fixed[bi, lo : lo + len(covered)] += counts
 
     def uniform(self) -> np.ndarray:
         """(n_b, n_grid) counts of repetitions with no miss up to each index."""
@@ -467,6 +478,48 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 
 
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
+# threads that run the tiles: one per CPU this process may use
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _run_tiles(walk, n_tiles: int) -> None:
+    """Run every tile index in range(n_tiles) on min(_WORKERS, n_tiles)
+    threads, each calling walk once with an iterator over its share. The
+    iterators take the next index from one shared counter, so a thread
+    slowed by other load never leaves the rest idle. Once a thread raises or
+    the wait is interrupted, no thread starts another tile; the error is
+    raised when the running tiles end. numpy's errstate does not reach the
+    threads, so walk enters any it needs itself."""
+    # Imported here: at module level it would add to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    counter = itertools.count()  # unlike a generator, safe to share between threads
+    stop = threading.Event()
+
+    def share():
+        for k in counter:
+            if k >= n_tiles or stop.is_set():
+                return
+            yield k
+
+    def work():
+        try:
+            walk(share())
+        except BaseException:
+            stop.set()
+            raise
+
+    n_workers = min(_WORKERS, n_tiles)
+    with ThreadPoolExecutor(n_workers) as pool:
+        futures = [pool.submit(work) for _ in range(n_workers)]
+        try:
+            for f in futures:
+                f.result()
+        except BaseException:
+            stop.set()
+            raise
 
 
 def run_gaussian_check(
@@ -488,12 +541,15 @@ def run_gaussian_check(
     inflates every radius, for sanity-ceiling tests.
 
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
-    (the whole horizon when it fits), and each block into tiles of
-    _TILE_ENTRIES // (steps * d) repetitions (at least one). A tile draws
+    (the whole horizon when it fits), and the repetitions into tiles of
+    _TILE_ENTRIES // (steps * d) repetitions (at least one), steps the
+    length of the first block. A tile walks every block in turn: it draws
     its repetitions' normals, carries their running totals across blocks
-    and tallies its coverage, so every array holds about _TILE_ENTRIES
-    floats. Every operation is per repetition and each stream is drawn in
-    time order, so the report does not depend on the tile or block sizes.
+    and tallies its coverage, so every array holds at most about
+    _TILE_ENTRIES floats. Tiles run on as many threads as the process has
+    CPUs, at most one per tile. Every operation is per repetition and each
+    stream is drawn in time order, so the report does not depend on the
+    tile or block sizes or on the number of threads.
 
     Raises ValueError unless v is a nonempty square matrix that is finite
     and exactly symmetric, and SingularMatrixError unless it is
@@ -531,31 +587,40 @@ def run_gaussian_check(
     tally = _MissTally(len(specs), horizon, reps)
     inv_t = 1.0 / ts.astype(float)
     total = np.zeros((reps, d))
-    for t0, n_t in _time_blocks(horizon, d, _TILE_ENTRIES):
-        steps = slice(t0, t0 + n_t)
-        tile = max(1, _TILE_ENTRIES // (n_t * d))
-        for r0 in range(0, reps, tile):
-            rs = slice(r0, min(r0 + tile, reps))
-            z = np.empty((rs.stop - r0, n_t, d))
-            for zr, gen in zip(z, gens[rs]):
-                gen.standard_normal(out=zr)
-            g_inc = z @ wh.root
-            # Adding the running total to the block's first increment keeps
-            # the summation order of one cumsum over the whole horizon.
-            g_inc[:, 0] += total[rs]
-            m_run = np.cumsum(g_inc, axis=1)
-            total[rs] = m_run[:, -1]
-            m_run *= inv_t[None, steps, None]
-            white = m_run @ wh.inv_root
-            # Norms one column at a time, as numpy reduces a short last axis
-            # slowly; for d < 8 numpy's sum also adds in column order.
-            sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
-            for col in np.moveaxis(white[..., 1:], -1, 0):
-                np.maximum(sup, np.abs(col), out=sup)
-                two += col**2
-            stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
-            for bi, b in enumerate(specs):
-                tally.add(bi, t0, (stats[b.norm_kind] <= radii[bi, steps]).T, rs)
+    blocks = list(_time_blocks(horizon, d, _TILE_ENTRIES))
+    tile = max(1, _TILE_ENTRIES // (blocks[0][1] * d))
+
+    def walk(ks):
+        # One loop over a thread's tiles keeps each tile's arrays until the
+        # next tile's replace them. Freed all at once, they let malloc hand
+        # their pages back, and faulting them in again cost more than the
+        # draws (7.7e5 page faults against 2.4e3 on gauss-d2).
+        for k in ks:
+            rs = slice(k * tile, min((k + 1) * tile, reps))
+            for t0, n_t in blocks:
+                steps = slice(t0, t0 + n_t)
+                z = np.empty((rs.stop - rs.start, n_t, d))
+                for zr, gen in zip(z, gens[rs]):
+                    gen.standard_normal(out=zr)
+                g_inc = z @ wh.root
+                # Adding the running total to the block's first increment keeps
+                # the summation order of one cumsum over the whole horizon.
+                g_inc[:, 0] += total[rs]
+                m_run = np.cumsum(g_inc, axis=1)
+                total[rs] = m_run[:, -1]
+                m_run *= inv_t[None, steps, None]
+                white = m_run @ wh.inv_root
+                # Norms one column at a time, as numpy reduces a short last axis
+                # slowly; for d < 8 numpy's sum also adds in column order.
+                sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
+                for col in np.moveaxis(white[..., 1:], -1, 0):
+                    np.maximum(sup, np.abs(col), out=sup)
+                    two += col**2
+                stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
+                for bi, b in enumerate(specs):
+                    tally.add(bi, t0, (stats[b.norm_kind] <= radii[bi, steps]).T, rs)
+
+    _run_tiles(walk, -(-reps // tile))
     mean_final = (total * inv_t[-1]).sum(axis=0) / reps
 
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])

@@ -419,7 +419,7 @@ def test_unwritable_out_exit_4():
     assert "i/o error" in res.stderr
 
 
-@pytest.mark.parametrize(
+SIMULATING_COMMANDS = pytest.mark.parametrize(
     "args",
     [
         ["coverage", "--iters", "200", "--reps", "2", "--start", "100"],
@@ -428,15 +428,29 @@ def test_unwritable_out_exit_4():
     ],
     ids=lambda args: args[0],
 )
-def test_unusable_out_exit_4_before_simulating(monkeypatch, capsys, args):
+
+
+def forbid_simulation(monkeypatch):
     def fail(*a, **k):
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(harness, "run_coverage", fail)
     monkeypatch.setattr(harness, "run_gaussian_check", fail)
     monkeypatch.setattr(cli, "run_trajectory", fail)
+
+
+@SIMULATING_COMMANDS
+def test_unusable_out_exit_4_before_simulating(monkeypatch, capsys, args):
+    forbid_simulation(monkeypatch)
     assert main([*args, "--out", "/no/such/dir/c.csv"]) == 4
     assert "/no/such/dir" in capsys.readouterr().err
+
+
+@SIMULATING_COMMANDS
+def test_out_directory_exit_4_before_simulating(monkeypatch, capsys, tmp_path, args):
+    forbid_simulation(monkeypatch)
+    assert main([*args, "--out", str(tmp_path)]) == 4
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -494,12 +508,17 @@ GOLDEN_CSV_SHA256 = [
         "run --dim 2 --iters 3000 --checkpoints every:500 --seed 3",
         "c06767c81d4f1ea8fcf45d1210aecc38f62fa090b856841e2f0cbfe2733ce3be",
     ),
+    # two time blocks (32,768 + 7,232 steps) and an odd repetition count
+    (
+        "gaussian-check --dim 2 --horizon 40000 --reps 7 --seed 5",
+        "00117534fa697d706b945c0c50c3622b45968f568f799e32a81e1786f32e048e",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of seven small runs stays fixed.
+    """The sha256 of the CSVs of eight small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

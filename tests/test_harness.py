@@ -1,8 +1,12 @@
 """Tests for the Monte Carlo coverage harness and rate exponent tables."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -328,6 +332,15 @@ def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
         assert_same_report(report, default)
         if "mean_final" in default.metadata:
             assert report.metadata["mean_final"] == default.metadata["mean_final"]
+    # and one or three threads over one-repetition tiles of five 64-step
+    # blocks, three not dividing the 40 tiles
+    if "mean_final" in default.metadata:
+        monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+        for workers in (1, 3):
+            monkeypatch.setattr(harness, "_WORKERS", workers)
+            report = make()
+            assert_same_report(report, default)
+            assert report.metadata["mean_final"] == default.metadata["mean_final"]
 
 
 def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
@@ -370,6 +383,101 @@ def test_gaussian_check_memory_does_not_grow_with_reps():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("reps, workers", [(1, 1), (2, 2), (40, 3)])
+def test_gaussian_check_starts_at_most_one_worker_per_tile(monkeypatch, reps, workers):
+    # one-repetition tiles, and three CPUs to run them on
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    run_gaussian_check(np.eye(1), 0.1, 64, reps, ("gm",))
+    assert sizes == [workers]
+
+
+def test_gaussian_check_stops_every_worker_when_a_tile_fails(monkeypatch):
+    # the tile of repetition 5 (of 40 one-repetition tiles) raises: the
+    # caller gets its error, and each other worker starts at most one tile
+    # after it
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    started = []  # (thread, repetition), in the order tiles start drawing
+    failed = threading.Event()
+
+    class Stream:
+        def __init__(self, r):
+            self.r, self.gen = r, rng_stream(0, r)
+
+        def standard_normal(self, out):
+            started.append((threading.get_ident(), self.r))
+            if self.r == 5:
+                failed.set()
+                raise RuntimeError("tile 5 failed")
+            if failed.is_set():
+                time.sleep(0.2)  # time for the failing worker to stop the rest
+            self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(harness, "rng_stream", lambda seed, r: Stream(r))
+    with pytest.raises(RuntimeError, match="tile 5 failed"):
+        run_gaussian_check(np.eye(1), 0.1, 64, 40, ("gm",))
+    at = [r for _, r in started].index(5)
+    after = [thread for thread, _ in started[at + 1 :]]
+    assert started[at][0] not in after
+    assert all(after.count(thread) <= 1 for thread in after)
+
+
+def test_gaussian_check_interrupt_stops_every_worker(monkeypatch):
+    # Ctrl-C while the caller waits on 100 tiles of 50 ms each reaches the
+    # caller once the tiles already started end; no worker starts another
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    started = []
+
+    class Stream:
+        def __init__(self, r):
+            self.gen = rng_stream(0, r)
+
+        def standard_normal(self, out):
+            started.append(threading.get_ident())
+            time.sleep(0.05)
+            self.gen.standard_normal(out=out)
+
+    def interrupt(self, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "rng_stream", lambda seed, r: Stream(r))
+    monkeypatch.setattr(concurrent.futures.Future, "result", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_gaussian_check(np.eye(1), 0.1, 64, 100, ("gm",))
+    assert all(started.count(thread) <= 2 for thread in started)
+
+
+def test_gaussian_check_counts_survive_thread_switches(monkeypatch):
+    # five runs of eight workers on 64 one-repetition tiles, switching
+    # threads as often as the interpreter allows, give the counts of one
+    # worker: a lost update to the shared per-step counts (numpy adds
+    # 20,000 of them without the GIL) would change them
+    kw = dict(v=np.eye(1), alpha=0.1, horizon=20_000, reps=64, boundaries=KINDS)
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 20_000)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    serial = run_gaussian_check(**kw)
+    monkeypatch.setattr(harness, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [run_gaussian_check(**kw) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for report in threaded:
+        assert report.fixed_coverage.tolist() == serial.fixed_coverage.tolist()
+        assert report.uniform_coverage.tolist() == serial.uniform_coverage.tolist()
 
 
 def test_gaussian_check_basic_properties():
