@@ -51,10 +51,13 @@ def main(argv=None) -> int:
     worst = 1.0
     for label, v in CONFIGS:
         report = run_gaussian_check(v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed)
-        end_by_kind = {r.boundary_kind: r for r in report.rows[-len(kinds):]}
+        end = slice(-len(kinds), None)
+        cov_by_kind = dict(
+            zip(report.boundary_kind[end].tolist(), report.uniform_coverage[end].tolist())
+        )
         parts = []
         for kind in kinds:
-            cov = end_by_kind[kind].uniform_coverage
+            cov = cov_by_kind[kind]
             parts.append(f"{kind}={cov:.3f}")
             if kind != "fixed":
                 worst = min(worst, cov)

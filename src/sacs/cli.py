@@ -169,11 +169,13 @@ def _read_cov(path: str) -> np.ndarray:
     if d < 1 or len(lines) != d + 1:
         raise ValueError(f"covariance file {path}: expected {d} matrix rows")
     rows = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split()]
-        if len(row) != d:
-            raise ValueError(f"covariance file {path}: each row needs {d} entries")
-        rows.append(row)
+    for k, ln in enumerate(lines[1:], 1):
+        try:
+            rows.append([float(tok) for tok in ln.split()])
+        except ValueError as e:
+            raise ValueError(f"covariance file {path}: matrix row {k}: {e}") from None
+        if len(rows[-1]) != d:
+            raise ValueError(f"covariance file {path}: matrix row {k} needs {d} entries")
     a = np.array(rows)
     if not np.isfinite(a).all():
         raise ValueError(f"covariance file {path}: entries must be finite")

@@ -8,8 +8,9 @@ T, and every report is a deterministic function of its configuration. The
 Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
-Its tiles are independent and run on every CPU the process may use; the
-report does not depend on how many.
+It compares running sums of standard normals with t times each radius and
+tallies every kind in one call. Its tiles are independent and run on every
+CPU the process may use; the report does not depend on how many.
 
 A report is columnar: one array per CSV column, built straight from the
 per-grid tallies, so a row costs about 68 bytes rather than a Python object
@@ -281,10 +282,10 @@ _FLUSH_ENTRIES = 2**14  # matrix entries per flush; fewer let the tally dominate
 
 
 class _MissTally:
-    """Coverage tallies of n_b boundaries on n_grid grid points, fed a block
-    of grid points at a time: per-grid covered counts (fixed) and, per
-    boundary and repetition, the first grid index missed (n_grid if none).
-    Threads may add at once for disjoint repetition slices.
+    """Coverage tallies of n_b boundaries on n_grid grid points, fed all
+    boundaries on a block of grid points at a time: per-grid covered counts
+    (fixed) and, per boundary and repetition, the first grid index missed
+    (n_grid if none). Threads may add at once for disjoint repetition slices.
     """
 
     def __init__(self, n_b: int, n_grid: int, n_reps: int) -> None:
@@ -292,17 +293,17 @@ class _MissTally:
         self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
         self._lock = threading.Lock()
 
-    def add(self, bi: int, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
-        """Tally covered, (m, n) bool, at grid indices lo .. lo+m-1 for the
-        n repetitions in the slice rs."""
-        counts = np.count_nonzero(covered, axis=1)
-        first = np.where(covered.all(axis=0), self.fixed.shape[1], lo + covered.argmin(axis=0))
-        miss = self.first_miss[bi, rs]
+    def add(self, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
+        """Tally covered, (n_b, m, n) bool, at grid indices lo .. lo+m-1
+        for the n repetitions in the slice rs."""
+        counts = np.count_nonzero(covered, axis=2)
+        first = np.where(covered.all(axis=1), self.fixed.shape[1], lo + covered.argmin(axis=1))
+        miss = self.first_miss[:, rs]
         np.minimum(miss, first, out=miss)
         # numpy releases the GIL inside a large +=, so two threads adding to
         # the shared counts could lose an update; integer adds commute.
         with self._lock:
-            self.fixed[bi, lo : lo + len(covered)] += counts
+            self.fixed[:, lo : lo + covered.shape[1]] += counts
 
     def uniform(self) -> np.ndarray:
         """(n_b, n_grid) counts of repetitions with no miss up to each index."""
@@ -411,6 +412,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
             base_sup = np.mean(wh.scale_sup, axis=-1)
             base_two = np.mean(wh.scale_two, axis=-1)
+            covered = np.empty((n_b, m, n), dtype=bool)
             for bi, b in enumerate(specs):
                 if per_rep_radius[bi]:
                     with np.errstate(invalid="ignore"):
@@ -423,8 +425,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
                     rad = shared_radius[bi][rows, None]
                 sup = b.norm_kind == "sup_norm"
                 with np.errstate(invalid="ignore"):
-                    tally.add(bi, i - j, (wh.stat_sup if sup else wh.stat_two) <= rad)
+                    np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
                     hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
+            tally.add(i - j, covered)
 
         diverged_at = run_lockstep(model, sched, iters, np.zeros(d), gens, grid, visit)
         return diverged_at, tally, avail, hw_sums, rad_sums
@@ -498,15 +501,9 @@ def _run_tiles(walk, n_tiles: int) -> None:
     counter = itertools.count()  # unlike a generator, safe to share between threads
     stop = threading.Event()
 
-    def share():
-        for k in counter:
-            if k >= n_tiles or stop.is_set():
-                return
-            yield k
-
     def work():
         try:
-            walk(share())
+            walk(itertools.takewhile(lambda k: k < n_tiles and not stop.is_set(), counter))
         except BaseException:
             stop.set()
             raise
@@ -533,19 +530,20 @@ def run_gaussian_check(
 ) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
-    Simulates M_t = (1/t) sum of i.i.d. N(0, v) vectors, v a (d, d)
-    array, through the square root of v, whitens with the TRUE v, and
-    evaluates every listed boundary kind (strings; level alpha, default
-    shape parameters) at every t in [1, horizon]. This isolates the
-    boundary guarantee from plug-in and averaging error. radius_scale
-    inflates every radius, for sanity-ceiling tests.
+    Evaluates every listed boundary kind (strings; level alpha, default
+    shape parameters) at every t in [1, horizon] on the running mean of
+    N(0, v) vectors z_s v^{1/2}, v a (d, d) array and the z_s i.i.d.
+    standard normal, whitened with the TRUE v. That is S_t / t, S_t the sum
+    of the z_s, so |S_t| is compared with t r_t (squared, for the two norm).
+    This isolates the boundary guarantee from plug-in and averaging error.
+    radius_scale inflates every radius, for sanity-ceiling tests.
 
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
     (the whole horizon when it fits), and the repetitions into tiles of
     _TILE_ENTRIES // (steps * d) repetitions (at least one), steps the
     length of the first block. A tile walks every block in turn: it draws
-    its repetitions' normals, carries their running totals across blocks
-    and tallies its coverage, so every array holds at most about
+    its repetitions' normals, carries their running sums across blocks
+    and tallies every kind in one call, so every array holds at most about
     _TILE_ENTRIES floats. Tiles run on as many threads as the process has
     CPUs, at most one per tile. Every operation is per repetition and each
     stream is drawn in time order, so the report does not depend on the
@@ -582,10 +580,10 @@ def run_gaussian_check(
     ts = np.arange(1, horizon + 1, dtype=np.int64)
     radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs])
     base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
+    limits = [(r * ts) ** 2 if b.norm_kind == "two_norm" else r * ts for r, b in zip(radii, specs)]
 
     gens = [rng_stream(seed, r) for r in range(reps)]
     tally = _MissTally(len(specs), horizon, reps)
-    inv_t = 1.0 / ts.astype(float)
     total = np.zeros((reps, d))
     blocks = list(_time_blocks(horizon, d, _TILE_ENTRIES))
     tile = max(1, _TILE_ENTRIES // (blocks[0][1] * d))
@@ -598,30 +596,25 @@ def run_gaussian_check(
         for k in ks:
             rs = slice(k * tile, min((k + 1) * tile, reps))
             for t0, n_t in blocks:
-                steps = slice(t0, t0 + n_t)
                 z = np.empty((rs.stop - rs.start, n_t, d))
                 for zr, gen in zip(z, gens[rs]):
                     gen.standard_normal(out=zr)
-                g_inc = z @ wh.root
-                # Adding the running total to the block's first increment keeps
-                # the summation order of one cumsum over the whole horizon.
-                g_inc[:, 0] += total[rs]
-                m_run = np.cumsum(g_inc, axis=1)
-                total[rs] = m_run[:, -1]
-                m_run *= inv_t[None, steps, None]
-                white = m_run @ wh.inv_root
-                # Norms one column at a time, as numpy reduces a short last axis
-                # slowly; for d < 8 numpy's sum also adds in column order.
-                sup, two = np.abs(white[..., 0]), white[..., 0] ** 2
-                for col in np.moveaxis(white[..., 1:], -1, 0):
+                # Adding the running total to the block's first draw keeps the
+                # summation order of one cumsum over the whole horizon.
+                z[:, 0] += total[rs]
+                np.cumsum(z, axis=1, out=z)
+                total[rs] = z[:, -1]
+                # Norms one column at a time: numpy reduces a short last axis slowly.
+                sup, two = np.abs(z[..., 0]), z[..., 0] ** 2
+                for col in np.moveaxis(z[..., 1:], -1, 0):
                     np.maximum(sup, np.abs(col), out=sup)
                     two += col**2
-                stats = {"sup_norm": sup, "two_norm": np.sqrt(two)}
-                for bi, b in enumerate(specs):
-                    tally.add(bi, t0, (stats[b.norm_kind] <= radii[bi, steps]).T, rs)
+                stats = {"sup_norm": sup, "two_norm": two}
+                lims = [lim[t0 : t0 + n_t] for lim in limits]
+                covered = np.array([stats[b.norm_kind] <= lim for b, lim in zip(specs, lims)])
+                tally.add(t0, covered.transpose(0, 2, 1), rs)
 
     _run_tiles(walk, -(-reps // tile))
-    mean_final = (total * inv_t[-1]).sum(axis=0) / reps
 
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
     columns = _columns(ts, specs, radii, tally.fixed, tally.uniform(), int(reps), halfwidth)
@@ -638,7 +631,7 @@ def run_gaussian_check(
             "boundaries": [_spec_meta(b) for b in specs],
         },
         "seeds": {"seed": int(seed), "streams": f"0..{reps - 1}"},
-        "mean_final": [float(x) for x in mean_final],
+        "mean_final": np.mean((total @ wh.root) / horizon, axis=0).tolist(),
         "wall_time_s": time.perf_counter() - wall_start,
     }
     report = CoverageReport(**columns, metadata=metadata)

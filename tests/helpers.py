@@ -1,15 +1,18 @@
 """Helpers shared by the test modules, including reference oracles that
 the library itself does not need: the Gaussian mixture martingale and the
-gm volume objective behind lambda_star, and a log-log rate fit; and a
-report's whole CSV text, which the library only ever streams to a file.
+gm volume objective behind lambda_star, a log-log rate fit, and the
+Gaussian check's coverage computed the long way; and a report's whole CSV
+text, which the library only ever streams to a file.
 """
 
 import math
 
 import numpy as np
 
+from sacs.boundaries import BoundarySpec, radius_grid
 from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
-from sacs.numerics import SingularMatrixError, pd_eigh
+from sacs.numerics import SingularMatrixError, pd_eigh, whiten
+from sacs.sa_engine import rng_stream
 
 
 def make_report(rows, metadata=None):
@@ -103,3 +106,37 @@ def fit_rate(checkpoints, window) -> float:
     if denom == 0.0:
         raise ValueError("degenerate window: all checkpoints share one t")
     return float(np.sum(dx * (ly - ly.mean())) / denom)
+
+
+def gaussian_check_reference(v, alpha, horizon, reps, kinds, seed=0, radius_scale=1.0):
+    """The covered counts and mean_final of run_gaussian_check, the long way.
+
+    Each repetition draws its whole path of N(0, v) vectors through the
+    square root of v, takes the running mean, whitens it with the inverse
+    square root and compares its sup and two norms with each kind's radius.
+    Returns the fixed and time-uniform covered counts, (len(kinds),
+    horizon) integer arrays, and the repetitions' mean of the final running
+    mean.
+    """
+    v = np.asarray(v, dtype=float)
+    d = len(v)
+    wh = whiten(v)
+    ts = np.arange(1, horizon + 1)
+    specs = [BoundarySpec(kind, alpha) for kind in kinds]
+    radii = [radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs]
+    fixed = np.zeros((len(specs), horizon), dtype=np.int64)
+    uniform = np.zeros_like(fixed)
+    finals = []
+    for r in range(reps):
+        z = rng_stream(seed, r).standard_normal((horizon, d))
+        mean = np.cumsum(z @ wh.root, axis=0) / ts[:, None]
+        white = mean @ wh.inv_root
+        stats = {
+            "sup_norm": np.max(np.abs(white), axis=1),
+            "two_norm": np.sqrt(np.sum(white * white, axis=1)),
+        }
+        covered = np.array([stats[b.norm_kind] <= rad for b, rad in zip(specs, radii)])
+        fixed += covered
+        uniform += np.logical_and.accumulate(covered, axis=1)
+        finals.append(mean[-1])
+    return fixed, uniform, np.mean(finals, axis=0)

@@ -229,6 +229,19 @@ def test_gaussian_check_nonfinite_cov_exit_2(tmp_path):
     assert str(cov) in res.stderr and "finite" in res.stderr
 
 
+def test_gaussian_check_bad_cov_row_names_file_and_row(tmp_path):
+    cov = tmp_path / "v.txt"
+    cov.write_text("2\n2.0 1.0\n1.0 x\n")
+    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert f"covariance file {cov}: matrix row 2:" in res.stderr and "'x'" in res.stderr
+    assert not (tmp_path / "g.csv").exists()
+    cov.write_text("2\n2.0 1.0 0.5\n1.0 2.0\n")
+    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert f"covariance file {cov}: matrix row 1 needs 2 entries" in res.stderr
+
+
 def test_gaussian_check_singular_cov_exit_3(tmp_path):
     cov = tmp_path / "v.txt"
     cov.write_text("2\n1.0 1.0\n1.0 1.0\n")

@@ -34,7 +34,7 @@ from sacs.sa_engine import (
     run_trajectory,
 )
 
-from helpers import csv_text, fit_rate, make_report
+from helpers import csv_text, fit_rate, gaussian_check_reference, make_report
 
 
 def small_config(**overrides):
@@ -478,6 +478,56 @@ def test_gaussian_check_counts_survive_thread_switches(monkeypatch):
     for report in threaded:
         assert report.fixed_coverage.tolist() == serial.fixed_coverage.tolist()
         assert report.uniform_coverage.tolist() == serial.uniform_coverage.tolist()
+
+
+def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
+    # the library compares running sums of standard normals with t r_t; the
+    # reference draws through the root of a correlated v, whitens the running
+    # mean with the inverse root and compares its norms with r_t. Five
+    # 64-step blocks and thirty one-repetition tiles, radii scaled by 0.8
+    v = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.0]])
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    kw = dict(alpha=0.1, horizon=300, reps=30, seed=5, radius_scale=0.8)
+    report = run_gaussian_check(v, boundaries=KINDS, **kw)
+    fixed, uniform, mean_final = gaussian_check_reference(v, kinds=KINDS, **kw)
+    assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
+    assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
+    assert report.metadata["mean_final"] == pytest.approx(mean_final.tolist(), rel=1e-12)
+
+
+def test_miss_tally_add_matches_a_per_kind_loop():
+    # stacked adds of three kinds equal a naive loop over kinds, grid points
+    # and repetitions: blocks at nonzero lo, repetition slices, stacks passed
+    # as a transposed view (as the Gaussian check does) or contiguous, and
+    # repetition 0 missing nowhere, repetition 8 everywhere
+    rng = np.random.default_rng(0)
+    n_b, n_grid, n_reps = 3, 20, 9
+    view, stack = (harness._MissTally(n_b, n_grid, n_reps) for _ in range(2))
+    fixed = np.zeros((n_b, n_grid), dtype=np.int64)
+    first_miss = np.full((n_b, n_reps), n_grid)
+    adds = [(0, 6, slice(None)), (6, 5, slice(0, 4)), (6, 5, slice(4, 9)), (11, 9, slice(2, 7))]
+    for lo, m, rs in adds:
+        ids = range(n_reps)[rs]
+        covered = rng.random((n_b, len(ids), m)) < 0.9  # kinds, repetitions, grid
+        for r, value in ((0, True), (8, False)):
+            if r in ids:
+                covered[:, ids.index(r)] = value
+        view.add(lo, covered.transpose(0, 2, 1), rs)
+        stack.add(lo, np.ascontiguousarray(covered.transpose(0, 2, 1)), rs)
+        for bi in range(n_b):
+            for j, r in enumerate(ids):
+                for i in range(m):
+                    if covered[bi, j, i]:
+                        fixed[bi, lo + i] += 1
+                    else:
+                        first_miss[bi, r] = min(first_miss[bi, r], lo + i)
+    assert first_miss[:, 0].tolist() == [n_grid] * n_b
+    assert first_miss[:, 8].tolist() == [0] * n_b
+    uniform = [[int(np.sum(f > i)) for i in range(n_grid)] for f in first_miss]
+    for tally in (view, stack):
+        assert tally.fixed.tolist() == fixed.tolist()
+        assert tally.first_miss.tolist() == first_miss.tolist()
+        assert tally.uniform().tolist() == uniform
 
 
 def test_gaussian_check_basic_properties():
