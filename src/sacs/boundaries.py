@@ -14,7 +14,9 @@ baseline is pointwise and is included for contrast. A region is the set of
 centred vectors whose whitened statistic (numerics.whiten) has norm at most
 the radius (radius_grid). Radii are strict about their domain: where an
 iterated logarithm is undefined the radius is +inf, the whole space, rather
-than extrapolated.
+than extrapolated. The special functions the radii need live here too: the
+gm mixing weight (lambda_star, a Newton root), the normal quantile (stdlib)
+and the epsilon-net packing constant.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import c_d_constant, lambert_w_m1, normal_quantile
 
 __all__ = [
     "KINDS",
@@ -79,14 +79,30 @@ class BoundarySpec:
 def lambda_star(alpha: float) -> float:
     """Volume-optimal mixing weight for the gm boundary.
 
-    lambda_star = -W_{-1}(-alpha^2 / e) - 1, the unique positive root of
-    lam - log(1 + lam) = 2 log(1/alpha), which minimizes the region volume
-    ((1 + lam)/lam * (log(1 + lam) + 2 log(1/alpha)))^{d/2} over lam > 0
-    for every d. Strictly positive for alpha in (0, 1).
+    The positive root of f(lam) = lam - log(1 + lam) - c, c = -2 log(alpha)
+    (2 log(1/alpha) would overflow for subnormal alpha). It minimizes the
+    region volume ((1 + lam)/lam * (log(1 + lam) + c))^{d/2} over lam > 0
+    for every d, and equals -W_{-1}(-alpha^2 / e) - 1.
+
+    Newton's method from lam = 2c + 2, right of the root: f is convex and
+    increasing there and f' concave, so the exact iterates descend and
+    each step is shorter than the last. The loop stops once a step is at
+    most 1e-15 lam, or no shorter than the last (rounding noise: as alpha
+    nears 1, lam - log1p(lam) cancels), or after 100 steps. No alpha tried
+    in (0, 1) needed more than 30.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return -lambert_w_m1(-(alpha * alpha) / math.e) - 1.0
+    c = -2.0 * math.log(alpha)
+    lam, last = 2.0 * c + 2.0, math.inf
+    for _ in range(100):
+        # f'(lam) = lam / (1 + lam)
+        step = (lam - math.log1p(lam) - c) * (1.0 + lam) / lam
+        lam -= step
+        if step <= 1e-15 * lam or step >= last:
+            break
+        last = step
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +134,25 @@ def _gm_grid(ts: np.ndarray, d: int, alpha: float, t0: float) -> np.ndarray:
     return np.sqrt(drift * growth / ts)
 
 
+def _c_d_constant(d: int) -> float:
+    # Packing constant d 2^d Gamma((d+1)/2) / pi^((d-1)/2), in log space so
+    # that moderate dimensions do not overflow intermediates.
+    log_c = (
+        math.log(d)
+        + d * math.log(2.0)
+        + math.lgamma((d + 1) / 2.0)
+        - (d - 1) / 2.0 * math.log(math.pi)
+    )
+    return math.exp(log_c)
+
+
 def _lilen_grid(ts, d: int, alpha: float, eps_net: float, kappa) -> np.ndarray:
     ts, kappa = np.broadcast_arrays(
         np.asarray(ts, dtype=float), np.asarray(kappa, dtype=float)
     )
     radicand = (
         1.4 * _loglog_or_inf(2.0 * ts * kappa)
-        + math.log(5.2 * c_d_constant(d) / alpha)
+        + math.log(5.2 * _c_d_constant(d) / alpha)
         + (d - 1) * np.log(3.0 * np.sqrt(kappa) / eps_net)
     )
     with np.errstate(invalid="ignore"):
@@ -134,21 +162,26 @@ def _lilen_grid(ts, d: int, alpha: float, eps_net: float, kappa) -> np.ndarray:
 
 
 def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
+    # Imported on first use: statistics pulls in decimal and fractions,
+    # about 5 ms that every CLI start would otherwise pay.
+    from statistics import NormalDist
+
     ts = np.asarray(ts, dtype=float)
-    return normal_quantile(1.0 - alpha / 2.0) / np.sqrt(ts)
+    return NormalDist().inv_cdf(1.0 - float(alpha) / 2.0) / np.sqrt(ts)
 
 
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     """Radii of one boundary over an array of steps ts >= 1.
 
     The families, in whitened units (l* = lambda_star(alpha), eps =
-    eps_net, C_d = c_d_constant(d)):
+    eps_net, C_d = d 2^d Gamma((d+1)/2) / pi^((d-1)/2)):
 
       lilub  1.7 sqrt((loglog(2t) + 0.72 log(10.4 d / alpha)) / t)
       gm     sqrt((1 + t0/(t l*)) (d log(1 + t l*/t0) + 2 log(1/alpha)) / t)
       lilen  (2/(1-eps)) sqrt((1.4 loglog(2 t kappa) + log(5.2 C_d / alpha)
              + (d-1) log(3 sqrt(kappa) / eps)) / t)
-      fixed  z_{1 - alpha/2} / sqrt(t), pointwise only
+      fixed  z_{1 - alpha/2} / sqrt(t), pointwise only (z the standard
+             normal quantile)
 
     kappa >= 1 is the condition number of the covariance used for
     whitening; only lilen reads it, and a nan kappa (an unavailable

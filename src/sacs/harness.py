@@ -40,7 +40,6 @@ from .sa_engine import (
     _time_blocks,
     rng_stream,
     run_lockstep,
-    validate_rate_condition,
 )
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "ReportRow",
     "CoverageReport",
     "RateProfile",
+    "validate_rate_condition",
     "rate_exponents",
     "run_coverage",
     "run_gaussian_check",
@@ -219,6 +219,39 @@ class RateProfile:
     a_opt: float
     r_opt: float
     violation: str | None
+
+
+def validate_rate_condition(
+    a: float, lam: float, p: float, linear: bool
+) -> str | None:
+    """Check the moment/step-size compatibility window for the error rates.
+
+    Linear problems admit the full band 0 < a < (p-1)/p. Nonlinear problems
+    additionally need enough moments, p > (1+lambda)/lambda, and a lower
+    step exponent bound a > 1/(1+lambda); since lambda <= 1 that lower
+    bound is at least 1/2, so the step schedule window is subsumed.
+
+    Returns None when the configuration is admissible, otherwise a short
+    string naming the violated inequality. p may be math.inf.
+    """
+    if not (p > 1.0):
+        raise ValueError(f"moment order p must exceed 1, got {p}")
+    if not (0.0 < lam <= 1.0):
+        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    upper = 1.0 if math.isinf(p) else (p - 1.0) / p
+    if linear:
+        if a <= 0.0:
+            return "a <= 0"
+        if a >= upper:
+            return "a >= (p-1)/p"
+        return None
+    if p <= (1.0 + lam) / lam:
+        return "p <= (1+lambda)/lambda"
+    if a <= 1.0 / (1.0 + lam):
+        return "a <= 1/(1+lambda)"
+    if a >= upper:
+        return "a >= (p-1)/p"
+    return None
 
 
 def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> RateProfile:
@@ -541,13 +574,14 @@ def run_gaussian_check(
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
     (the whole horizon when it fits), and the repetitions into tiles of
     _TILE_ENTRIES // (steps * d) repetitions (at least one), steps the
-    length of the first block. A tile walks every block in turn: it draws
-    its repetitions' normals, carries their running sums across blocks
-    and tallies every kind in one call, so every array holds at most about
-    _TILE_ENTRIES floats. Tiles run on as many threads as the process has
-    CPUs, at most one per tile. Every operation is per repetition and each
-    stream is drawn in time order, so the report does not depend on the
-    tile or block sizes or on the number of threads.
+    length of the first block. A tile makes its repetitions' generators,
+    then walks every block in turn: it draws their normals, carries their
+    running sums across blocks and tallies every kind in one call, so
+    every array holds at most about _TILE_ENTRIES floats. Tiles run on as
+    many threads as the process has CPUs, at most one per tile. Every
+    operation is per repetition and each stream is drawn in time order, so
+    the report does not depend on the tile or block sizes or on the number
+    of threads.
 
     Raises ValueError unless v is a nonempty square matrix that is finite
     and exactly symmetric, and SingularMatrixError unless it is
@@ -582,7 +616,6 @@ def run_gaussian_check(
     base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
     limits = [(r * ts) ** 2 if b.norm_kind == "two_norm" else r * ts for r, b in zip(radii, specs)]
 
-    gens = [rng_stream(seed, r) for r in range(reps)]
     tally = _MissTally(len(specs), horizon, reps)
     total = np.zeros((reps, d))
     blocks = list(_time_blocks(horizon, d, _TILE_ENTRIES))
@@ -595,9 +628,10 @@ def run_gaussian_check(
         # draws (7.7e5 page faults against 2.4e3 on gauss-d2).
         for k in ks:
             rs = slice(k * tile, min((k + 1) * tile, reps))
+            gens = [rng_stream(seed, r) for r in range(rs.start, rs.stop)]
             for t0, n_t in blocks:
                 z = np.empty((rs.stop - rs.start, n_t, d))
-                for zr, gen in zip(z, gens[rs]):
+                for zr, gen in zip(z, gens):
                     gen.standard_normal(out=zr)
                 # Adding the running total to the block's first draw keeps the
                 # summation order of one cumsum over the whole horizon.

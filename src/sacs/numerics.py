@@ -1,15 +1,12 @@
-"""Numerical kernels for small dense symmetric problems.
+"""Eigendecomposition and whitening kernel for small dense symmetric matrices.
 
-Everything the rest of the package needs from linear algebra and special
-functions lives here: the batched eigendecomposition with the
-positive-definiteness rule and the whitening kernel built on it (numpy's
-eigh), the lower branch of the Lambert W function, the inverse normal CDF
-(stdlib) and a geometric constant. Matrices are plain (..., k, k) arrays.
+The batched eigendecomposition with the positive-definiteness rule (numpy's
+eigh) and the whitening kernel built on it, which is everything the rest of
+the package needs from linear algebra. Matrices are plain (..., k, k) arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +18,6 @@ __all__ = [
     "pd_eigh",
     "Whitening",
     "whiten",
-    "lambert_w_m1",
-    "c_d_constant",
-    "normal_quantile",
 ]
 
 # Relative eigenvalue floor below which a nominally PD matrix is treated as
@@ -122,103 +116,3 @@ def whiten(v, delta=None) -> Whitening:
         stat_sup=stat_sup,
         stat_two=stat_two,
     )
-
-
-# ---------------------------------------------------------------------------
-# Lambert W, lower real branch.
-
-_BRANCH_POINT = -math.exp(-1.0)
-
-
-def _wexp(z: float) -> float:
-    return z * math.exp(z)
-
-
-def lambert_w_m1(x: float) -> float:
-    """Lower real branch W_{-1}(x) of w * exp(w) = x on [-1/e, 0).
-
-    Strategy: h(w) = w exp(w) is strictly decreasing on (-inf, -1], so the
-    root is bracketed and bisection alone would already be safe. A short
-    bisection narrows the asymptotic starting point
-    ``log(-x) - log(-log(-x))`` (Corless, Gonnet, Hare, Jeffrey and Knuth,
-    "On the Lambert W function", Adv. Comput. Math. 5, 1996, eq. 4.19),
-    then Halley iterations (ibid., eq. 5.9) polish to full precision. Every
-    Halley step is clamped to the bracket, so the iteration cannot escape.
-
-    Raises ValueError outside [-1/e, 0) and NumericalError if the final
-    residual ``|w exp(w) - x|`` exceeds ``1e-12 * |x|``.
-    """
-    x = float(x)
-    if not (-math.inf < x < 0.0) or x < _BRANCH_POINT:
-        raise ValueError(f"lambert_w_m1 requires -1/e <= x < 0, got {x}")
-    if x == _BRANCH_POINT:
-        return -1.0
-
-    # Bracket [lo, hi] with h(lo) >= x >= h(hi); h decreasing left of -1.
-    hi = -1.0
-    lo = min(math.log(-x) - math.log(-math.log(-x)), -2.0)
-    while _wexp(lo) < x:
-        lo = 2.0 * lo
-
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _wexp(mid) >= x:
-            lo = mid
-        else:
-            hi = mid
-
-    w = 0.5 * (lo + hi)
-    for _ in range(4):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        # Halley update for f(w) = w e^w - x.
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        w_next = w - f / denom
-        if not (lo <= w_next <= hi):
-            w_next = 0.5 * (lo + hi)
-        w = w_next
-
-    if abs(_wexp(w) - x) > 1e-12 * abs(x):
-        raise NumericalError(f"lambert_w_m1 failed to converge at x={x}")
-    return w
-
-
-# ---------------------------------------------------------------------------
-# Geometry constants.
-
-
-def c_d_constant(d: int) -> float:
-    """Dimensional packing constant d * 2^d * Gamma((d+1)/2) / pi^((d-1)/2).
-
-    Grows super-exponentially; evaluated in log space via lgamma so that
-    moderate dimensions do not overflow intermediates.
-    """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    log_c = (
-        math.log(d)
-        + d * math.log(2.0)
-        + math.lgamma((d + 1) / 2.0)
-        - (d - 1) / 2.0 * math.log(math.pi)
-    )
-    return math.exp(log_c)
-
-
-# ---------------------------------------------------------------------------
-# Inverse normal CDF.
-
-
-def normal_quantile(p: float) -> float:
-    """Quantile function of the standard normal distribution (stdlib)."""
-    # Imported on first use: statistics pulls in decimal and fractions,
-    # about 5 ms that every CLI start would otherwise pay.
-    from statistics import NormalDist
-
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"normal_quantile requires 0 < p < 1, got {p}")
-    return NormalDist().inv_cdf(p)

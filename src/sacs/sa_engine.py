@@ -24,7 +24,6 @@ __all__ = [
     "ModelSpec",
     "TrajectoryPoint",
     "step_size",
-    "validate_rate_condition",
     "default_model",
     "rng_stream",
     "sample_data_block",
@@ -68,39 +67,6 @@ def step_size(s: StepSchedule, t):
     t may be an integer or an integer array; the result has its shape.
     """
     return s.eta0 * (np.asarray(t, dtype=float) + 1.0) ** (-s.a)
-
-
-def validate_rate_condition(
-    a: float, lam: float, p: float, linear: bool
-) -> str | None:
-    """Check the moment/step-size compatibility window for the error rates.
-
-    Linear problems admit the full band 0 < a < (p-1)/p. Nonlinear problems
-    additionally need enough moments, p > (1+lambda)/lambda, and a lower
-    step exponent bound a > 1/(1+lambda); since lambda <= 1 that lower
-    bound is at least 1/2, so the step schedule window is subsumed.
-
-    Returns None when the configuration is admissible, otherwise a short
-    string naming the violated inequality. p may be math.inf.
-    """
-    if not (p > 1.0):
-        raise ValueError(f"moment order p must exceed 1, got {p}")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    upper = 1.0 if math.isinf(p) else (p - 1.0) / p
-    if linear:
-        if a <= 0.0:
-            return "a <= 0"
-        if a >= upper:
-            return "a >= (p-1)/p"
-        return None
-    if p <= (1.0 + lam) / lam:
-        return "p <= (1+lambda)/lambda"
-    if a <= 1.0 / (1.0 + lam):
-        return "a <= 1/(1+lambda)"
-    if a >= upper:
-        return "a >= (p-1)/p"
-    return None
 
 
 @dataclass(frozen=True)
@@ -219,27 +185,19 @@ def _time_blocks(T: int, width: int, entries: int | None = None):
         t0 += b
 
 
-def _grad_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Stochastic gradient G(x, xi) per repetition; x: (R, d) iterates,
-    # xs: (R, d) covariates, ys: (R,) responses. Linear: G = -(y - x'X) X,
-    # the squared-loss gradient, so x - eta*G descends. Logistic:
-    # G = (sigmoid(x'X) - y) X, the log-loss gradient. Both have mean zero
-    # at theta_star.
-    if model.kind == "linear":
-        resid = ys - np.sum(xs * x, axis=1)
-        return -resid[:, None] * xs
-    s = _sigmoid(np.sum(xs * x, axis=1))
-    return (s - ys)[:, None] * xs
-
-
-def _jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # Per-sample Jacobian of the gradient in x, evaluated at x: (R, d, d).
-    # XX' (linear) or sigmoid'(x'X) XX' (logistic), symmetric PSD.
+def _grad_jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    # Stochastic gradient G(x, xi) (R, d) and its Jacobian in x (R, d, d) per
+    # repetition; x: (R, d) iterates, xs: (R, d) covariates, ys: (R,)
+    # responses. Linear: G = -(y - x'X) X, the squared-loss gradient, so
+    # x - eta*G descends, with Jacobian XX'. Logistic: G = (sigmoid(x'X) - y) X,
+    # the log-loss gradient, with Jacobian sigmoid'(x'X) XX'. Both gradients
+    # have mean zero at theta_star; both Jacobians are symmetric PSD.
+    z = np.sum(xs * x, axis=1)
     outer = xs[:, :, None] * xs[:, None, :]
     if model.kind == "linear":
-        return outer
-    s = _sigmoid(np.sum(xs * x, axis=1))
-    return (s * (1.0 - s))[:, None, None] * outer
+        return -(ys - z)[:, None] * xs, outer
+    s = _sigmoid(z)
+    return (s - ys)[:, None] * xs, (s * (1.0 - s))[:, None, None] * outer
 
 
 def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
@@ -286,8 +244,8 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
             tt = t0 + j + 1
             # nan rows from already-diverged repetitions flow through harmlessly.
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                g = _grad_batch(model, x, xs[j], ys[j])
-                h_sum += _jac_batch(model, x, xs[j])
+                g, jac = _grad_jac_batch(model, x, xs[j], ys[j])
+                h_sum += jac
                 s_sum += g[:, :, None] * g[:, None, :]
                 x = x - etas[j] * g
                 xbar = xbar + (x - xbar) / tt

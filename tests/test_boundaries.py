@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sacs.boundaries import (
     KINDS,
@@ -54,6 +56,41 @@ def test_lambda_star_domain():
     for a in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             lambda_star(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_lambda_star_solves_root_equation(alpha):
+    # lam - log1p(lam) = -2 log(alpha), to the rounding of its terms
+    lam = lambda_star(alpha)
+    c = -2.0 * math.log(alpha)
+    assert math.isfinite(lam) and lam > 0.0
+    assert abs(lam - math.log1p(lam) - c) <= 1e-15 * (lam + c)
+
+
+@pytest.mark.parametrize(
+    "alpha,expected",
+    # oracle: -mpmath.lambertw(-alpha^2/e, -1) - 1 at 40 digits; 1/alpha
+    # overflows at the subnormal 5e-324, and alpha^2/e underflows at both
+    [(1e-170, 789.55166262685623), (5e-324, 1496.1914901349234)],
+)
+def test_lambda_star_tiny_alpha(alpha, expected):
+    lam = lambda_star(alpha)
+    assert lam == pytest.approx(expected, rel=1e-12)
+    assert lam - math.log1p(lam) == pytest.approx(-2.0 * math.log(alpha), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 1e-15, 1.0 - 2.0**-53])
+def test_lambda_star_near_one_stops_before_the_step_cap(monkeypatch, alpha):
+    # each Newton step calls log1p once; lam - log1p(lam) cancels here, so
+    # the iterates end in rounding noise, and must stop there before the
+    # 100-step cap. Near 0, lam - log1p(lam) = lam^2/2, so lam = sqrt(2c).
+    steps = []
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda x: steps.append(x) or log1p(x))
+    lam = lambda_star(alpha)
+    assert len(steps) < 100
+    assert lam == pytest.approx(math.sqrt(-4.0 * math.log(alpha)), rel=1e-7)
 
 
 # -------------------------------------------------------------- radii

@@ -163,6 +163,31 @@ def test_gaussian_check_identity(tmp_path):
     assert rows[0]["t"] == "1"
 
 
+def test_gaussian_check_tiny_alpha(tmp_path):
+    # alpha^2 / e underflows to 0 here; the gm radius still exists
+    out = tmp_path / "g.csv"
+    res = run_cli(
+        "gaussian-check",
+        "--dim",
+        "1",
+        "--horizon",
+        "100",
+        "--reps",
+        "10",
+        "--alpha",
+        "1e-170",
+        "--boundaries",
+        "gm",
+        "--out",
+        str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    rows = read_rows(out)
+    assert len(rows) == 100
+    assert all(0.0 < float(r["radius_mean"]) < math.inf for r in rows)
+    assert all(r["uniform_coverage"] == "1" for r in rows)
+
+
 def test_gaussian_check_requires_dim_for_identity(tmp_path):
     res = run_cli("gaussian-check", "--out", str(tmp_path / "g.csv"))
     assert res.returncode == 2

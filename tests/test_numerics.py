@@ -1,4 +1,6 @@
-"""Tests for the numerical kernels.
+"""Tests for the numerical kernels: the eigen/whitening kernel, and the
+special functions inside the radius formulas (the normal quantile of the
+fixed radius and the packing constant of lilen).
 
 Reference values were frozen from independent oracles (mpmath at 40
 digits, scipy.special, scipy.stats) before the implementation existed.
@@ -12,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sacs.boundaries import BoundarySpec, _c_d_constant, radius_grid
 from sacs.covariance import sandwich
-from sacs.numerics import (
-    c_d_constant,
-    lambert_w_m1,
-    normal_quantile,
-    pd_eigh,
-    whiten,
-)
+from sacs.numerics import pd_eigh, whiten
 
 
 def random_pd(rng, d):
@@ -211,34 +208,12 @@ def test_d1_closed_form_matches_eigh_path(seed):
     assert np.array_equal(closed.kappa, np.ones(n))
 
 
-# --------------------------------------------------------- Lambert W
-
-
-def test_lambert_w_m1_frozen_points():
-    # oracle: mpmath.lambertw(x, -1) at 40 digits
-    assert lambert_w_m1(-1.0 / math.e) == -1.0
-    assert lambert_w_m1(-2.0 * math.exp(-2.0)) == pytest.approx(-2.0, abs=2e-12)
-    assert lambert_w_m1(-0.05**2 / math.e) == pytest.approx(-9.211968062068254, rel=1e-13)
-    assert lambert_w_m1(-0.2) == pytest.approx(-2.5426413577735264, rel=1e-13)
-    assert lambert_w_m1(-1e-8) == pytest.approx(-21.488183944009797, rel=1e-13)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-17.0, max_value=-1.1))
-def test_lambert_w_m1_inverts_w_exp_w(w_true):
-    x = w_true * math.exp(w_true)
-    w = lambert_w_m1(x)
-    assert w * math.exp(w) == pytest.approx(x, rel=1e-11)
-    assert w <= -1.0
-
-
-def test_lambert_w_m1_domain():
-    for x in (0.0, 0.5, -1.5 / math.e, -2.0):
-        with pytest.raises(ValueError):
-            lambert_w_m1(x)
-
-
 # ------------------------------------------------- normal quantile
+# The fixed radius at t = 1 is the quantile z_p at p = 1 - alpha / 2.
+
+
+def quantile(p):
+    return float(radius_grid(BoundarySpec("fixed", 2.0 * (1.0 - p)), [1.0], 1)[0])
 
 
 @pytest.mark.parametrize(
@@ -253,21 +228,21 @@ def test_lambert_w_m1_domain():
 )
 def test_normal_quantile_frozen(p, expected):
     # scipy.stats.norm.ppf oracle; contract tolerance is 1e-9 absolute
-    assert normal_quantile(p) == pytest.approx(expected, abs=1e-12)
-    assert normal_quantile(1.0 - p) == pytest.approx(-expected, abs=1e-12)
+    assert quantile(p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_normal_quantile_median_and_domain():
-    assert normal_quantile(0.5) == 0.0
-    for p in (0.0, 1.0, -0.1, 1.1, math.nan):
+    # alpha = 1 - 2^-53 rounds p = 1 - alpha/2 to exactly 1/2
+    assert radius_grid(BoundarySpec("fixed", 1.0 - 2.0**-53), [1.0], 1)[0] == 0.0
+    for alpha in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
-            normal_quantile(p)
+            BoundarySpec("fixed", alpha)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
+@given(st.floats(min_value=0.5 + 1e-10, max_value=1.0 - 1e-10))
 def test_normal_quantile_roundtrip(p):
-    x = normal_quantile(p)
+    x = quantile(p)
     assert 0.5 * math.erfc(-x / math.sqrt(2.0)) == pytest.approx(p, abs=1e-12)
 
 
@@ -287,10 +262,11 @@ def test_normal_quantile_roundtrip(p):
     ],
 )
 def test_c_d_constant_frozen(d, expected):
-    assert c_d_constant(d) == pytest.approx(expected, rel=1e-12)
+    assert _c_d_constant(d) == pytest.approx(expected, rel=1e-12)
 
 
 def test_c_d_constant_domain():
+    # the lilen radius, the constant's one user, rejects d < 1
     for d in (0, -1):
         with pytest.raises(ValueError):
-            c_d_constant(d)
+            radius_grid(BoundarySpec("lilen", 0.05), [10.0], d)

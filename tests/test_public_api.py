@@ -7,7 +7,9 @@ MODULES = (numerics, sa_engine, covariance, boundaries, harness)
 
 # Scalar radii duplicated radius_grid; the oracles now live in tests/helpers.py.
 # Plain arrays and generators replaced SymMatrix and RngStream; whiten and
-# radius_grid replaced the scalar evaluate path; CSV is only streamed.
+# radius_grid replaced the scalar evaluate path; CSV is only streamed. The
+# Lambert W solver gave way to a Newton root in lambda_star, and the radius
+# formulas' special functions are private to boundaries.
 REMOVED = (
     "radius_lil_ub",
     "radius_gm",
@@ -23,6 +25,9 @@ REMOVED = (
     "CsEvaluation",
     "UndefinedBoundaryError",
     "report_to_csv",
+    "lambert_w_m1",
+    "normal_quantile",
+    "c_d_constant",
 )
 
 
@@ -44,3 +49,14 @@ def test_removed_names_are_gone():
         assert name not in sacs.__all__
         assert not hasattr(sacs, name), name
         assert not any(hasattr(m, name) for m in MODULES), name
+
+
+def test_numerics_is_only_the_eigen_kernel():
+    assert numerics.__all__ == [
+        "NumericalError",
+        "SingularMatrixError",
+        "PD_RTOL",
+        "pd_eigh",
+        "Whitening",
+        "whiten",
+    ]

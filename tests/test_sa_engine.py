@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacs import sa_engine
+from sacs.harness import validate_rate_condition
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
     StepSchedule,
-    _grad_batch,
-    _jac_batch,
+    _grad_jac_batch,
     default_model,
     rng_stream,
     run_lockstep,
     run_trajectory,
     sample_data_block,
     step_size,
-    validate_rate_condition,
 )
 
 
@@ -159,11 +158,12 @@ def test_sample_logistic_moments():
 
 def grad(model, x, xv, y):
     # the batched oracle on a single (iterate, datum) pair
-    return _grad_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.array([y]))[0]
+    return _grad_jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.array([y]))[0][0]
 
 
 def jac(model, x, xv):
-    return _jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv))[0]
+    # the Jacobian does not read the response
+    return _grad_jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.zeros(1))[1][0]
 
 
 def test_grad_oracle_values():
@@ -187,7 +187,7 @@ def test_jac_oracle_values():
     assert jac(default_model("logistic", 1), [0.0], [2.0])[0, 0] == 1.0
     # one row per repetition: a stack of outer products, each symmetric
     xs = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    j = _jac_batch(default_model("linear", 2), np.zeros((2, 2)), xs)
+    _, j = _grad_jac_batch(default_model("linear", 2), np.zeros((2, 2)), xs, np.zeros(2))
     assert np.array_equal(j, xs[:, :, None] * xs[:, None, :])
 
 
@@ -198,7 +198,7 @@ def test_jac_oracle_values():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_jacobian_is_gradient_derivative(kind, dim, seed):
-    # central differences of _grad_batch reproduce _jac_batch columnwise
+    # central differences of the gradient reproduce the Jacobian columnwise
     model = default_model(kind, dim)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=dim)
