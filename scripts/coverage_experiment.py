@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sacs import (  # noqa: E402
@@ -77,23 +79,21 @@ def main(argv=None) -> int:
     if divergent:
         print(f"  excluded {divergent} divergent repetition(s)")
 
-    by_kind: dict[str, list] = {}
-    for row in report.rows:
-        by_kind.setdefault(row.boundary_kind, []).append(row)
     print(f"  {'kind':<6} {'uniform@end':>12} {'fixed@end':>10} {'radius@start':>13} {'radius@end':>11}")
     for kind in kinds:
-        rows = by_kind[kind]
-        first, last = rows[0], rows[-1]
+        at = np.flatnonzero(report.boundary_kind == kind)
+        first, last = at[0], at[-1]
         print(
-            f"  {kind:<6} {last.uniform_coverage:>12.3f} {last.fixed_coverage:>10.3f}"
-            f" {first.radius_mean:>13.4g} {last.radius_mean:>11.4g}"
+            f"  {kind:<6} {report.uniform_coverage[last]:>12.3f}"
+            f" {report.fixed_coverage[last]:>10.3f}"
+            f" {report.radius_mean[first]:>13.4g} {report.radius_mean[last]:>11.4g}"
         )
     target = 1.0 - args.alpha
     print(f"  nominal level: {target:.3f} (time-uniform kinds should sit at or above it)")
 
     if args.out is not None:
         emit_report(report, "csv", args.out)
-        print(f"  wrote {len(report.rows)} rows to {args.out}")
+        print(f"  wrote {len(report.t)} rows to {args.out}")
     return 0
 
 

@@ -66,6 +66,9 @@ class BoundarySpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.alpha / 2.0 == 0.0:
+            # The fixed baseline's quantile level; only 5e-324 gets here.
+            raise ValueError(f"alpha / 2 underflows to 0 at alpha = {self.alpha}")
         if not (math.isfinite(self.t0) and self.t0 >= 1.0):
             raise ValueError(f"t0 must be >= 1, got {self.t0}")
         if not (0.0 < self.eps_net < 1.0):
@@ -119,7 +122,7 @@ def _loglog_or_inf(u: np.ndarray) -> np.ndarray:
 
 def _lilub_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
-    radicand = _loglog_or_inf(2.0 * ts) + 0.72 * math.log(10.4 * d / alpha)
+    radicand = _loglog_or_inf(2.0 * ts) + 0.72 * (math.log(10.4 * d) - math.log(alpha))
     with np.errstate(invalid="ignore"):
         out = 1.7 * np.sqrt(radicand / ts)
     out[~(radicand > 0.0)] = np.inf
@@ -130,7 +133,7 @@ def _gm_grid(ts: np.ndarray, d: int, alpha: float, t0: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     ls = lambda_star(alpha)
     drift = 1.0 + t0 / (ts * ls)
-    growth = d * np.log1p(ts * ls / t0) + 2.0 * math.log(1.0 / alpha)
+    growth = d * np.log1p(ts * ls / t0) - 2.0 * math.log(alpha)
     return np.sqrt(drift * growth / ts)
 
 
@@ -152,7 +155,7 @@ def _lilen_grid(ts, d: int, alpha: float, eps_net: float, kappa) -> np.ndarray:
     )
     radicand = (
         1.4 * _loglog_or_inf(2.0 * ts * kappa)
-        + math.log(5.2 * _c_d_constant(d) / alpha)
+        + (math.log(5.2 * _c_d_constant(d)) - math.log(alpha))
         + (d - 1) * np.log(3.0 * np.sqrt(kappa) / eps_net)
     )
     with np.errstate(invalid="ignore"):
@@ -167,7 +170,8 @@ def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
     from statistics import NormalDist
 
     ts = np.asarray(ts, dtype=float)
-    return NormalDist().inv_cdf(1.0 - float(alpha) / 2.0) / np.sqrt(ts)
+    # The lower tail: 1 - alpha/2 would round to 1 for alpha below 1.1e-16.
+    return -NormalDist().inv_cdf(float(alpha) / 2.0) / np.sqrt(ts)
 
 
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
@@ -187,7 +191,8 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     whitening; only lilen reads it, and a nan kappa (an unavailable
     evaluation) passes through. ts and kappa broadcast against each other.
     Entries where an iterated logarithm or its radicand is undefined come
-    back as +inf: the region is the whole space there.
+    back as +inf: the region is the whole space there. alpha enters as
+    -log(alpha), never as 1/alpha, so a subnormal alpha gives finite radii.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")

@@ -276,7 +276,7 @@ def _trace_csv(trace, dim: int) -> str:
         cols += [f"{name}_{i}_{j}" for i, j in upper]
     lines = [",".join(cols)]
     for pt in trace:
-        vals = [str(pt.t), format(pt.err_norm, ".9g"), str(int(pt.singular))]
+        vals = [str(pt.t), format(pt.err_norm, ".9g"), str(int(pt.sandwich is None))]
         vals += [format(x, ".9g") for x in pt.xbar]
         for mat in (pt.h_hat, pt.s_hat):
             vals += [format(mat[i, j], ".9g") for i, j in upper]

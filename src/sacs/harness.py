@@ -72,8 +72,8 @@ class ExperimentConfig:
     """Full description of one coverage Monte Carlo run.
 
     start is the first evaluated step m and stride the evaluation spacing;
-    the time-uniform grid is {m, m+stride, ...} capped at iters. subset
-    restricts inference to the listed coordinates (None means all).
+    the time-uniform grid is {m, m+stride, ...} capped at iters. Inference
+    covers every coordinate of theta_star.
     """
 
     model: ModelSpec
@@ -84,7 +84,6 @@ class ExperimentConfig:
     stride: int = 10
     boundaries: tuple = ()
     seed: int = 0
-    subset: tuple | None = None
 
     def __post_init__(self) -> None:
         for name, lo in (("iters", 1), ("reps", 1), ("start", 1), ("stride", 1)):
@@ -100,13 +99,6 @@ class ExperimentConfig:
         if len(set(kinds)) != len(kinds):
             raise ValueError("boundary kinds must be distinct within one experiment")
         object.__setattr__(self, "boundaries", specs)
-        if self.subset is not None:
-            idx = tuple(sorted(set(int(i) for i in self.subset)))
-            if not idx or idx[0] < 0 or idx[-1] >= self.model.dim:
-                raise ValueError(
-                    f"subset must be nonempty coordinates in [0, {self.model.dim})"
-                )
-            object.__setattr__(self, "subset", idx)
 
 
 @dataclass(frozen=True)
@@ -392,21 +384,18 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     grid = np.arange(start, iters + 1, stride, dtype=np.int64)
     n_grid = grid.size
     theta = model.theta_star
-    idx = np.arange(model.dim) if cfg.subset is None else np.asarray(cfg.subset, int)
-    d_eff = int(idx.size)
+    d = model.dim
     specs = cfg.boundaries
     n_b = len(specs)
 
     # lilen is the one kind whose radius depends on the per-repetition
     # condition number; with a scalar whitening matrix kappa is identically
     # 1 and every kind shares one radius grid.
-    per_rep_radius = [b.kind == "lilen" and d_eff > 1 for b in specs]
+    per_rep_radius = [b.kind == "lilen" and d > 1 for b in specs]
     shared_radius = [
-        None if per_rep_radius[bi] else bnd.radius_grid(b, grid, d_eff, kappa=1.0)
+        None if per_rep_radius[bi] else bnd.radius_grid(b, grid, d, kappa=1.0)
         for bi, b in enumerate(specs)
     ]
-
-    d = model.dim
 
     def simulate(rep_ids):
         # One lockstep pass over the listed repetitions: their first divergent
@@ -419,14 +408,14 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         rad_sums = np.zeros((n_b, n_grid))
 
         # visit() only copies grid states into a ring buffer of k_buf grid
-        # points; one kernel call evaluates and tallies them all. The alive
-        # mask is not needed: a second pass leaves divergent repetitions out.
+        # points; one kernel call evaluates and tallies them all. Divergent
+        # repetitions are tallied too: a second pass leaves them out.
         k_buf = max(1, _FLUSH_ENTRIES // (n * d * d))
         buf_xbar = np.empty((k_buf, n, d))
         buf_h = np.empty((k_buf, n, d, d))
         buf_s = np.empty((k_buf, n, d, d))
 
-        def visit(tt, x, xbar, h_sum, s_sum, alive):
+        def visit(tt, x, xbar, h_sum, s_sum):
             i = (tt - start) // stride
             j = i % k_buf
             buf_xbar[j] = xbar
@@ -439,9 +428,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             ts = grid[rows].astype(float)[:, None]
             scale = ts[..., None, None]
             v, _ = sandwich(buf_h[:m] / scale, buf_s[:m] / scale)
-            # Every field is nan where the sandwich or its sub-matrix is
-            # unavailable; a nan statistic never covers.
-            wh = whiten(v[..., idx[:, None], idx], buf_xbar[:m, :, idx] - theta[idx])
+            # Every field is nan where the sandwich is unavailable; a nan
+            # statistic never covers.
+            wh = whiten(v, buf_xbar[:m] - theta)
             avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
             base_sup = np.mean(wh.scale_sup, axis=-1)
             base_two = np.mean(wh.scale_two, axis=-1)
@@ -449,7 +438,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             for bi, b in enumerate(specs):
                 if per_rep_radius[bi]:
                     with np.errstate(invalid="ignore"):
-                        vals = bnd.radius_grid(b, ts, d_eff, kappa=wh.kappa)
+                        vals = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
                     # nan kappa marks an unavailable evaluation, not an
                     # undefined boundary; keep it nan rather than +inf.
                     rad = np.where(np.isnan(wh.kappa), np.nan, vals)
@@ -462,7 +451,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
                     hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
             tally.add(i - j, covered)
 
-        diverged_at = run_lockstep(model, sched, iters, np.zeros(d), gens, grid, visit)
+        diverged_at = run_lockstep(model, sched, iters, gens, grid, visit)
         return diverged_at, tally, avail, hw_sums, rad_sums
 
     diverged_at, tally, avail_counts, hw_sums, rep_rad_sums = simulate(range(reps))
@@ -499,7 +488,6 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             "start": start,
             "stride": stride,
             "seed": cfg.seed,
-            "subset": list(idx) if cfg.subset is not None else None,
             "boundaries": [_spec_meta(b) for b in specs],
         },
         "seeds": {"seed": cfg.seed, "streams": f"0..{reps - 1}"},
@@ -559,7 +547,6 @@ def run_gaussian_check(
     reps: int,
     boundaries,
     seed: int = 0,
-    radius_scale: float = 1.0,
 ) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
@@ -569,7 +556,6 @@ def run_gaussian_check(
     standard normal, whitened with the TRUE v. That is S_t / t, S_t the sum
     of the z_s, so |S_t| is compared with t r_t (squared, for the two norm).
     This isolates the boundary guarantee from plug-in and averaging error.
-    radius_scale inflates every radius, for sanity-ceiling tests.
 
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
     (the whole horizon when it fits), and the repetitions into tiles of
@@ -598,8 +584,6 @@ def run_gaussian_check(
     for name, value in (("horizon", horizon), ("reps", reps)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if not (radius_scale > 0.0 and math.isfinite(radius_scale)):
-        raise ValueError(f"radius_scale must be positive, got {radius_scale}")
     wall_start = time.perf_counter()
     kinds = tuple(boundaries)
     specs = tuple(bnd.BoundarySpec(kind, alpha) for kind in kinds)
@@ -612,7 +596,7 @@ def run_gaussian_check(
     if not wh.ok:
         raise SingularMatrixError("covariance must be numerically positive definite")
     ts = np.arange(1, horizon + 1, dtype=np.int64)
-    radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs])
+    radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) for b in specs])
     base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
     limits = [(r * ts) ** 2 if b.norm_kind == "two_norm" else r * ts for r, b in zip(radii, specs)]
 
@@ -661,7 +645,6 @@ def run_gaussian_check(
             "horizon": int(horizon),
             "reps": int(reps),
             "seed": int(seed),
-            "radius_scale": radius_scale,
             "boundaries": [_spec_meta(b) for b in specs],
         },
         "seeds": {"seed": int(seed), "streams": f"0..{reps - 1}"},

@@ -168,14 +168,12 @@ def sample_data_block(
 _BLOCK_ENTRIES = 2**20  # floats per array of one streamed time block (8 MB)
 
 
-def _time_blocks(T: int, width: int, entries: int | None = None):
+def _time_blocks(T: int, width: int, entries: int):
     """Yield (start, length) of blocks of about entries / width steps
-    (entries defaults to _BLOCK_ENTRIES) covering steps 0..T-1. They start
-    at multiples of 64 and never end with one step, so that a blocked BLAS
-    product equals the product over all T rows bit for bit: BLAS rounds a
-    row by its place in a row group (d >= 4) and takes another path for a
-    single row."""
-    entries = _BLOCK_ENTRIES if entries is None else entries
+    covering steps 0..T-1. They start at multiples of 64 and never end with
+    one step, so that a blocked BLAS product equals the product over all T
+    rows bit for bit: BLAS rounds a row by its place in a row group (d >= 4)
+    and takes another path for a single row."""
     step = min(T, max(64, entries // max(width, 1) // 64 * 64))
     t0 = 0
     while t0 < T:
@@ -200,21 +198,21 @@ def _grad_jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndar
     return (s - ys)[:, None] * xs, (s * (1.0 - s))[:, None, None] * outer
 
 
-def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
+def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     """Advance len(gens) independent repetitions through T steps in lockstep.
 
-    Data are drawn in time blocks: covariates from a copy of gens[r], and
-    responses from gens[r] advanced past them by T*d draws. Each block so
-    holds the rows of sample_data_block(model, gens[r], T), and results
-    depend neither on the block size nor on how callers chunk the generator
-    list; gens[r] ends in the state that call leaves it in.
-    visit(t, x, xbar, h_sum, s_sum, alive) is called at each t in
-    eval_times (ascending, within [1, T]) with live internal arrays of
-    shape (R, d) / (R, d, d); callees must copy what they keep and must not
-    mutate.
+    Every repetition starts at x_0 = 0. Data are drawn in time blocks:
+    covariates from a copy of gens[r], and responses from gens[r] advanced
+    past them by T*d draws. Each block so holds the rows of
+    sample_data_block(model, gens[r], T), and results depend neither on the
+    block size nor on how callers chunk the generator list; gens[r] ends in
+    the state that call leaves it in.
+    visit(t, x, xbar, h_sum, s_sum) is called at each t in eval_times
+    (ascending, within [1, T]) with live internal arrays of shape (R, d) /
+    (R, d, d); callees must copy what they keep and must not mutate.
 
-    Divergent repetitions are frozen (their rows turn nan and are dropped
-    from alive) rather than raising, so surviving repetitions finish.
+    Divergent repetitions are frozen (their rows turn nan) rather than
+    raising, so surviving repetitions finish; their rows still reach visit.
     Returns diverged_at: per-repetition first divergent step, -1 if none.
     """
     n_reps = len(gens)
@@ -227,14 +225,14 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
     covs = [copy.deepcopy(gen) for gen in gens]
     for gen in gens:
         gen.bit_generator.advance(T * d)
-    x = np.tile(np.asarray(x0, dtype=float), (n_reps, 1))
+    x = np.zeros((n_reps, d))
     xbar = np.zeros((n_reps, d))
     h_sum = np.zeros((n_reps, d, d))
     s_sum = np.zeros((n_reps, d, d))
-    alive = np.ones(n_reps, dtype=bool)
+    finite = np.ones(n_reps, dtype=bool)
     diverged_at = np.full(n_reps, -1, dtype=np.int64)
 
-    for t0, b in _time_blocks(T, n_reps * d):
+    for t0, b in _time_blocks(T, n_reps * d, _BLOCK_ENTRIES):
         xs = np.empty((b, n_reps, d))
         ys = np.empty((b, n_reps))
         for r, (cov, gen) in enumerate(zip(covs, gens)):
@@ -249,12 +247,12 @@ def run_lockstep(model, schedule, T, x0, gens, eval_times, visit) -> np.ndarray:
                 s_sum += g[:, :, None] * g[:, None, :]
                 x = x - etas[j] * g
                 xbar = xbar + (x - xbar) / tt
-            newly = alive & ~np.isfinite(x).all(axis=1)
+            newly = finite & ~np.isfinite(x).all(axis=1)
             if newly.any():
                 diverged_at[newly] = tt
-                alive[newly] = False
+                finite[newly] = False
             if k < len(ev) and ev[k] == tt:
-                visit(tt, x, xbar, h_sum, s_sum, alive)
+                visit(tt, x, xbar, h_sum, s_sum)
                 k += 1
         # Free this block before the next is drawn, so one block is live.
         del xs, ys
@@ -268,8 +266,8 @@ class TrajectoryPoint:
 
     h_hat, s_hat and sandwich are plain (d, d) arrays; h_hat and s_hat may
     hold inf after the accumulators overflow. sandwich is symmetrized,
-    (v + v^T) / 2, and is None exactly when singular is True: h_hat failed
-    the invertibility guard or the sandwich is not finite.
+    (v + v^T) / 2, and is None when h_hat failed the invertibility guard or
+    the sandwich is not finite.
     """
 
     t: int
@@ -277,7 +275,6 @@ class TrajectoryPoint:
     h_hat: np.ndarray
     s_hat: np.ndarray
     sandwich: np.ndarray | None
-    singular: bool
     err_norm: float
 
 
@@ -286,49 +283,42 @@ def run_trajectory(
     schedule: StepSchedule,
     T: int,
     checkpoints,
-    x0=None,
     rng: np.random.Generator | None = None,
 ) -> tuple[TrajectoryPoint, ...]:
-    """Run one trajectory for T steps and record the listed checkpoints.
+    """Run one trajectory from x_0 = 0 for T steps and record the listed
+    checkpoints.
 
     checkpoints must be strictly ascending integers within [1, T]. This is
     run_lockstep with a single repetition drawing from rng (default
     rng_stream(0, 0)), so the trace is a deterministic function of (model,
-    schedule, T, x0, seed, stream) and equals that repetition's path in the
+    schedule, T, seed, stream) and equals that repetition's path in the
     coverage harness.
 
     Raises DivergenceError if the iterate leaves the finite floats.
     """
     if not isinstance(T, (int, np.integer)) or T < 0:
         raise ValueError(f"T must be a nonnegative integer, got {T!r}")
-    x0 = np.zeros(model.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be a finite vector of length dim")
     if rng is None:
         rng = rng_stream(0, 0)
     theta = model.theta_star
     trace: list[TrajectoryPoint] = []
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        if not alive[0]:
-            return
+    def visit(tt, x, xbar, h_sum, s_sum):
         h_hat = h_sum[0] / tt
         s_hat = s_sum[0] / tt
         v, ok = covariance.sandwich(h_hat, s_hat)
-        singular = not (ok and np.isfinite(v).all())
         trace.append(
             TrajectoryPoint(
                 t=tt,
                 xbar=xbar[0].copy(),
                 h_hat=h_hat,
                 s_hat=s_hat,
-                sandwich=None if singular else 0.5 * (v + v.T),
-                singular=singular,
+                sandwich=0.5 * (v + v.T) if ok and np.isfinite(v).all() else None,
                 err_norm=math.hypot(*(xbar[0] - theta)),
             )
         )
 
-    diverged_at = run_lockstep(model, schedule, T, x0, [rng], checkpoints, visit)
+    diverged_at = run_lockstep(model, schedule, T, [rng], checkpoints, visit)
     if diverged_at[0] != -1:
         raise DivergenceError(int(diverged_at[0]))
     return tuple(trace)

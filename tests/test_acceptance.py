@@ -176,15 +176,15 @@ def test_logistic_default_step_still_biased():
     predicted = -theta * float(np.mean(np.exp(-drift)))
     seen = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        seen["bias"] = xbar[alive, 0] - theta
+    def visit(tt, x, xbar, h_sum, s_sum):
+        seen["bias"] = xbar[:, 0] - theta
 
     gens = [rng_stream(0, r) for r in range(reps)]
-    run_lockstep(model, sched, t, np.zeros(1), gens, [t], visit)
+    diverged_at = run_lockstep(model, sched, t, gens, [t], visit)
     bias = seen["bias"]
     mean = float(bias.mean())
     se = float(bias.std(ddof=1)) / math.sqrt(bias.size)
-    ok = bias.size == reps and mean + 3.0 * se < 0.5 * predicted
+    ok = bool(np.all(diverged_at == -1)) and mean + 3.0 * se < 0.5 * predicted
     assert record(
         2,
         "logistic eta0=0.5 still biased at t=1000",
@@ -239,15 +239,15 @@ def test_criterion_6_plugin_limits():
     reps, T = 50, 100_000
     h_vals, v_vals = [], []
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        h_hat, s_hat = h_sum[alive] / tt, s_sum[alive] / tt
+    def visit(tt, x, xbar, h_sum, s_sum):
+        h_hat, s_hat = h_sum / tt, s_sum / tt
         v, ok = sandwich(h_hat, s_hat)
         h_vals.extend(h_hat[:, 0, 0])
         v_vals.extend(v[ok, 0, 0])
 
     for lo in range(0, reps, 25):
         gens = [rng_stream(0, r) for r in range(lo, lo + 25)]
-        run_lockstep(model, sched, T, np.zeros(1), gens, [T], visit)
+        run_lockstep(model, sched, T, gens, [T], visit)
 
     h_med = float(np.median(h_vals))
     v_med = float(np.median(v_vals))

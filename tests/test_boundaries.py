@@ -96,6 +96,21 @@ def test_lambda_star_near_one_stops_before_the_step_cap(monkeypatch, alpha):
 # -------------------------------------------------------------- radii
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 1e-310])
+def test_radius_finite_at_tiny_alpha(alpha):
+    # 1 - alpha/2 rounds to 1 below alpha = 1.1e-16, and 1/alpha overflows
+    # for subnormal alpha; the radii must use neither form
+    ts = [2.0, 100.0, 1e6]
+    for kind in KINDS:
+        for d, kappa in ((1, 1.0), (3, 4.0)):
+            r = radius_grid(BoundarySpec(kind, alpha), ts, d, kappa)
+            assert np.all(np.isfinite(r) & (r > 0.0)), (kind, d)
+            assert np.all(np.diff(r) < 0.0), (kind, d)
+    # the fixed radius at t = 1 is the upper alpha/2 normal quantile
+    z = radius_grid(BoundarySpec("fixed", alpha), [1.0], 1)[0]
+    assert 0.5 * math.erfc(z / math.sqrt(2.0)) == pytest.approx(alpha / 2.0, rel=1e-9)
+
+
 def test_radius_frozen_values():
     assert radius("lilub", 100, 1, 0.05) == pytest.approx(0.3990627054803708, rel=1e-12)
     assert radius("lilub", 100, 2, 0.05) == pytest.approx(0.41674218581564854, rel=1e-12)
@@ -213,6 +228,9 @@ def test_boundary_spec_validation():
     ):
         with pytest.raises(ValueError):
             BoundarySpec(**kwargs)
+    # alpha / 2, the fixed baseline's tail level, underflows to 0 there
+    with pytest.raises(ValueError, match="alpha"):
+        BoundarySpec("gm", 5e-324)
 
 
 def test_norm_pairing():

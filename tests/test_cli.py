@@ -188,6 +188,18 @@ def test_gaussian_check_tiny_alpha(tmp_path):
     assert all(r["uniform_coverage"] == "1" for r in rows)
 
 
+def test_gaussian_check_fixed_at_tiny_alpha(tmp_path):
+    # 1 - alpha/2 rounds to 1 at alpha = 1e-17; alpha/2 underflows at 5e-324
+    args = ["gaussian-check", "--dim", "1", "--horizon", "100", "--reps", "10"]
+    out = tmp_path / "g.csv"
+    res = run_cli(*args, "--alpha", "1e-17", "--boundaries", "fixed", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert all(0.0 < float(r["radius_mean"]) < math.inf for r in read_rows(out))
+    res = run_cli(*args, "--alpha", "5e-324", "--out", str(out))
+    assert res.returncode == 2
+    assert "alpha" in res.stderr
+
+
 def test_gaussian_check_requires_dim_for_identity(tmp_path):
     res = run_cli("gaussian-check", "--out", str(tmp_path / "g.csv"))
     assert res.returncode == 2

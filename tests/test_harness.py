@@ -152,10 +152,10 @@ def test_fit_rate_on_simulated_decay():
     ckpts = [1000, 2000, 4000, 8000, 16000]
     med = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        med[tt] = float(np.median(np.abs(xbar[alive, 0] - 1.0)))
+    def visit(tt, x, xbar, h_sum, s_sum):
+        med[tt] = float(np.median(np.abs(xbar[:, 0] - 1.0)))
 
-    run_lockstep(model, sched, 16000, np.zeros(1), gens, ckpts, visit)
+    run_lockstep(model, sched, 16000, gens, ckpts, visit)
     slope = fit_rate(sorted(med.items()), (1000.0, 16000.0))
     assert -0.7 <= slope <= -0.3
 
@@ -173,11 +173,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         small_config(boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("gm", 0.05)))
     with pytest.raises(ValueError):
-        small_config(subset=(1,))
-    with pytest.raises(ValueError):
         small_config(iters=800, start=801)
-    cfg = small_config(model=default_model("linear", 3), subset=(2, 0, 2))
-    assert cfg.subset == (0, 2)
 
 
 def test_run_coverage_shapes_and_grid():
@@ -241,26 +237,12 @@ def test_run_coverage_all_divergent_raises():
         run_coverage(cfg)
 
 
-def test_run_coverage_subset_matches_full_in_d1_block():
-    # a diagonal 2d model restricted to coordinate 0 behaves like the
-    # coordinate's own run: same grid shape, valid rates
-    model = default_model("linear", 2)
-    rep = run_coverage(
-        small_config(model=model, subset=(0,), reps=8, iters=1200, start=600, stride=300)
-    )
-    assert rep.metadata["config"]["subset"] == [0]
-    for row in rep.rows:
-        assert 0.0 <= row.uniform_coverage <= 1.0
-
-
-def test_run_coverage_subset_whitens_the_restricted_sandwich():
-    # replaying each repetition with run_trajectory and whitening the
-    # restriction v[idx][:, idx] of its sandwich by hand gives the
-    # report's coverage, radii and half-widths
+def test_run_coverage_whitens_the_replayed_sandwich():
+    # replaying each repetition with run_trajectory and whitening its
+    # sandwich by hand gives the report's coverage, radii and half-widths
     model = default_model("linear", 3)
-    cfg = small_config(model=model, subset=(2, 0), reps=8, iters=1200, start=400, stride=400)
+    cfg = small_config(model=model, reps=8, iters=1200, start=400, stride=400)
     rep = run_coverage(cfg)
-    idx = [0, 2]
     grid = [400, 800, 1200]
     covered = np.zeros((len(grid), len(KINDS)))
     radius = np.zeros_like(covered)
@@ -268,9 +250,9 @@ def test_run_coverage_subset_whitens_the_restricted_sandwich():
     for r in range(cfg.reps):
         pts = run_trajectory(model, cfg.schedule, cfg.iters, grid, rng=rng_stream(0, r))
         for i, pt in enumerate(pts):
-            wh = whiten(pt.sandwich[np.ix_(idx, idx)], (pt.xbar - model.theta_star)[idx])
+            wh = whiten(pt.sandwich, pt.xbar - model.theta_star)
             for k, spec in enumerate(cfg.boundaries):
-                rad = radius_grid(spec, [pt.t], len(idx), kappa=wh.kappa)[0]
+                rad = radius_grid(spec, [pt.t], model.dim, kappa=wh.kappa)[0]
                 sup = spec.norm_kind == "sup_norm"
                 covered[i, k] += (wh.stat_sup if sup else wh.stat_two) <= rad
                 radius[i, k] += rad / cfg.reps
@@ -485,11 +467,16 @@ def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
     # reference draws through the root of a correlated v, whitens the running
     # mean with the inverse root and compares its norms with r_t. Five
     # 64-step blocks and thirty one-repetition tiles, radii scaled by 0.8
+    # so that more paths miss
     v = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.0]])
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
-    kw = dict(alpha=0.1, horizon=300, reps=30, seed=5, radius_scale=0.8)
+    unscaled = harness.bnd.radius_grid
+    monkeypatch.setattr(harness.bnd, "radius_grid", lambda *a, **k: 0.8 * unscaled(*a, **k))
+    kw = dict(alpha=0.1, horizon=300, reps=30, seed=5)
     report = run_gaussian_check(v, boundaries=KINDS, **kw)
-    fixed, uniform, mean_final = gaussian_check_reference(v, kinds=KINDS, **kw)
+    fixed, uniform, mean_final = gaussian_check_reference(
+        v, kinds=KINDS, radius_scale=0.8, **kw
+    )
     assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
     assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
     assert report.metadata["mean_final"] == pytest.approx(mean_final.tolist(), rel=1e-12)
@@ -545,21 +532,6 @@ def test_gaussian_check_basic_properties():
     assert np.abs(mean_final).max() <= 4.0 * se
 
 
-def test_gaussian_check_radius_scale_ceiling():
-    rep = run_gaussian_check(
-        np.array([[1.0]]),
-        0.1,
-        horizon=300,
-        reps=100,
-        boundaries=("gm", "fixed"),
-        seed=1,
-        radius_scale=25.0,
-    )
-    for row in rep.rows:
-        if row.boundary_kind == "gm":
-            assert row.uniform_coverage == 1.0
-
-
 def test_gaussian_check_deterministic_and_validated():
     v = np.array([[1.0]])
     a = csv_text(run_gaussian_check(v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
@@ -575,8 +547,6 @@ def test_gaussian_check_validation():
         run_gaussian_check(v, 0.1, 100, 10, ("gm", "gm"))
     with pytest.raises(ValueError):
         run_gaussian_check(v, 0.1, 0, 10, ("gm",))
-    with pytest.raises(ValueError):
-        run_gaussian_check(v, 0.1, 100, 10, ("gm",), radius_scale=0.0)
     with pytest.raises(SingularMatrixError):
         run_gaussian_check(np.diag([1.0, 0.0]), 0.1, 100, 10, ("gm",))
 

@@ -232,9 +232,12 @@ def test_normal_quantile_frozen(p, expected):
 
 
 def test_normal_quantile_median_and_domain():
-    # alpha = 1 - 2^-53 rounds p = 1 - alpha/2 to exactly 1/2
-    assert radius_grid(BoundarySpec("fixed", 1.0 - 2.0**-53), [1.0], 1)[0] == 0.0
-    for alpha in (0.0, 1.0, -0.1, 1.1, math.nan):
+    # alpha = 1 - 2^-53 puts the lower-tail level alpha/2 at 1/2 - 2^-54,
+    # exactly, whose quantile is -2^-54 sqrt(2 pi) to first order; the
+    # upper-tail level 1 - alpha/2 would round to 1/2 and give radius 0
+    r = radius_grid(BoundarySpec("fixed", 1.0 - 2.0**-53), [1.0], 1)[0]
+    assert r == pytest.approx(2.0**-54 * math.sqrt(2.0 * math.pi), rel=1e-12)
+    for alpha in (0.0, 1.0, -0.1, 1.1, math.nan, 5e-324):
         with pytest.raises(ValueError):
             BoundarySpec("fixed", alpha)
 

@@ -1,5 +1,8 @@
 """The package namespace re-exports exactly the library modules' public names."""
 
+import dataclasses
+import inspect
+
 import sacs
 from sacs import boundaries, covariance, harness, numerics, sa_engine
 
@@ -60,3 +63,19 @@ def test_numerics_is_only_the_eigen_kernel():
         "Whitening",
         "whiten",
     ]
+
+
+def test_no_parameter_that_only_tests_set():
+    # every caller started the recursion at 0, used every coordinate and
+    # the unscaled radii, and read singularity off the missing sandwich
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert "x0" not in params(sa_engine.run_lockstep)
+    assert "x0" not in params(sa_engine.run_trajectory)
+    assert "radius_scale" not in params(harness.run_gaussian_check)
+    assert "subset" not in fields(harness.ExperimentConfig)
+    assert "singular" not in fields(sa_engine.TrajectoryPoint)

@@ -215,30 +215,31 @@ def test_jacobian_is_gradient_derivative(kind, dim, seed):
 # ------------------------------------------------- per-step recursion state
 
 
-def every_step(model, sched, T, x0, seed):
+def every_step(model, sched, T, seed):
     """One repetition through run_lockstep, its state copied after every step."""
     states = []
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
+    def visit(tt, x, xbar, h_sum, s_sum):
         states.append((x[0].copy(), xbar[0].copy(), h_sum[0].copy(), s_sum[0].copy()))
 
     gens = [rng_stream(seed, 0)]
-    diverged_at = run_lockstep(model, sched, T, x0, gens, range(1, T + 1), visit)
+    diverged_at = run_lockstep(model, sched, T, gens, range(1, T + 1), visit)
     return states, int(diverged_at[0])
 
 
 def test_sa_step_frozen_dynamics():
     model = default_model("linear", 1)
-    states, _ = every_step(model, StepSchedule(0.0, 0.7), 5, np.array([2.0]), 0)
+    states, _ = every_step(model, StepSchedule(0.0, 0.7), 5, 0)
     for x, xbar, h_sum, _ in states:
-        assert np.array_equal(x, [2.0]) and np.array_equal(xbar, [2.0])
+        assert np.array_equal(x, [0.0]) and np.array_equal(xbar, [0.0])
     # the data are still consumed and accumulated
     assert 0.0 < states[0][2][0, 0] < states[-1][2][0, 0]
 
 
 def test_sa_step_noiseless_fixed_point():
-    model = ModelSpec("linear", 2, np.array([1.0, 2.0]), noise_sd=0.0, cov_halfwidth=1.0)
-    states, _ = every_step(model, StepSchedule(0.1, 0.7), 50, model.theta_star, 4)
+    # the recursion starts at x_0 = 0, so the root is put there
+    model = ModelSpec("linear", 2, np.zeros(2), noise_sd=0.0, cov_halfwidth=1.0)
+    states, _ = every_step(model, StepSchedule(0.1, 0.7), 50, 4)
     for x, xbar, _, s_sum in states:
         assert np.array_equal(x, model.theta_star)
         assert np.array_equal(xbar, model.theta_star)
@@ -246,9 +247,9 @@ def test_sa_step_noiseless_fixed_point():
 
 
 def test_sa_step_averaging_identity():
-    # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t; x0 is excluded from the mean
+    # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t; x_0 is excluded from the mean
     model = default_model("linear", 2)
-    states, _ = every_step(model, StepSchedule(0.01, 0.67), 30, np.zeros(2), 11)
+    states, _ = every_step(model, StepSchedule(0.01, 0.67), 30, 11)
     prev_bar = np.zeros(2)
     for t, (x, xbar, _, _) in enumerate(states, start=1):
         lhs = t * xbar - (t - 1) * prev_bar
@@ -260,7 +261,7 @@ def test_sa_step_accumulators_one_step():
     # the first step reads the head of the stream's canonical data block
     model = ModelSpec("linear", 1, np.array([1.0]), noise_sd=4.0, cov_halfwidth=10.0)
     xs, ys = sample_data_block(model, rng_stream(2, 0), 3)
-    states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, np.zeros(1), 2)
+    states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, 2)
     x, _, h_sum, s_sum = states[0]
     g = -ys[0] * xs[0, 0]
     assert h_sum[0, 0] == xs[0, 0] ** 2
@@ -271,7 +272,7 @@ def test_sa_step_accumulators_one_step():
 def test_sa_step_divergence_raises():
     # the reported step is the first one whose iterate is not finite
     model = default_model("linear", 1)
-    states, diverged_at = every_step(model, StepSchedule(1e150, 0.67), 50, np.zeros(1), 0)
+    states, diverged_at = every_step(model, StepSchedule(1e150, 0.67), 50, 0)
     finite = [bool(np.isfinite(x).all()) for x, _, _, _ in states]
     assert diverged_at == finite.index(False) + 1 >= 1
 
@@ -301,8 +302,6 @@ def test_run_trajectory_empty_and_validation():
             run_trajectory(model, sched, 10, bad)
     with pytest.raises(ValueError):
         run_trajectory(model, sched, -1, [])
-    with pytest.raises(ValueError):
-        run_trajectory(model, sched, 10, [5], x0=np.zeros(3))
 
 
 def test_run_trajectory_divergence():
@@ -312,7 +311,7 @@ def test_run_trajectory_divergence():
     with pytest.raises(DivergenceError) as exc:
         run_trajectory(model, sched, 100, [100], rng=rng_stream(0, 0))
     gens = [rng_stream(0, 0)]
-    diverged_at = run_lockstep(model, sched, 100, np.zeros(1), gens, [], None)
+    diverged_at = run_lockstep(model, sched, 100, gens, [], None)
     assert exc.value.t == diverged_at[0] >= 1
     assert str(exc.value) == f"iterate diverged at step {exc.value.t}"
 
@@ -346,10 +345,10 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
         for gens in gen_lists:
             seen = {}
 
-            def visit(tt, x, xbar, h_sum, s_sum, alive):
+            def visit(tt, x, xbar, h_sum, s_sum):
                 seen["state"] = (xbar.copy(), h_sum.copy(), s_sum.copy())
 
-            run_lockstep(model, sched, T, np.zeros(dim), gens, [T], visit)
+            run_lockstep(model, sched, T, gens, [T], visit)
             parts.append(seen["state"])
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
@@ -357,7 +356,7 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", block_entries)
         # a block never ends with a single step, so the last one takes 65
-        assert list(sa_engine._time_blocks(T, dim)) == [(0, 64), (64, 65)]
+        assert list(sa_engine._time_blocks(T, dim, block_entries)) == [(0, 64), (64, 65)]
     gens = [rng_stream(42, r) for r in range(3)]
     for a, b in zip(reference, final_state([[g] for g in gens])):
         assert np.array_equal(a, b)
@@ -374,12 +373,12 @@ def test_lockstep_holds_one_data_block(monkeypatch):
     # rather than two blocks at each boundary
     monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 2**14)
     model, sched, n_reps, T = default_model("linear", 1), StepSchedule(0.01, 0.67), 50, 2000
-    block = max(b for _, b in sa_engine._time_blocks(T, n_reps))
+    block = max(b for _, b in sa_engine._time_blocks(T, n_reps, 2**14))
     assert block == 320 and T > 5 * block
     block_bytes = block * n_reps * (model.dim + 1) * 8
 
     def run(gens):
-        run_lockstep(model, sched, T, np.zeros(1), gens, [], lambda *a: None)
+        run_lockstep(model, sched, T, gens, [], lambda *a: None)
 
     run([rng_stream(3, r) for r in range(n_reps)])  # first-call set-up
     gens = [rng_stream(4, r) for r in range(n_reps)]
@@ -399,13 +398,11 @@ def test_lockstep_freezes_divergent_reps():
     gens = [rng_stream(1, r) for r in range(4)]
     seen = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        seen["alive"] = alive.copy()
+    def visit(tt, x, xbar, h_sum, s_sum):
         seen["x"] = x.copy()
 
-    diverged_at = run_lockstep(model, sched, 60, np.zeros(1), gens, [60], visit)
+    diverged_at = run_lockstep(model, sched, 60, gens, [60], visit)
     assert np.all(diverged_at >= 1)
-    assert not seen["alive"].any()
     assert not np.isfinite(seen["x"]).any()
 
 
@@ -415,7 +412,7 @@ def test_lockstep_rejects_bad_eval_times():
     gens = [rng_stream(0, 0)]
     for bad in ([0], [3, 2], [7]):
         with pytest.raises(ValueError):
-            run_lockstep(model, sched, 5, np.zeros(1), gens, bad, lambda *a: None)
+            run_lockstep(model, sched, 5, gens, bad, lambda *a: None)
 
 
 def test_l2_decay_probe():
@@ -427,9 +424,10 @@ def test_l2_decay_probe():
     gens = [rng_stream(77, r) for r in range(reps)]
     ratios = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum, alive):
-        mse = float(np.mean((x[alive, 0] - 1.0) ** 2))
+    def visit(tt, x, xbar, h_sum, s_sum):
+        mse = float(np.mean((x[:, 0] - 1.0) ** 2))
         ratios[tt] = mse / step_size(sched, tt - 1)
 
-    run_lockstep(model, sched, T, np.zeros(1), gens, [1000, 10_000], visit)
+    diverged_at = run_lockstep(model, sched, T, gens, [1000, 10_000], visit)
+    assert np.all(diverged_at == -1)
     assert 0.0 < ratios[10_000] <= 2.0 * ratios[1000]

@@ -39,9 +39,16 @@ def test_script_help_runs(script):
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_tiny_run(script):
+def test_script_tiny_run(script, tmp_path):
     args, codes = TINY_RUNS[script.name]
+    out = tmp_path / "out.csv"
+    if script.name == "coverage_experiment.py":
+        args = [*args, "--out", str(out)]
     res = run_script(script, *args)
     assert res.returncode in codes, res.stderr
     if script.name == "gaussian_oracle.py":
         assert "worst time-uniform coverage" in res.stdout
+    else:
+        # grid 100, 200, 300 times four kinds
+        assert f"wrote 12 rows to {out}" in res.stdout
+        assert len(out.read_text().splitlines()) == 13
