@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import pd_eigh
+from .numerics import _matmul, pd_eigh
 
 __all__ = [
     "SANDWICH_RTOL",
@@ -36,5 +36,5 @@ def sandwich(h, s):
     """
     w, q, ok = pd_eigh(h, SANDWICH_RTOL)
     with np.errstate(over="ignore", invalid="ignore"):
-        h_inv = (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
-        return h_inv @ s @ h_inv, ok
+        h_inv = _matmul(q / w[..., None, :], np.swapaxes(q, -1, -2))
+        return _matmul(_matmul(h_inv, s), h_inv), ok

@@ -190,7 +190,7 @@ def _grad_jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndar
     # x - eta*G descends, with Jacobian XX'. Logistic: G = (sigmoid(x'X) - y) X,
     # the log-loss gradient, with Jacobian sigmoid'(x'X) XX'. Both gradients
     # have mean zero at theta_star; both Jacobians are symmetric PSD.
-    z = np.sum(xs * x, axis=1)
+    z = np.add.reduce(xs * x, axis=1)
     outer = xs[:, :, None] * xs[:, None, :]
     if model.kind == "linear":
         return -(ys - z)[:, None] * xs, outer
@@ -209,7 +209,9 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     the state that call leaves it in.
     visit(t, x, xbar, h_sum, s_sum) is called at each t in eval_times
     (ascending, within [1, T]) with live internal arrays of shape (R, d) /
-    (R, d, d); callees must copy what they keep and must not mutate.
+    (R, d, d); callees must copy what they keep and must not mutate. It runs
+    under the recursion's errstate, which ignores overflow, invalid and
+    underflow, so it sets its own errstate where it wants a warning raised.
 
     Divergent repetitions are frozen (their rows turn nan) rather than
     raising, so surviving repetitions finish; their rows still reach visit.
@@ -238,22 +240,25 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
         for r, (cov, gen) in enumerate(zip(covs, gens)):
             xs[:, r], ys[:, r] = sample_data_block(model, cov, b, gen)
         etas = step_size(schedule, np.arange(t0, t0 + b))
-        for j in range(b):
-            tt = t0 + j + 1
-            # nan rows from already-diverged repetitions flow through harmlessly.
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # nan rows from already-diverged repetitions flow through harmlessly.
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for j in range(b):
+                tt = t0 + j + 1
                 g, jac = _grad_jac_batch(model, x, xs[j], ys[j])
                 h_sum += jac
                 s_sum += g[:, :, None] * g[:, None, :]
                 x = x - etas[j] * g
                 xbar = xbar + (x - xbar) / tt
-            newly = finite & ~np.isfinite(x).all(axis=1)
-            if newly.any():
-                diverged_at[newly] = tt
-                finite[newly] = False
-            if k < len(ev) and ev[k] == tt:
-                visit(tt, x, xbar, h_sum, s_sum)
-                k += 1
+                # A non-finite entry makes the sum non-finite, so the sum
+                # screens the per-row check.
+                if not math.isfinite(x.sum()):
+                    newly = finite & ~np.isfinite(x).all(axis=1)
+                    if newly.any():
+                        diverged_at[newly] = tt
+                        finite[newly] = False
+                if k < len(ev) and ev[k] == tt:
+                    visit(tt, x, xbar, h_sum, s_sum)
+                    k += 1
         # Free this block before the next is drawn, so one block is live.
         del xs, ys
     return diverged_at

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sacs.boundaries import BoundarySpec, _c_d_constant, radius_grid
 from sacs.covariance import sandwich
-from sacs.numerics import pd_eigh, whiten
+from sacs.numerics import _matmul, pd_eigh, whiten
 
 
 def random_pd(rng, d):
@@ -27,7 +27,7 @@ def random_pd(rng, d):
 # ------------------------------------------------- eigh kernel
 
 
-def test_sym_eig_frozen_2x2():
+def test_pd_eigh_frozen_2x2():
     w, q, ok = pd_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert ok
     assert w == pytest.approx([1.0, 3.0], rel=1e-13)
@@ -36,7 +36,7 @@ def test_sym_eig_frozen_2x2():
     assert q[0, 1] * q[1, 1] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_sym_eig_scalar_and_zero():
+def test_pd_eigh_scalar_and_zero():
     w, q, ok = pd_eigh(np.array([[7.0]]))
     assert ok and w[0] == 7.0 and q[0, 0] == 1.0
     # the zero matrix is not positive definite: masked, not raised
@@ -47,7 +47,7 @@ def test_sym_eig_scalar_and_zero():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-def test_sym_eig_matches_numpy_oracle(d, seed):
+def test_pd_eigh_matches_numpy_oracle(d, seed):
     # a stack of four PD matrices, decomposed in one call
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(4)])
@@ -62,10 +62,38 @@ def test_sym_eig_matches_numpy_oracle(d, seed):
     assert np.all(np.diff(w, axis=-1) >= 0)
 
 
+# ------------------------------------------------- product helper
+
+
+def test_matmul_broadcasts_a_length_one_inner_dimension():
+    # with one term per entry the broadcast product a * b equals a @ b in
+    # value; it can give -0 where @ gives +0 (0 + (-0) is +0), which
+    # array_equal treats as equal and no statistic can see, since every one
+    # goes through abs, squares and <=
+    vals = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-308])
+    a = np.broadcast_to(vals[:, None, None, None], (10, 10, 1, 1))
+    b = np.broadcast_to(vals[None, :, None, None], (10, 10, 1, 1))
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((a, b), (a, b[..., [0, 0, 0]]), (rng.standard_normal((4, 3, 1)), b[:4, :1])):
+            got, want = _matmul(x, y), np.matmul(x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+def test_matmul_calls_matmul_above_inner_dimension_one(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 3, d, d))
+    b = rng.standard_normal((5, 3, d, 2))
+    assert np.array_equal(_matmul(a, b), a @ b, equal_nan=True)
+
+
 # ------------------------------------------------- whitening kernel
 
 
-def test_inv_sqrt_frozen_2x2():
+def test_whiten_frozen_2x2():
     wh = whiten(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]))
     r = wh.inv_root
     assert r[0, 0] == pytest.approx(0.7886751345948129, rel=1e-12)
@@ -81,7 +109,7 @@ def test_inv_sqrt_frozen_2x2():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-def test_inv_sqrt_whitens(d, seed):
+def test_whiten_inv_root_whitens(d, seed):
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
     w = whiten(m).inv_root
@@ -90,7 +118,7 @@ def test_inv_sqrt_whitens(d, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-def test_sqrt_m_squares_back(d, seed):
+def test_whiten_root_squares_back(d, seed):
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
     r = whiten(m).root
@@ -98,7 +126,7 @@ def test_sqrt_m_squares_back(d, seed):
     assert np.abs(r @ r - m).max() < 1e-9 * scale
 
 
-def test_inv_sqrt_rejects_non_pd():
+def test_whiten_rejects_non_pd():
     good = np.eye(2)
     bad = [
         np.diag([1.0, 0.0]),

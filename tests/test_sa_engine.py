@@ -406,6 +406,20 @@ def test_lockstep_freezes_divergent_reps():
     assert not np.isfinite(seen["x"]).any()
 
 
+def test_lockstep_divergent_steps_match_single_runs():
+    # the golden divergent config (6 of 20 repetitions diverge, at different
+    # steps): each repetition reports the first divergent step it reports
+    # when run alone, including after another repetition has turned nan
+    model = default_model("linear", 1)
+    sched = StepSchedule(7.0, 0.67)
+    T = 1000
+    together = run_lockstep(model, sched, T, [rng_stream(0, r) for r in range(20)], [], None)
+    alone = [run_lockstep(model, sched, T, [rng_stream(0, r)], [], None)[0] for r in range(20)]
+    assert together.tolist() == alone
+    assert np.count_nonzero(together != -1) == 6
+    assert len(set(together[together != -1].tolist())) > 1
+
+
 def test_lockstep_rejects_bad_eval_times():
     model = default_model("linear", 1)
     sched = StepSchedule(0.01, 0.67)
