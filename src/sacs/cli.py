@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -88,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rates", help="error-exponent table for a step schedule")
     r.add_argument("--a", type=float, default=None)
     r.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    r.add_argument("--p", default="inf", help="moment order, a real > 1 or 'inf'")
+    r.add_argument(
+        "--p", type=float, default="inf", help="moment order, a real > 1 or 'inf'"
+    )
     r.add_argument("--dim", type=int, default=1)
     kind = r.add_mutually_exclusive_group(required=True)
     kind.add_argument("--linear", action="store_true")
@@ -212,7 +213,7 @@ def _profile_csv(profiles) -> str:
         if isinstance(x, bool):
             return str(int(x))
         if isinstance(x, float):
-            return "inf" if math.isinf(x) else format(x, ".9g")
+            return format(x, ".9g")
         return str(x)
 
     lines = [",".join("lambda" if n == "lam" else n for n in names)]
@@ -222,12 +223,14 @@ def _profile_csv(profiles) -> str:
 
 
 def _cmd_rates(args) -> int:
-    p = float(args.p)
     if args.grid is not None:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ValueError("--grid must look like A_LO:A_HI:STEPS")
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, steps = args.grid.split(":")
+            lo, hi, steps = float(lo), float(hi), int(steps)
+        except ValueError:
+            raise ValueError(
+                f"--grid must look like A_LO:A_HI:STEPS, got {args.grid!r}"
+            ) from None
         if steps < 1:
             raise ValueError("--grid needs at least one step")
         a_values = np.linspace(lo, hi, steps)
@@ -236,7 +239,7 @@ def _cmd_rates(args) -> int:
     else:
         raise ValueError("either --a or --grid is required")
     profiles = [
-        harness.rate_exponents(float(a), args.lam, p, args.dim, args.linear)
+        harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
         for a in a_values
     ]
     text_out = _profile_csv(profiles)

@@ -226,6 +226,8 @@ def validate_rate_condition(
     Returns None when the configuration is admissible, otherwise a short
     string naming the violated inequality. p may be math.inf.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"step exponent a must be finite, got {a}")
     if not (p > 1.0):
         raise ValueError(f"moment order p must exceed 1, got {p}")
     if not (0.0 < lam <= 1.0):

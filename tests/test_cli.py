@@ -351,6 +351,21 @@ def test_rates_rejects_bad_p():
     assert res.returncode == 2
 
 
+def test_rates_rejects_non_finite_a():
+    res = run_cli("rates", "--a", "nan", "--linear")
+    assert res.returncode == 2 and not res.stdout
+    assert "step exponent a must be finite" in res.stderr
+
+
+def test_rates_parse_errors_name_the_option():
+    res = run_cli("rates", "--grid", "0.5:0.9:x", "--linear")
+    assert res.returncode == 2
+    assert "--grid must look like A_LO:A_HI:STEPS, got '0.5:0.9:x'" in res.stderr
+    res = run_cli("rates", "--a", "0.7", "--p", "abc", "--linear")
+    assert res.returncode == 2
+    assert "argument --p: invalid float value: 'abc'" in res.stderr
+
+
 # --------------------------------------------------------------------- run
 
 

@@ -83,6 +83,10 @@ def test_validate_rate_condition_domain():
     for lam in (0.0, 1.5, -0.2):
         with pytest.raises(ValueError):
             validate_rate_condition(0.7, lam, 10.0, False)
+    for a in (math.nan, math.inf, -math.inf):
+        for linear in (True, False):
+            with pytest.raises(ValueError, match="step exponent a"):
+                validate_rate_condition(a, 1.0, 10.0, linear)
 
 
 # ---------------------------------------------------------------- models
