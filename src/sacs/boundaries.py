@@ -63,7 +63,7 @@ class BoundarySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"unknown boundary kind {self.kind!r}; choose from {KINDS}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.alpha / 2.0 == 0.0:
@@ -160,7 +160,7 @@ def _lilen_grid(ts, d: int, alpha: float, eps_net: float, kappa) -> np.ndarray:
     )
     with np.errstate(invalid="ignore"):
         out = (2.0 / (1.0 - eps_net)) * np.sqrt(radicand / ts)
-    out[~(radicand > 0.0)] = np.inf
+    out[radicand <= 0.0] = np.inf
     return out
 
 
@@ -189,7 +189,8 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
 
     kappa >= 1 is the condition number of the covariance used for
     whitening; only lilen reads it, and a nan kappa (an unavailable
-    evaluation) passes through. ts and kappa broadcast against each other.
+    evaluation) passes the domain check and gives a nan lilen radius: nan
+    in, nan out. ts and kappa broadcast against each other.
     Entries where an iterated logarithm or its radicand is undefined come
     back as +inf: the region is the whole space there. alpha enters as
     -log(alpha), never as 1/alpha, so a subnormal alpha gives finite radii.

@@ -23,7 +23,7 @@ import numpy as np
 from . import harness
 from .boundaries import KINDS, BoundarySpec
 from .numerics import NumericalError
-from .sa_engine import StepSchedule, default_model, rng_stream, run_trajectory
+from .sa_engine import MODEL_KINDS, StepSchedule, default_model, rng_stream, run_trajectory
 
 __all__ = ["build_parser", "main"]
 
@@ -31,7 +31,7 @@ _DEFAULT_ETA0 = {"linear": 0.01, "logistic": 0.5}
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("linear", "logistic"), default="linear")
+    p.add_argument("--model", choices=MODEL_KINDS, default="linear")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--a", type=float, default=0.67)
     p.add_argument(
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reps", type=int, default=500)
     c.add_argument("--start", type=int, default=1000)
     c.add_argument("--stride", type=int, default=10)
-    c.add_argument("--boundaries", default="lilub,gm,lilen,fixed")
+    c.add_argument("--boundaries", default=",".join(KINDS))
     c.add_argument("--t0", type=float, default=100.0)
     c.add_argument("--eps-net", dest="eps_net", type=float, default=0.5)
     c.add_argument("--seed", type=int, default=0)
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=float, default=0.05)
     g.add_argument("--horizon", type=int, default=10000)
     g.add_argument("--reps", type=int, default=1000)
-    g.add_argument("--boundaries", default="lilub,gm,lilen,fixed")
+    g.add_argument("--boundaries", default=",".join(KINDS))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
@@ -108,16 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_kinds(text: str) -> tuple[str, ...]:
-    kinds = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not kinds:
-        raise ValueError("--boundaries must name at least one boundary kind")
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown boundary kind {kind!r}; choose from {KINDS}")
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("--boundaries must not repeat a kind")
-    return kinds
+def _split_kinds(text: str) -> list[str]:
+    # BoundarySpec and the harness check the kinds.
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _check_out(path: str) -> None:
@@ -141,7 +134,7 @@ def _cmd_coverage(args) -> int:
     model = default_model(args.model, args.dim)
     specs = tuple(
         BoundarySpec(kind, args.alpha, t0=args.t0, eps_net=args.eps_net)
-        for kind in _parse_kinds(args.boundaries)
+        for kind in _split_kinds(args.boundaries)
     )
     cfg = harness.ExperimentConfig(
         model=model,
@@ -195,7 +188,9 @@ def _cmd_gaussian_check(args) -> int:
         v = _read_cov(args.cov)
         if args.dim is not None and args.dim != len(v):
             raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
-    kinds = _parse_kinds(args.boundaries)
+    kinds = _split_kinds(args.boundaries)
+    # The kinds are checked before --out, as for coverage: a bad list exits 2.
+    harness._distinct_specs(BoundarySpec(kind, args.alpha) for kind in kinds)
     _check_out(args.out)
     report = harness.run_gaussian_check(
         v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed
@@ -204,22 +199,36 @@ def _cmd_gaussian_check(args) -> int:
     return 0
 
 
+def _cell(x) -> str:
+    """A CSV cell: None is blank, a bool 0 or 1, a float to 9 digits."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return format(x, ".9g")
+    return str(x)
+
+
+def _csv(rows) -> str:
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
 def _profile_csv(profiles) -> str:
     names = [f.name for f in dataclasses.fields(harness.RateProfile)]
-
-    def fmt(x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, bool):
-            return str(int(x))
-        if isinstance(x, float):
-            return format(x, ".9g")
-        return str(x)
-
-    lines = [",".join("lambda" if n == "lam" else n for n in names)]
-    for pr in profiles:
-        lines.append(",".join(fmt(getattr(pr, n)) for n in names))
-    return "\n".join(lines) + "\n"
+    header = ["lambda" if n == "lam" else n for n in names]
+    return _csv([header, *map(dataclasses.astuple, profiles)])
 
 
 def _cmd_rates(args) -> int:
@@ -242,14 +251,7 @@ def _cmd_rates(args) -> int:
         harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
         for a in a_values
     ]
-    text_out = _profile_csv(profiles)
-    if args.out is None:
-        sys.stdout.write(text_out)
-    else:
-        try:
-            Path(args.out).write_text(text_out)
-        except OSError as e:
-            raise OSError(f"cannot write table to {args.out}: {e}") from e
+    _write(_profile_csv(profiles), args.out)
     return 0
 
 
@@ -277,18 +279,13 @@ def _trace_csv(trace, dim: int) -> str:
     upper = [(i, j) for i in range(dim) for j in range(i, dim)]
     for name in ("hhat", "shat", "vhat"):
         cols += [f"{name}_{i}_{j}" for i, j in upper]
-    lines = [",".join(cols)]
+    rows = [cols]
     for pt in trace:
-        vals = [str(pt.t), format(pt.err_norm, ".9g"), str(int(pt.sandwich is None))]
-        vals += [format(x, ".9g") for x in pt.xbar]
-        for mat in (pt.h_hat, pt.s_hat):
-            vals += [format(mat[i, j], ".9g") for i, j in upper]
-        if pt.sandwich is None:
-            vals += ["" for _ in upper]
-        else:
-            vals += [format(pt.sandwich[i, j], ".9g") for i, j in upper]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+        row = [pt.t, pt.err_norm, pt.sandwich is None, *pt.xbar]
+        for mat in (pt.h_hat, pt.s_hat, pt.sandwich):
+            row += [None if mat is None else mat[i, j] for i, j in upper]
+        rows.append(row)
+    return _csv(rows)
 
 
 def _cmd_run(args) -> int:
@@ -299,11 +296,7 @@ def _cmd_run(args) -> int:
     schedule, rng = _schedule(args), rng_stream(args.seed, 0)
     _check_out(args.out)
     trace = run_trajectory(model, schedule, args.iters, checkpoints, rng=rng)
-    text = _trace_csv(trace, model.dim)
-    try:
-        Path(args.out).write_text(text)
-    except OSError as e:
-        raise OSError(f"cannot write trace to {args.out}: {e}") from e
+    _write(_trace_csv(trace, model.dim), args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ CPU the process may use; the report does not depend on how many.
 
 A report is columnar: one array per CSV column, built straight from the
 per-grid tallies, so a row costs about 68 bytes rather than a Python object
-per row. ``CoverageReport.rows`` builds ``ReportRow`` objects only when
+per row. ``CoverageReport.rows`` builds ``ReportRow`` namedtuples only when
 asked. CSV output is formatted and written _CSV_CHUNK rows at a time, so the
 whole text never exists in memory.
 """
@@ -27,7 +27,8 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,6 +67,22 @@ CSV_COLUMNS = (
     "reps_effective",
 )
 
+# One (step, boundary) aggregate over effective repetitions.
+ReportRow = namedtuple("ReportRow", CSV_COLUMNS)
+
+
+def _distinct_specs(specs) -> tuple:
+    """specs as a tuple. Raises ValueError unless it holds at least one
+    BoundarySpec and no boundary kind twice."""
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("boundaries must name at least one boundary kind")
+    if not all(isinstance(b, bnd.BoundarySpec) for b in specs):
+        raise ValueError("boundaries must be BoundarySpec instances")
+    if len({b.kind for b in specs}) != len(specs):
+        raise ValueError("boundary kinds must be distinct")
+    return specs
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,26 +109,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
         if self.start > self.iters:
             raise ValueError(f"start ({self.start}) exceeds iters ({self.iters})")
-        specs = tuple(self.boundaries)
-        if not specs or not all(isinstance(b, bnd.BoundarySpec) for b in specs):
-            raise ValueError("boundaries must be a nonempty sequence of BoundarySpec")
-        kinds = [b.kind for b in specs]
-        if len(set(kinds)) != len(kinds):
-            raise ValueError("boundary kinds must be distinct within one experiment")
-        object.__setattr__(self, "boundaries", specs)
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One (step, boundary) aggregate over effective repetitions."""
-
-    t: int
-    boundary_kind: str
-    radius_mean: float
-    fixed_coverage: float
-    uniform_coverage: float
-    halfwidth_mean: float
-    reps_effective: int
+        object.__setattr__(self, "boundaries", _distinct_specs(self.boundaries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,20 +352,6 @@ def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> 
     }
 
 
-def _spec_meta(b: bnd.BoundarySpec) -> dict:
-    return {"kind": b.kind, "alpha": b.alpha, "t0": b.t0, "eps_net": b.eps_net}
-
-
-def _model_meta(m: ModelSpec) -> dict:
-    return {
-        "kind": m.kind,
-        "dim": m.dim,
-        "theta_star": [float(v) for v in m.theta_star],
-        "noise_sd": m.noise_sd,
-        "cov_halfwidth": m.cov_halfwidth,
-    }
-
-
 def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     """Monte Carlo time-uniform coverage of every configured boundary.
 
@@ -439,18 +423,14 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             covered = np.empty((n_b, m, n), dtype=bool)
             for bi, b in enumerate(specs):
                 if per_rep_radius[bi]:
-                    with np.errstate(invalid="ignore"):
-                        vals = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
-                    # nan kappa marks an unavailable evaluation, not an
-                    # undefined boundary; keep it nan rather than +inf.
-                    rad = np.where(np.isnan(wh.kappa), np.nan, vals)
+                    # nan where kappa is: an unavailable evaluation
+                    rad = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
                     rad_sums[bi, rows] = np.nansum(rad, axis=1)
                 else:
                     rad = shared_radius[bi][rows, None]
                 sup = b.norm_kind == "sup_norm"
-                with np.errstate(invalid="ignore"):
-                    np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
-                    hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
+                np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
+                hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
             tally.add(i - j, covered)
 
         diverged_at = run_lockstep(model, sched, iters, gens, grid, visit)
@@ -470,10 +450,10 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     fixed_counts, unif_counts = tally.fixed, tally.uniform()
     unavailable_total = eff_total * n_grid - int(avail_counts.sum())
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_avail = np.where(avail_counts > 0, avail_counts, 1)
-        hw_means = np.where(avail_counts > 0, hw_sums / safe_avail, np.nan)
-        rep_rad_means = np.where(avail_counts > 0, rep_rad_sums / safe_avail, np.nan)
+    # Where nothing was available the sums are 0, and 0 / 0 is nan.
+    with np.errstate(invalid="ignore"):
+        hw_means = hw_sums / avail_counts
+        rep_rad_means = rep_rad_sums / avail_counts
     radius = np.array(
         [rep_rad_means[bi] if per_rep_radius[bi] else shared_radius[bi] for bi in range(n_b)]
     )
@@ -482,7 +462,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     metadata = {
         "experiment": "coverage",
         "config": {
-            "model": _model_meta(model),
+            "model": {**asdict(model), "theta_star": theta.tolist()},
             "eta0": sched.eta0,
             "a": sched.a,
             "iters": iters,
@@ -490,7 +470,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             "start": start,
             "stride": stride,
             "seed": cfg.seed,
-            "boundaries": [_spec_meta(b) for b in specs],
+            "boundaries": [asdict(b) for b in specs],
         },
         "seeds": {"seed": cfg.seed, "streams": f"0..{reps - 1}"},
         "reps_effective": eff_total,
@@ -587,12 +567,7 @@ def run_gaussian_check(
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     wall_start = time.perf_counter()
-    kinds = tuple(boundaries)
-    specs = tuple(bnd.BoundarySpec(kind, alpha) for kind in kinds)
-    if not specs:
-        raise ValueError("boundaries must be a nonempty sequence of kinds")
-    if len(set(kinds)) != len(specs):
-        raise ValueError("boundary kinds must be distinct")
+    specs = _distinct_specs(bnd.BoundarySpec(kind, alpha) for kind in boundaries)
 
     wh = whiten(v)
     if not wh.ok:
@@ -647,7 +622,7 @@ def run_gaussian_check(
             "horizon": int(horizon),
             "reps": int(reps),
             "seed": int(seed),
-            "boundaries": [_spec_meta(b) for b in specs],
+            "boundaries": [asdict(b) for b in specs],
         },
         "seeds": {"seed": int(seed), "streams": f"0..{reps - 1}"},
         "mean_final": np.mean((total @ wh.root) / horizon, axis=0).tolist(),

@@ -209,9 +209,9 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     the state that call leaves it in.
     visit(t, x, xbar, h_sum, s_sum) is called at each t in eval_times
     (ascending, within [1, T]) with live internal arrays of shape (R, d) /
-    (R, d, d); callees must copy what they keep and must not mutate. It runs
-    under the recursion's errstate, which ignores overflow, invalid and
-    underflow, so it sets its own errstate where it wants a warning raised.
+    (R, d, d); callees must copy what they keep and must not mutate. This is
+    the one owner of visit's errstate, the recursion's: overflow, invalid
+    and underflow ignored. visit sets its own only to raise a warning.
 
     Divergent repetitions are frozen (their rows turn nan) rather than
     raising, so surviving repetitions finish; their rows still reach visit.
@@ -231,7 +231,6 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     xbar = np.zeros((n_reps, d))
     h_sum = np.zeros((n_reps, d, d))
     s_sum = np.zeros((n_reps, d, d))
-    finite = np.ones(n_reps, dtype=bool)
     diverged_at = np.full(n_reps, -1, dtype=np.int64)
 
     for t0, b in _time_blocks(T, n_reps * d, _BLOCK_ENTRIES):
@@ -252,10 +251,8 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
                 # A non-finite entry makes the sum non-finite, so the sum
                 # screens the per-row check.
                 if not math.isfinite(x.sum()):
-                    newly = finite & ~np.isfinite(x).all(axis=1)
-                    if newly.any():
-                        diverged_at[newly] = tt
-                        finite[newly] = False
+                    newly = (diverged_at == -1) & ~np.isfinite(x).all(axis=1)
+                    diverged_at[newly] = tt
                 if k < len(ev) and ev[k] == tt:
                     visit(tt, x, xbar, h_sum, s_sum)
                     k += 1

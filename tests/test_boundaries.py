@@ -193,6 +193,8 @@ def test_radius_grid_broadcasts_kappa():
     # a nan kappa marks an unavailable evaluation and passes the domain check
     grid = radius_grid(BoundarySpec("lilen", 0.1), ts, 2, kappa=[2.0, np.nan, 1.0])
     assert grid[0] == radius("lilen", 100, 2, 0.1, kappa=2.0) and grid[2] < grid[0]
+    # and gives a nan radius, not +inf (the whole space)
+    assert np.isnan(grid[1])
 
 
 def test_radius_domain_errors():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -463,6 +464,25 @@ def test_bad_boundary_kind_exit_2(tmp_path):
     assert "unknown boundary kind" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["coverage", "gaussian-check"])
+@pytest.mark.parametrize(
+    "kinds, message",
+    [
+        ("gm,banana", "unknown boundary kind 'banana'"),
+        ("gm,gm", "boundary kinds must be distinct"),
+        (",", "at least one boundary kind"),
+    ],
+    ids=["unknown", "repeated", "empty"],
+)
+def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, message):
+    # A bad --boundaries list is a configuration error, reported before an
+    # unusable --out would exit 4.
+    forbid_simulation(monkeypatch)
+    args = [command, "--dim", "1", "--boundaries", kinds, "--out", "/no/such/dir/x.csv"]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_step_exponent_exit_2(tmp_path):
     res = run_cli(
         "coverage",
@@ -596,3 +616,22 @@ def test_golden_csv_digests(tmp_path, args, digest):
     res = run_cli(*args.format(tmp=tmp_path).split(), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_json_digest(tmp_path):
+    """The sha256 of a coverage report's JSON, less its wall_time_s line,
+    stays fixed: the metadata (model, boundary specs, divergence and
+    availability counts) and the rows, with null for undefined values.
+    Accumulator overflow at these settings leaves evaluations unavailable.
+    Taken on the same build as GOLDEN_CSV_SHA256."""
+    out = tmp_path / "out.json"
+    res = run_cli(
+        "coverage", "--dim", "3", "--eta0", "2", "--iters", "3000", "--reps", "6",
+        "--start", "2", "--stride", "1", "--format", "json", "--out", str(out),
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+    text, n = re.subn(r'\n *"wall_time_s": [^\n]*', "", out.read_text())
+    assert n == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f881c127e02b6d6968c7e33efeea4f313cec5e472f2036fdc61a676ff960e0c8"
+    )
