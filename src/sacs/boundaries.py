@@ -175,7 +175,7 @@ def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
-    """Radii of one boundary over an array of steps ts >= 1.
+    """Radii of one boundary over an array of finite steps ts >= 1.
 
     The families, in whitened units (l* = lambda_star(alpha), eps =
     eps_net, C_d = d 2^d Gamma((d+1)/2) / pi^((d-1)/2)):
@@ -198,8 +198,8 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     ts = np.asarray(ts, dtype=float)
-    if not np.all(ts >= 1.0):
-        raise ValueError("every t must be >= 1")
+    if not np.all(np.isfinite(ts) & (ts >= 1.0)):
+        raise ValueError("every t must be finite and >= 1")
     if np.any(np.asarray(kappa) < 1.0):
         raise ValueError("kappa must be >= 1")
     if spec.kind == "lilub":

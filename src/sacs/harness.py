@@ -2,9 +2,11 @@
 rate diagnostics, and CSV/JSON report emission.
 
 Repetitions use disjoint RNG streams (repetition r gets stream r of the
-experiment seed). One streamed pass runs them all in vectorized lockstep and
-tallies coverage by each repetition's first miss, so memory does not grow with
-T, and every report is a deterministic function of its configuration. The
+experiment seed). The coverage run streams them in vectorized lockstep, one
+pass per CPU over contiguous groups of _GROUP repetitions, and tallies
+coverage by each repetition's first miss, so memory does not grow with T.
+Its float sums are kept per group and added in group order, so every report
+is a deterministic function of its configuration on any CPU count. The
 Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
@@ -304,6 +306,11 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
 
 
 _FLUSH_ENTRIES = 2**14  # matrix entries per flush; fewer let the tally dominate
+_GROUP = 128  # consecutive repetition indices whose float sums are kept together
+# CPUs this process may use: gaussian-check runs a thread on each, coverage a process
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 class _MissTally:
@@ -330,11 +337,12 @@ class _MissTally:
         with self._lock:
             self.fixed[:, lo : lo + covered.shape[1]] += counts
 
-    def uniform(self) -> np.ndarray:
-        """(n_b, n_grid) counts of repetitions with no miss up to each index."""
-        n_grid = self.fixed.shape[1]
-        misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in self.first_miss]
-        return self.first_miss.shape[1] - np.cumsum(misses, axis=1)
+
+def _uniform_counts(first_miss: np.ndarray, n_grid: int) -> np.ndarray:
+    """(n_b, n_grid) counts of repetitions with no miss up to each grid
+    index, from the (n_b, n_reps) first missed indices of a _MissTally."""
+    misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in first_miss]
+    return first_miss.shape[1] - np.cumsum(misses, axis=1)
 
 
 def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> dict:
@@ -352,6 +360,60 @@ def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> 
     }
 
 
+def _fork_map(fn, parts) -> list:
+    """[fn(part) for part in parts], each part a list of groups of
+    repetition indices. fn(parts[0]) runs here, each other part in a forked
+    child that pickles its result or exception into a pipe. The exception
+    is raised here; a child that ends without a result raises RuntimeError
+    naming its repetitions and exit status. On any failure or interrupt
+    here, every child left is killed and reaped first."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    # Imported here: signal would add to every CLI start.
+    import pickle
+    import signal
+
+    children = []
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    try:
+                        out = fn(part)
+                    except BaseException as e:
+                        out = e
+                    with open(w, "wb") as fh:
+                        pickle.dump(out, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb"), part))
+        results = [fn(parts[0])]
+        while children:
+            pid, fh, part = children[0]
+            with fh:
+                out = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code:
+                raise RuntimeError(
+                    f"the process for repetitions {part[0][0]}..{part[-1][-1]} ended "
+                    f"without a result (exit status {code})"
+                )
+            out = pickle.loads(out)
+            if isinstance(out, BaseException):
+                raise out
+            results.append(out)
+        return results
+    finally:
+        for pid, fh, _ in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     """Monte Carlo time-uniform coverage of every configured boundary.
 
@@ -363,6 +425,13 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     unavailable (singular Jacobian estimate, or accumulators or sandwich
     that are not finite or not positive definite) count as misses and as
     unavailable evaluations.
+
+    Repetitions run in groups of _GROUP consecutive indices, cut into
+    min(_WORKERS, groups) parts of whole groups, one lockstep pass each:
+    the first here, the others in forked children (_fork_map), or all in
+    one pass here when the process cannot fork or runs a second thread.
+    Half-width and radius sums are kept per group and added in group
+    order, so the report does not depend on the CPU count.
     """
     wall_start = time.perf_counter()
     model, sched = cfg.model, cfg.schedule
@@ -383,15 +452,22 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         for bi, b in enumerate(specs)
     ]
 
-    def simulate(rep_ids):
-        # One lockstep pass over the listed repetitions: their first divergent
-        # steps, misses, per-grid available counts, half-width and radius sums.
-        n = len(rep_ids)
-        gens = [rng_stream(cfg.seed, int(r)) for r in rep_ids]
+    def simulate(groups):
+        # One lockstep pass over the repetitions of the listed groups: their
+        # first divergent steps, misses, per-grid available counts, and
+        # half-width and radius sums per group.
+        ends = np.cumsum([len(g) for g in groups])
+        spans = [slice(hi - len(g), hi) for g, hi in zip(groups, ends)]
+        n = int(ends[-1])
+        gens = [rng_stream(cfg.seed, int(r)) for r in itertools.chain(*groups)]
         tally = _MissTally(n_b, n_grid, n)
         avail = np.zeros(n_grid, dtype=np.int64)
-        hw_sums = np.zeros((n_b, n_grid))
-        rad_sums = np.zeros((n_b, n_grid))
+        hw_sums = np.zeros((len(groups), n_b, n_grid))
+        rad_sums = np.zeros((len(groups), n_b, n_grid))
+
+        def add_sums(sums, bi, rows, values):
+            for g, rs in enumerate(spans):
+                sums[g, bi, rows] = np.nansum(values[:, rs], axis=1)
 
         # visit() only copies grid states into a ring buffer of k_buf grid
         # points; one kernel call evaluates and tallies them all. Divergent
@@ -425,18 +501,29 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
                 if per_rep_radius[bi]:
                     # nan where kappa is: an unavailable evaluation
                     rad = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
-                    rad_sums[bi, rows] = np.nansum(rad, axis=1)
+                    add_sums(rad_sums, bi, rows, rad)
                 else:
                     rad = shared_radius[bi][rows, None]
                 sup = b.norm_kind == "sup_norm"
                 np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
-                hw_sums[bi, rows] = np.nansum(rad * (base_sup if sup else base_two), axis=1)
+                add_sums(hw_sums, bi, rows, rad * (base_sup if sup else base_two))
             tally.add(i - j, covered)
 
         diverged_at = run_lockstep(model, sched, iters, gens, grid, visit)
-        return diverged_at, tally, avail, hw_sums, rad_sums
+        return diverged_at, tally.fixed, tally.first_miss, avail, hw_sums, rad_sums
 
-    diverged_at, tally, avail_counts, hw_sums, rep_rad_sums = simulate(range(reps))
+    def run_pass(rep_ids):
+        # simulate() on contiguous parts of whole groups, one part per process.
+        groups = np.split(rep_ids, np.flatnonzero(np.diff(rep_ids // _GROUP)) + 1)
+        can_fork = hasattr(os, "fork") and threading.active_count() == 1
+        k = min(_WORKERS, len(groups)) if can_fork else 1
+        parts = [groups[i * len(groups) // k : (i + 1) * len(groups) // k] for i in range(k)]
+        div, fixed, miss, avail, hw, rad = zip(*_fork_map(simulate, parts))
+        cat = np.concatenate
+        return cat(div), sum(fixed), cat(miss, axis=1), sum(avail), cat(hw), cat(rad)
+
+    tallies = run_pass(np.arange(reps))
+    diverged_at = tallies[0]
     eff = diverged_at == -1
     divergent = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(~eff)]
     eff_total = int(eff.sum())
@@ -446,9 +533,13 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         # Divergence is known only once a pass ends. The tallies are taken
         # again over the effective repetitions rather than corrected by
         # subtraction, which would leave rounding error in the float sums.
-        _, tally, avail_counts, hw_sums, rep_rad_sums = simulate(np.flatnonzero(eff))
-    fixed_counts, unif_counts = tally.fixed, tally.uniform()
+        # Each repetition keeps its group.
+        tallies = run_pass(np.flatnonzero(eff))
+    _, fixed_counts, first_miss, avail_counts, hw_sums, rep_rad_sums = tallies
+    unif_counts = _uniform_counts(first_miss, n_grid)
     unavailable_total = eff_total * n_grid - int(avail_counts.sum())
+    # The groups in index order, one addition at a time.
+    hw_sums, rep_rad_sums = (sum(g[1:], g[0]) for g in (hw_sums, rep_rad_sums))
 
     # Where nothing was available the sums are 0, and 0 / 0 is nan.
     with np.errstate(invalid="ignore"):
@@ -484,10 +575,6 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 
 
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
-# threads that run the tiles: one per CPU this process may use
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 
 def _run_tiles(walk, n_tiles: int) -> None:
@@ -612,7 +699,8 @@ def run_gaussian_check(
     _run_tiles(walk, -(-reps // tile))
 
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
-    columns = _columns(ts, specs, radii, tally.fixed, tally.uniform(), int(reps), halfwidth)
+    unif_counts = _uniform_counts(tally.first_miss, horizon)
+    columns = _columns(ts, specs, radii, tally.fixed, unif_counts, int(reps), halfwidth)
     metadata = {
         "experiment": "gaussian-check",
         "config": {

@@ -219,6 +219,16 @@ def test_radius_domain_errors():
         radius("lilen", 10, 1, 0.05, eps_net=1.0)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_radius_grid_rejects_non_finite_t(kind, bad):
+    # a radius at t = inf would be nan (lilub, gm, lilen) or 0 (fixed),
+    # neither +inf nor a finite radius
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            radius_grid(BoundarySpec(kind, 0.1), [10.0, bad], d)
+
+
 def test_boundary_spec_validation():
     for kwargs in (
         {"kind": "unknown", "alpha": 0.1},

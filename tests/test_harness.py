@@ -2,8 +2,11 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -325,6 +328,90 @@ def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
             assert report.metadata["mean_final"] == default.metadata["mean_final"]
 
 
+@pytest.mark.parametrize(
+    "cfg, divergent",
+    [
+        (small_config(reps=11, stride=50), False),
+        # d = 2: lilen takes a radius per repetition
+        (small_config(model=default_model("linear", 2), reps=10, start=600, stride=30), False),
+        # eta0 = 7: some repetitions diverge and the second pass leaves them out
+        (dataclasses.replace(divergent_config(), reps=14), True),
+    ],
+    ids=["d1", "d2-lilen", "divergent"],
+)
+def test_run_coverage_does_not_depend_on_cpu_count(monkeypatch, cfg, divergent):
+    # groups of four repetitions make three or four groups, the last one
+    # partial; one, two or three processes give the same report, bit for bit
+    default = run_coverage(cfg)  # one 128-repetition group
+    monkeypatch.setattr(harness, "_GROUP", 4)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_WORKERS", workers)
+        forks.clear()
+        reports.append(run_coverage(cfg))
+        assert bool(forks) == (workers > 1)
+    assert bool(default.metadata["divergent"]["count"]) == divergent
+    for report in reports:
+        for name in CSV_COLUMNS:
+            assert getattr(report, name).tobytes() == getattr(reports[0], name).tobytes()
+        assert_same_report(report, reports[0])
+    # the groups change only the order in which the float sums are added
+    assert_same_report(reports[0], default)
+
+
+def fork_failure(monkeypatch, fail):
+    # Runs a three-group coverage run on three processes, with
+    # fail(in_child, tt) called before each grid visit.
+    monkeypatch.setattr(harness, "_GROUP", 4)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    parent = os.getpid()
+    lockstep = harness.run_lockstep
+
+    def failing_lockstep(model, sched, iters, gens, grid, visit):
+        def failing_visit(tt, *state):
+            fail(os.getpid() != parent, tt)
+            visit(tt, *state)
+
+        return lockstep(model, sched, iters, gens, grid, failing_visit)
+
+    monkeypatch.setattr(harness, "run_lockstep", failing_lockstep)
+    run_coverage(small_config(reps=12, stride=250))
+
+
+def test_run_coverage_raises_a_child_exception(monkeypatch):
+    def fail(in_child, tt):
+        if in_child:
+            raise ValueError("a worker failed")
+
+    with pytest.raises(ValueError, match="a worker failed"):
+        fork_failure(monkeypatch, fail)
+
+
+def test_run_coverage_names_a_killed_child(monkeypatch):
+    def fail(in_child, tt):
+        if in_child and tt > 500:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    match = r"repetitions 4\.\.7 ended without a result \(exit status -9\)"
+    with pytest.raises(RuntimeError, match=match):
+        fork_failure(monkeypatch, fail)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_run_coverage_parent_failure_leaves_no_child(monkeypatch, error):
+    def fail(in_child, tt):
+        if not in_child:
+            raise error("the parent failed")
+
+    with pytest.raises(error, match="the parent failed"):
+        fork_failure(monkeypatch, fail)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
     # with a fixed 10-point grid, the streamed pass holds one short time
     # block at a time, so its peak allocation does not depend on iters
@@ -514,7 +601,7 @@ def test_miss_tally_add_matches_a_per_kind_loop():
     for tally in (view, stack):
         assert tally.fixed.tolist() == fixed.tolist()
         assert tally.first_miss.tolist() == first_miss.tolist()
-        assert tally.uniform().tolist() == uniform
+        assert harness._uniform_counts(tally.first_miss, n_grid).tolist() == uniform
 
 
 def test_gaussian_check_basic_properties():
