@@ -11,8 +11,9 @@ Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
 It compares running sums of standard normals with t times each radius and
-tallies every kind in one call. Its tiles are independent and run on every
-CPU the process may use; the report does not depend on how many.
+tallies every kind in one call. Its tiles are independent and are cut into
+one contiguous part per CPU, like the coverage groups; its tallies are
+integers, so its report does not depend on the CPU count either.
 
 A report is columnar: one array per CSV column, built straight from the
 per-grid tallies, so a row costs about 68 bytes rather than a Python object
@@ -307,7 +308,7 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
 
 _FLUSH_ENTRIES = 2**14  # matrix entries per flush; fewer let the tally dominate
 _GROUP = 128  # consecutive repetition indices whose float sums are kept together
-# CPUs this process may use: gaussian-check runs a thread on each, coverage a process
+# CPUs this process may use: a run uses at most one process on each
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -317,13 +318,12 @@ class _MissTally:
     """Coverage tallies of n_b boundaries on n_grid grid points, fed all
     boundaries on a block of grid points at a time: per-grid covered counts
     (fixed) and, per boundary and repetition, the first grid index missed
-    (n_grid if none). Threads may add at once for disjoint repetition slices.
+    (n_grid if none).
     """
 
     def __init__(self, n_b: int, n_grid: int, n_reps: int) -> None:
         self.fixed = np.zeros((n_b, n_grid), dtype=np.int64)
         self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
-        self._lock = threading.Lock()
 
     def add(self, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
         """Tally covered, (n_b, m, n) bool, at grid indices lo .. lo+m-1
@@ -332,10 +332,7 @@ class _MissTally:
         first = np.where(covered.all(axis=1), self.fixed.shape[1], lo + covered.argmin(axis=1))
         miss = self.first_miss[:, rs]
         np.minimum(miss, first, out=miss)
-        # numpy releases the GIL inside a large +=, so two threads adding to
-        # the shared counts could lose an update; integer adds commute.
-        with self._lock:
-            self.fixed[:, lo : lo + covered.shape[1]] += counts
+        self.fixed[:, lo : lo + covered.shape[1]] += counts
 
 
 def _uniform_counts(first_miss: np.ndarray, n_grid: int) -> np.ndarray:
@@ -358,6 +355,15 @@ def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> 
         "halfwidth_mean": halfwidth.T.ravel(),
         "reps_effective": np.full(len(ts) * len(specs), n_eff),
     }
+
+
+def _parts(items) -> list:
+    """items cut into min(_WORKERS, len(items)) contiguous slices, one per
+    process of a _fork_map; one slice when the process cannot fork or runs a
+    second thread, which a forked child would not inherit."""
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    k = min(_WORKERS, len(items)) if can_fork else 1
+    return [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
 
 
 def _fork_map(fn, parts) -> list:
@@ -466,8 +472,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         rad_sums = np.zeros((len(groups), n_b, n_grid))
 
         def add_sums(sums, bi, rows, values):
+            values = np.where(np.isnan(values), 0.0, values)
             for g, rs in enumerate(spans):
-                sums[g, bi, rows] = np.nansum(values[:, rs], axis=1)
+                np.sum(values[:, rs], axis=1, out=sums[g, bi, rows])
 
         # visit() only copies grid states into a ring buffer of k_buf grid
         # points; one kernel call evaluates and tallies them all. Divergent
@@ -515,10 +522,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     def run_pass(rep_ids):
         # simulate() on contiguous parts of whole groups, one part per process.
         groups = np.split(rep_ids, np.flatnonzero(np.diff(rep_ids // _GROUP)) + 1)
-        can_fork = hasattr(os, "fork") and threading.active_count() == 1
-        k = min(_WORKERS, len(groups)) if can_fork else 1
-        parts = [groups[i * len(groups) // k : (i + 1) * len(groups) // k] for i in range(k)]
-        div, fixed, miss, avail, hw, rad = zip(*_fork_map(simulate, parts))
+        div, fixed, miss, avail, hw, rad = zip(*_fork_map(simulate, _parts(groups)))
         cat = np.concatenate
         return cat(div), sum(fixed), cat(miss, axis=1), sum(avail), cat(hw), cat(rad)
 
@@ -577,38 +581,6 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
-def _run_tiles(walk, n_tiles: int) -> None:
-    """Run every tile index in range(n_tiles) on min(_WORKERS, n_tiles)
-    threads, each calling walk once with an iterator over its share. The
-    iterators take the next index from one shared counter, so a thread
-    slowed by other load never leaves the rest idle. Once a thread raises or
-    the wait is interrupted, no thread starts another tile; the error is
-    raised when the running tiles end. numpy's errstate does not reach the
-    threads, so walk enters any it needs itself."""
-    # Imported here: at module level it would add to every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
-    counter = itertools.count()  # unlike a generator, safe to share between threads
-    stop = threading.Event()
-
-    def work():
-        try:
-            walk(itertools.takewhile(lambda k: k < n_tiles and not stop.is_set(), counter))
-        except BaseException:
-            stop.set()
-            raise
-
-    n_workers = min(_WORKERS, n_tiles)
-    with ThreadPoolExecutor(n_workers) as pool:
-        futures = [pool.submit(work) for _ in range(n_workers)]
-        try:
-            for f in futures:
-                f.result()
-        except BaseException:
-            stop.set()
-            raise
-
-
 def run_gaussian_check(
     v,
     alpha: float,
@@ -632,11 +604,13 @@ def run_gaussian_check(
     length of the first block. A tile makes its repetitions' generators,
     then walks every block in turn: it draws their normals, carries their
     running sums across blocks and tallies every kind in one call, so
-    every array holds at most about _TILE_ENTRIES floats. Tiles run on as
-    many threads as the process has CPUs, at most one per tile. Every
-    operation is per repetition and each stream is drawn in time order, so
-    the report does not depend on the tile or block sizes or on the number
-    of threads.
+    every array holds at most about _TILE_ENTRIES floats. The tiles are cut
+    into min(_WORKERS, tiles) contiguous parts: the first walked here, the
+    others in forked children (_fork_map), or all here when the process
+    cannot fork or runs a second thread. Every operation is per repetition,
+    each stream is drawn in time order and the parts' counts are integers,
+    so the report does not depend on the tile or block sizes or on the
+    number of processes.
 
     Raises ValueError unless v is a nonempty square matrix that is finite
     and exactly symmetric, and SingularMatrixError unless it is
@@ -664,21 +638,24 @@ def run_gaussian_check(
     base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
     limits = [(r * ts) ** 2 if b.norm_kind == "two_norm" else r * ts for r, b in zip(radii, specs)]
 
-    tally = _MissTally(len(specs), horizon, reps)
-    total = np.zeros((reps, d))
     blocks = list(_time_blocks(horizon, d, _TILE_ENTRIES))
     tile = max(1, _TILE_ENTRIES // (blocks[0][1] * d))
+    tiles = [range(lo, min(lo + tile, reps)) for lo in range(0, reps, tile)]
 
-    def walk(ks):
-        # One loop over a thread's tiles keeps each tile's arrays until the
-        # next tile's replace them. Freed all at once, they let malloc hand
-        # their pages back, and faulting them in again cost more than the
-        # draws (7.7e5 page faults against 2.4e3 on gauss-d2).
-        for k in ks:
-            rs = slice(k * tile, min((k + 1) * tile, reps))
-            gens = [rng_stream(seed, r) for r in range(rs.start, rs.stop)]
+    def walk(part):
+        # The counts, first misses and final running sums of the repetitions
+        # of part's tiles. One loop over the tiles keeps each tile's arrays
+        # until the next tile's replace them. Freed all at once, they let
+        # malloc hand their pages back, and faulting them in again cost more
+        # than the draws (7.7e5 page faults against 2.4e3 on gauss-d2).
+        lo, n = part[0].start, part[-1].stop - part[0].start
+        tally = _MissTally(len(specs), horizon, n)
+        total = np.zeros((n, d))
+        for tile_reps in part:
+            rs = slice(tile_reps.start - lo, tile_reps.stop - lo)
+            gens = [rng_stream(seed, r) for r in tile_reps]
             for t0, n_t in blocks:
-                z = np.empty((rs.stop - rs.start, n_t, d))
+                z = np.empty((len(tile_reps), n_t, d))
                 for zr, gen in zip(z, gens):
                     gen.standard_normal(out=zr)
                 # Adding the running total to the block's first draw keeps the
@@ -695,12 +672,14 @@ def run_gaussian_check(
                 lims = [lim[t0 : t0 + n_t] for lim in limits]
                 covered = np.array([stats[b.norm_kind] <= lim for b, lim in zip(specs, lims)])
                 tally.add(t0, covered.transpose(0, 2, 1), rs)
+        return tally.fixed, tally.first_miss, total
 
-    _run_tiles(walk, -(-reps // tile))
+    fixed, first_miss, total = zip(*_fork_map(walk, _parts(tiles)))
+    fixed, first_miss, total = sum(fixed), np.concatenate(first_miss, 1), np.concatenate(total)
 
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
-    unif_counts = _uniform_counts(tally.first_miss, horizon)
-    columns = _columns(ts, specs, radii, tally.fixed, unif_counts, int(reps), halfwidth)
+    unif_counts = _uniform_counts(first_miss, horizon)
+    columns = _columns(ts, specs, radii, fixed, unif_counts, int(reps), halfwidth)
     metadata = {
         "experiment": "gaussian-check",
         "config": {

@@ -67,8 +67,9 @@ def pd_eigh(a, rtol: float = PD_RTOL):
     else:
         w, q = np.linalg.eigh(np.where(finite[..., None, None], a, np.eye(a.shape[-1])))
     ok = finite & (w[..., -1] > 0.0) & (w[..., 0] > rtol * w[..., -1])
-    w[~ok] = np.nan
-    q[~ok] = np.nan
+    if not ok.all():
+        w[~ok] = np.nan
+        q[~ok] = np.nan
     return w, q, ok
 
 

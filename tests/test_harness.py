@@ -1,13 +1,11 @@
 """Tests for the Monte Carlo coverage harness and rate exponent tables."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
 import os
 import signal
-import sys
 import threading
 import time
 import tracemalloc
@@ -65,6 +63,12 @@ def divergent_config():
         stride=500,
         boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("fixed", 0.1)),
     )
+
+
+# a gaussian check of 40 repetitions over 300 steps at d = 2
+GAUSSIAN = dict(
+    v=np.array([[2.0, 1.0], [1.0, 2.0]]), alpha=0.1, horizon=300, reps=40, boundaries=KINDS, seed=4
+)
 
 
 # -------------------------------------------------------- rate exponents
@@ -295,9 +299,7 @@ def assert_same_report(a, b):
             small_config(model=default_model("linear", 2), reps=6, start=600, stride=30)
         ),
         lambda: run_coverage(divergent_config()),
-        lambda: run_gaussian_check(
-            np.array([[2.0, 1.0], [1.0, 2.0]]), 0.1, 300, 40, KINDS, seed=4
-        ),
+        lambda: run_gaussian_check(**GAUSSIAN),
     ],
     ids=["d1", "d2-lilen", "divergent", "gaussian"],
 )
@@ -317,15 +319,21 @@ def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
         assert_same_report(report, default)
         if "mean_final" in default.metadata:
             assert report.metadata["mean_final"] == default.metadata["mean_final"]
-    # and one or three threads over one-repetition tiles of five 64-step
-    # blocks, three not dividing the 40 tiles
-    if "mean_final" in default.metadata:
-        monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
-        for workers in (1, 3):
-            monkeypatch.setattr(harness, "_WORKERS", workers)
-            report = make()
-            assert_same_report(report, default)
-            assert report.metadata["mean_final"] == default.metadata["mean_final"]
+
+
+def count_forks(monkeypatch) -> list:
+    # A list that gains an entry each time os.fork is called.
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_same_bytes(report, other):
+    # the same CSV columns, bit for bit, and the same metadata
+    for name in CSV_COLUMNS:
+        assert getattr(report, name).tobytes() == getattr(other, name).tobytes()
+    assert_same_report(report, other)
 
 
 @pytest.mark.parametrize(
@@ -344,9 +352,7 @@ def test_run_coverage_does_not_depend_on_cpu_count(monkeypatch, cfg, divergent):
     # partial; one, two or three processes give the same report, bit for bit
     default = run_coverage(cfg)  # one 128-repetition group
     monkeypatch.setattr(harness, "_GROUP", 4)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = count_forks(monkeypatch)
     reports = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(harness, "_WORKERS", workers)
@@ -355,9 +361,7 @@ def test_run_coverage_does_not_depend_on_cpu_count(monkeypatch, cfg, divergent):
         assert bool(forks) == (workers > 1)
     assert bool(default.metadata["divergent"]["count"]) == divergent
     for report in reports:
-        for name in CSV_COLUMNS:
-            assert getattr(report, name).tobytes() == getattr(reports[0], name).tobytes()
-        assert_same_report(report, reports[0])
+        assert_same_bytes(report, reports[0])
     # the groups change only the order in which the float sums are added
     assert_same_report(reports[0], default)
 
@@ -441,9 +445,11 @@ def test_run_coverage_memory_does_not_grow_with_iters(monkeypatch):
 # ------------------------------------------------------ gaussian check
 
 
-def test_gaussian_check_memory_does_not_grow_with_reps():
+def test_gaussian_check_memory_does_not_grow_with_reps(monkeypatch):
     # the tiles hold a few repetitions at a time, so 2,000 repetitions over
-    # 2,000 steps (64 MB of draws) peak far below one array of all of them
+    # 2,000 steps (64 MB of draws) peak far below one array of all of them;
+    # one process, as tracemalloc does not see a forked child's tiles
+    monkeypatch.setattr(harness, "_WORKERS", 1)
     run_gaussian_check(np.eye(2), 0.05, 100, 10, ("gm",))
     tracemalloc.start()
     try:
@@ -454,99 +460,134 @@ def test_gaussian_check_memory_does_not_grow_with_reps():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("reps, workers", [(1, 1), (2, 2), (40, 3)])
-def test_gaussian_check_starts_at_most_one_worker_per_tile(monkeypatch, reps, workers):
-    # one-repetition tiles, and three CPUs to run them on
+def test_gaussian_check_does_not_depend_on_cpu_count(monkeypatch):
+    # 40 one-repetition tiles of five 64-step blocks, three processes not
+    # dividing them: one, two or three processes give the report of one
+    # tile of all 40 repetitions, bit for bit, mean_final included
+    default = run_gaussian_check(**GAUSSIAN)
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    forks = count_forks(monkeypatch)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_WORKERS", workers)
+        forks.clear()
+        report = run_gaussian_check(**GAUSSIAN)
+        assert len(forks) == workers - 1
+        assert_same_bytes(report, default)
+        assert report.metadata["mean_final"] == default.metadata["mean_final"]
+
+
+@pytest.mark.parametrize("cause", ["thread", "no-fork"])
+def test_gaussian_check_runs_here_when_it_cannot_fork(monkeypatch, cause):
+    # a second live thread, which a forked child would not inherit, or no
+    # os.fork: the tiles all run in this process, with the same report
+    default = run_gaussian_check(**GAUSSIAN)
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
     monkeypatch.setattr(harness, "_WORKERS", 3)
-    sizes = []
+    forks = count_forks(monkeypatch)
+    if cause == "no-fork":
+        monkeypatch.delattr(os, "fork")
+        report = run_gaussian_check(**GAUSSIAN)
+    else:
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = run_gaussian_check(**GAUSSIAN)
+        finally:
+            stop.set()
+            thread.join()
+    assert not forks
+    assert_same_bytes(report, default)
 
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+@pytest.mark.parametrize("reps, workers", [(1, 1), (2, 2), (40, 3)])
+def test_gaussian_check_starts_at_most_one_worker_per_tile(monkeypatch, reps, workers):
+    # one-repetition tiles, and three CPUs to run them on: the tiles of the
+    # first worker run here, each other worker's in a forked child
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    forks = count_forks(monkeypatch)
     run_gaussian_check(np.eye(1), 0.1, 64, reps, ("gm",))
-    assert sizes == [workers]
+    assert len(forks) == workers - 1
+
+
+def gaussian_fork_failure(monkeypatch, fail):
+    # Runs a gaussian check of twelve one-repetition tiles on three
+    # processes (repetitions 0-3 here, 4-7 and 8-11 in children), with
+    # fail(in_child, r) called before each draw of repetition r.
+    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    parent = os.getpid()
+    stream = harness.rng_stream
+
+    class Stream:
+        def __init__(self, seed, r):
+            self.r, self.gen = r, stream(seed, r)
+
+        def standard_normal(self, out):
+            fail(os.getpid() != parent, self.r)
+            self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(harness, "rng_stream", Stream)
+    run_gaussian_check(np.eye(1), 0.1, 64, 12, ("gm",))
+
+
+def test_gaussian_check_raises_a_child_exception(monkeypatch):
+    def fail(in_child, r):
+        if r == 9:
+            raise ValueError("tile 9 failed")
+
+    with pytest.raises(ValueError, match="tile 9 failed"):
+        gaussian_fork_failure(monkeypatch, fail)
+
+
+def test_gaussian_check_names_a_killed_child(monkeypatch):
+    def fail(in_child, r):
+        if r == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    match = r"repetitions 4\.\.7 ended without a result \(exit status -9\)"
+    with pytest.raises(RuntimeError, match=match):
+        gaussian_fork_failure(monkeypatch, fail)
 
 
 def test_gaussian_check_stops_every_worker_when_a_tile_fails(monkeypatch):
-    # the tile of repetition 5 (of 40 one-repetition tiles) raises: the
-    # caller gets its error, and each other worker starts at most one tile
-    # after it
-    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
-    monkeypatch.setattr(harness, "_WORKERS", 3)
-    started = []  # (thread, repetition), in the order tiles start drawing
-    failed = threading.Event()
+    # the tile of repetition 2, here, raises while the children still draw:
+    # the caller gets its error and every child is killed and reaped
+    def fail(in_child, r):
+        if in_child:
+            time.sleep(0.05)
+        elif r == 2:
+            raise RuntimeError("tile 2 failed")
 
-    class Stream:
-        def __init__(self, r):
-            self.r, self.gen = r, rng_stream(0, r)
-
-        def standard_normal(self, out):
-            started.append((threading.get_ident(), self.r))
-            if self.r == 5:
-                failed.set()
-                raise RuntimeError("tile 5 failed")
-            if failed.is_set():
-                time.sleep(0.2)  # time for the failing worker to stop the rest
-            self.gen.standard_normal(out=out)
-
-    monkeypatch.setattr(harness, "rng_stream", lambda seed, r: Stream(r))
-    with pytest.raises(RuntimeError, match="tile 5 failed"):
-        run_gaussian_check(np.eye(1), 0.1, 64, 40, ("gm",))
-    at = [r for _, r in started].index(5)
-    after = [thread for thread, _ in started[at + 1 :]]
-    assert started[at][0] not in after
-    assert all(after.count(thread) <= 1 for thread in after)
+    with pytest.raises(RuntimeError, match="tile 2 failed"):
+        gaussian_fork_failure(monkeypatch, fail)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gaussian_check_interrupt_stops_every_worker(monkeypatch):
-    # Ctrl-C while the caller waits on 100 tiles of 50 ms each reaches the
-    # caller once the tiles already started end; no worker starts another
-    monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
-    monkeypatch.setattr(harness, "_WORKERS", 3)
-    started = []
+    # Ctrl-C while this process waits for children that would draw for a
+    # minute reaches the caller at once, and every child is killed and reaped
+    def fail(in_child, r):
+        if in_child:
+            time.sleep(15)
 
-    class Stream:
-        def __init__(self, r):
-            self.gen = rng_stream(0, r)
-
-        def standard_normal(self, out):
-            started.append(threading.get_ident())
-            time.sleep(0.05)
-            self.gen.standard_normal(out=out)
-
-    def interrupt(self, timeout=None):
+    def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "rng_stream", lambda seed, r: Stream(r))
-    monkeypatch.setattr(concurrent.futures.Future, "result", interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        run_gaussian_check(np.eye(1), 0.1, 64, 100, ("gm",))
-    assert all(started.count(thread) <= 2 for thread in started)
-
-
-def test_gaussian_check_counts_survive_thread_switches(monkeypatch):
-    # five runs of eight workers on 64 one-repetition tiles, switching
-    # threads as often as the interpreter allows, give the counts of one
-    # worker: a lost update to the shared per-step counts (numpy adds
-    # 20,000 of them without the GIL) would change them
-    kw = dict(v=np.eye(1), alpha=0.1, horizon=20_000, reps=64, boundaries=KINDS)
-    monkeypatch.setattr(harness, "_TILE_ENTRIES", 20_000)
-    monkeypatch.setattr(harness, "_WORKERS", 1)
-    serial = run_gaussian_check(**kw)
-    monkeypatch.setattr(harness, "_WORKERS", 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    handler = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    began = time.perf_counter()
     try:
-        threaded = [run_gaussian_check(**kw) for _ in range(5)]
+        with pytest.raises(KeyboardInterrupt):
+            gaussian_fork_failure(monkeypatch, fail)
     finally:
-        sys.setswitchinterval(interval)
-    for report in threaded:
-        assert report.fixed_coverage.tolist() == serial.fixed_coverage.tolist()
-        assert report.uniform_coverage.tolist() == serial.uniform_coverage.tolist()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert time.perf_counter() - began < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
