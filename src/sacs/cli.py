@@ -189,8 +189,8 @@ def _cmd_gaussian_check(args) -> int:
         if args.dim is not None and args.dim != len(v):
             raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
     kinds = _split_kinds(args.boundaries)
-    # The kinds are checked before --out, as for coverage: a bad list exits 2.
-    harness._distinct_specs(BoundarySpec(kind, args.alpha) for kind in kinds)
+    # The inputs are checked before --out, as for coverage: a bad one exits 2.
+    harness._gaussian_inputs(v, args.alpha, args.horizon, args.reps, kinds)
     _check_out(args.out)
     report = harness.run_gaussian_check(
         v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed

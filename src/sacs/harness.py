@@ -2,24 +2,24 @@
 rate diagnostics, and CSV/JSON report emission.
 
 Repetitions use disjoint RNG streams (repetition r gets stream r of the
-experiment seed). The coverage run streams them in vectorized lockstep, one
-pass per CPU over contiguous groups of _GROUP repetitions, and tallies
-coverage by each repetition's first miss, so memory does not grow with T.
-Its float sums are kept per group and added in group order, so every report
-is a deterministic function of its configuration on any CPU count. The
-Gaussian-oracle check has no per-step recursion, so it instead walks long
-per-repetition time blocks in tiles of a few repetitions, each array about
-_TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache.
-It compares running sums of standard normals with t times each radius and
-tallies every kind in one call. Its tiles are independent and are cut into
-one contiguous part per CPU, like the coverage groups; its tallies are
-integers, so its report does not depend on the CPU count either.
+experiment seed). Both runners cut their work into one contiguous part per
+CPU (_fork_map) and tally each part in a _MissTally: per-grid counts, each
+repetition's first miss, so memory does not grow with T, and float sums
+per group of consecutive repetitions. The parts' tallies merge exactly and
+the float sums are added in group order, so every report is a
+deterministic function of its configuration on any CPU count. The coverage
+run streams its repetitions in vectorized lockstep, one pass per part over
+groups of _GROUP repetitions. The Gaussian-oracle check has no per-step
+recursion, so it instead walks long per-repetition time blocks in tiles of
+a few repetitions, each array about _TILE_ENTRIES floats (512 KB), small
+enough to stay in a core's L2 cache, and compares running sums of standard
+normals with t times each radius.
 
-A report is columnar: one array per CSV column, built straight from the
-per-grid tallies, so a row costs about 68 bytes rather than a Python object
-per row. ``CoverageReport.rows`` builds ``ReportRow`` namedtuples only when
-asked. CSV output is formatted and written _CSV_CHUNK rows at a time, so the
-whole text never exists in memory.
+A report is columnar: one array per CSV column, built by the tally and
+validated when built, so a row costs about 68 bytes rather than a Python
+object per row. ``CoverageReport.rows`` builds ``ReportRow`` namedtuples
+only when asked. CSV output is formatted and written _CSV_CHUNK rows at a
+time, so the whole text never exists in memory.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ def _distinct_specs(specs) -> tuple:
     return specs
 
 
+def _check_counts(**counts) -> None:
+    """Raise ValueError unless every named count is an integer >= 1."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one coverage Monte Carlo run.
@@ -106,10 +113,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, lo in (("iters", 1), ("reps", 1), ("start", 1), ("stride", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+        _check_counts(iters=self.iters, reps=self.reps, start=self.start, stride=self.stride)
         if self.start > self.iters:
             raise ValueError(f"start ({self.start}) exceeds iters ({self.iters})")
         object.__setattr__(self, "boundaries", _distinct_specs(self.boundaries))
@@ -123,7 +127,8 @@ class CoverageReport:
     length, in step-major row order (all boundaries at t, then t+stride,
     ...). Metadata echoes the configuration, the seed layout, divergence
     and availability accounting, and wall time; wall time never enters the
-    CSV so CSV output stays byte-deterministic.
+    CSV so CSV output stays byte-deterministic. Construction raises the
+    ValueError of validate() for an invalid report.
     """
 
     t: np.ndarray
@@ -141,6 +146,7 @@ class CoverageReport:
             raise ValueError("report columns must be 1-D arrays of one length")
         for name, col in zip(CSV_COLUMNS, cols):
             object.__setattr__(self, name, col)
+        self.validate()
 
     @property
     def rows(self) -> tuple:
@@ -257,8 +263,7 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
     exponent-optimal step schedule and its overall rate; for p = inf the
     closed-form limits are returned exactly.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_counts(d=d)
     violation = validate_rate_condition(a, lam, p, linear)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
 
@@ -315,15 +320,25 @@ _WORKERS = (
 
 
 class _MissTally:
-    """Coverage tallies of n_b boundaries on n_grid grid points, fed all
-    boundaries on a block of grid points at a time: per-grid covered counts
-    (fixed) and, per boundary and repetition, the first grid index missed
-    (n_grid if none).
+    """Coverage tallies of n_b boundaries on n_grid grid points over n_reps
+    repetitions, fed all boundaries on a block of grid points at a time:
+    per-grid covered and available counts (fixed, avail), per boundary and
+    repetition the first grid index missed (n_grid if none), and per group
+    of consecutive repetitions (of the given sizes) the half-width and
+    radius sums. outcome is a row per repetition that the runner sets.
+    merge() joins the tallies of a run's parts; the float sums stay per
+    group until means() adds them in group order.
     """
 
-    def __init__(self, n_b: int, n_grid: int, n_reps: int) -> None:
+    def __init__(self, n_b: int, n_grid: int, n_reps: int, sizes=()) -> None:
+        self.sizes = list(sizes)
+        ends = itertools.accumulate(self.sizes)
+        self.spans = [slice(hi - n, hi) for n, hi in zip(self.sizes, ends)]
         self.fixed = np.zeros((n_b, n_grid), dtype=np.int64)
+        self.avail = np.zeros(n_grid, dtype=np.int64)
         self.first_miss = np.full((n_b, n_reps), n_grid, dtype=np.int64)
+        self.hw_sums, self.rad_sums = np.zeros((2, len(self.sizes), n_b, n_grid))
+        self.outcome = None
 
     def add(self, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
         """Tally covered, (n_b, m, n) bool, at grid indices lo .. lo+m-1
@@ -334,46 +349,66 @@ class _MissTally:
         np.minimum(miss, first, out=miss)
         self.fixed[:, lo : lo + covered.shape[1]] += counts
 
+    def add_sums(self, bi: int, rows: slice, halfwidth, radius=None) -> None:
+        """Add boundary bi's (m, n_reps) half-widths, and radii if given, at
+        the grid rows to each group's sums; a nan (unavailable) adds 0."""
+        for sums, values in ((self.hw_sums, halfwidth), (self.rad_sums, radius)):
+            if values is not None:
+                values = np.where(np.isnan(values), 0.0, values)
+                for g, rs in enumerate(self.spans):
+                    np.sum(values[:, rs], axis=1, out=sums[g, bi, rows])
 
-def _uniform_counts(first_miss: np.ndarray, n_grid: int) -> np.ndarray:
-    """(n_b, n_grid) counts of repetitions with no miss up to each grid
-    index, from the (n_b, n_reps) first missed indices of a _MissTally."""
-    misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in first_miss]
-    return first_miss.shape[1] - np.cumsum(misses, axis=1)
+    @classmethod
+    def merge(cls, parts) -> _MissTally:
+        """One tally of the parts' repetitions and groups, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        merged = cls(*parts[0].fixed.shape, 0, [n for p in parts for n in p.sizes])
+        merged.fixed = sum(p.fixed for p in parts)
+        merged.avail = sum(p.avail for p in parts)
+        for name, axis in (("first_miss", 1), ("hw_sums", 0), ("rad_sums", 0), ("outcome", 0)):
+            setattr(merged, name, np.concatenate([getattr(p, name) for p in parts], axis))
+        return merged
+
+    def means(self):
+        """(n_b, n_grid) means of the half-widths and radii over the available
+        evaluations, the groups' sums added in group order; nan (0 / 0) where
+        none was available."""
+        hw, rad = (sum(s[1:], s[0]) for s in (self.hw_sums, self.rad_sums))
+        with np.errstate(invalid="ignore"):
+            return hw / self.avail, rad / self.avail
+
+    def report(self, ts, specs, radius, halfwidth, metadata) -> CoverageReport:
+        """The step-major report at the grid steps ts: radius and halfwidth
+        hold one (n_grid,) row per boundary, and coverage rates are over
+        this tally's repetitions."""
+        n_eff, n_grid = self.first_miss.shape[1], len(ts)
+        misses = [np.bincount(f, minlength=n_grid + 1)[:n_grid] for f in self.first_miss]
+        uniform = n_eff - np.cumsum(misses, axis=1)
+        return CoverageReport(
+            t=np.repeat(ts, len(specs)),
+            boundary_kind=np.tile([b.kind for b in specs], n_grid),
+            radius_mean=np.asarray(radius).T.ravel(),
+            fixed_coverage=(self.fixed / n_eff).T.ravel(),
+            uniform_coverage=(uniform / n_eff).T.ravel(),
+            halfwidth_mean=np.asarray(halfwidth).T.ravel(),
+            reps_effective=np.full(n_grid * len(specs), n_eff),
+            metadata=metadata,
+        )
 
 
-def _columns(ts, specs, radius, fixed_counts, unif_counts, n_eff, halfwidth) -> dict:
-    """Step-major report columns from (n_b, n_grid) arrays, one per
-    boundary, at the grid steps ts, with coverage rates over n_eff
-    repetitions."""
-    return {
-        "t": np.repeat(ts, len(specs)),
-        "boundary_kind": np.tile([b.kind for b in specs], len(ts)),
-        "radius_mean": radius.T.ravel(),
-        "fixed_coverage": (fixed_counts / n_eff).T.ravel(),
-        "uniform_coverage": (unif_counts / n_eff).T.ravel(),
-        "halfwidth_mean": halfwidth.T.ravel(),
-        "reps_effective": np.full(len(ts) * len(specs), n_eff),
-    }
-
-
-def _parts(items) -> list:
-    """items cut into min(_WORKERS, len(items)) contiguous slices, one per
-    process of a _fork_map; one slice when the process cannot fork or runs a
-    second thread, which a forked child would not inherit."""
-    can_fork = hasattr(os, "fork") and threading.active_count() == 1
-    k = min(_WORKERS, len(items)) if can_fork else 1
-    return [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
-
-
-def _fork_map(fn, parts) -> list:
-    """[fn(part) for part in parts], each part a list of groups of
-    repetition indices. fn(parts[0]) runs here, each other part in a forked
-    child that pickles its result or exception into a pipe. The exception
-    is raised here; a child that ends without a result raises RuntimeError
+def _fork_map(fn, items) -> list:
+    """[fn(part) for part in parts], items (groups of repetition indices)
+    cut into min(_WORKERS, len(items)) contiguous parts, or one when the
+    process cannot fork or runs a second thread, which a forked child would
+    not inherit. fn(parts[0]) runs here, each other part in a forked child
+    that pickles its result or exception into a pipe. The exception is
+    raised here; a child that ends without a result raises RuntimeError
     naming its repetitions and exit status. On any failure or interrupt
     here, every child left is killed and reaped first."""
-    if len(parts) == 1:
+    k = min(_WORKERS, len(items)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    parts = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
+    if k == 1:
         return [fn(parts[0])]
     # Imported here: signal would add to every CLI start.
     import pickle
@@ -432,22 +467,18 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     that are not finite or not positive definite) count as misses and as
     unavailable evaluations.
 
-    Repetitions run in groups of _GROUP consecutive indices, cut into
-    min(_WORKERS, groups) parts of whole groups, one lockstep pass each:
-    the first here, the others in forked children (_fork_map), or all in
-    one pass here when the process cannot fork or runs a second thread.
-    Half-width and radius sums are kept per group and added in group
-    order, so the report does not depend on the CPU count.
+    Repetitions run in groups of _GROUP consecutive indices, cut by
+    _fork_map into parts of whole groups, one lockstep pass and one
+    _MissTally each. The merged tally keeps the half-width and radius sums
+    per group and adds them in group order, so the report does not depend
+    on the CPU count.
     """
     wall_start = time.perf_counter()
     model, sched = cfg.model, cfg.schedule
     iters, reps, start, stride = cfg.iters, cfg.reps, cfg.start, cfg.stride
     grid = np.arange(start, iters + 1, stride, dtype=np.int64)
-    n_grid = grid.size
-    theta = model.theta_star
-    d = model.dim
-    specs = cfg.boundaries
-    n_b = len(specs)
+    theta, d, specs = model.theta_star, model.dim, cfg.boundaries
+    n_grid, n_b = grid.size, len(specs)
 
     # lilen is the one kind whose radius depends on the per-repetition
     # condition number; with a scalar whitening matrix kappa is identically
@@ -459,22 +490,11 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     ]
 
     def simulate(groups):
-        # One lockstep pass over the repetitions of the listed groups: their
-        # first divergent steps, misses, per-grid available counts, and
-        # half-width and radius sums per group.
-        ends = np.cumsum([len(g) for g in groups])
-        spans = [slice(hi - len(g), hi) for g, hi in zip(groups, ends)]
-        n = int(ends[-1])
+        # One lockstep pass over the repetitions of the listed groups, in a
+        # tally whose outcome is their first divergent steps.
         gens = [rng_stream(cfg.seed, int(r)) for r in itertools.chain(*groups)]
-        tally = _MissTally(n_b, n_grid, n)
-        avail = np.zeros(n_grid, dtype=np.int64)
-        hw_sums = np.zeros((len(groups), n_b, n_grid))
-        rad_sums = np.zeros((len(groups), n_b, n_grid))
-
-        def add_sums(sums, bi, rows, values):
-            values = np.where(np.isnan(values), 0.0, values)
-            for g, rs in enumerate(spans):
-                np.sum(values[:, rs], axis=1, out=sums[g, bi, rows])
+        n = len(gens)
+        tally = _MissTally(n_b, n_grid, n, map(len, groups))
 
         # visit() only copies grid states into a ring buffer of k_buf grid
         # points; one kernel call evaluates and tallies them all. Divergent
@@ -500,36 +520,32 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             # Every field is nan where the sandwich is unavailable; a nan
             # statistic never covers.
             wh = whiten(v, buf_xbar[:m] - theta)
-            avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
+            tally.avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
             base_sup = np.mean(wh.scale_sup, axis=-1)
             base_two = np.mean(wh.scale_two, axis=-1)
             covered = np.empty((n_b, m, n), dtype=bool)
             for bi, b in enumerate(specs):
                 if per_rep_radius[bi]:
                     # nan where kappa is: an unavailable evaluation
-                    rad = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
-                    add_sums(rad_sums, bi, rows, rad)
+                    rad = rep_rad = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
                 else:
-                    rad = shared_radius[bi][rows, None]
+                    rad, rep_rad = shared_radius[bi][rows, None], None
                 sup = b.norm_kind == "sup_norm"
                 np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
-                add_sums(hw_sums, bi, rows, rad * (base_sup if sup else base_two))
+                tally.add_sums(bi, rows, rad * (base_sup if sup else base_two), rep_rad)
             tally.add(i - j, covered)
 
-        diverged_at = run_lockstep(model, sched, iters, gens, grid, visit)
-        return diverged_at, tally.fixed, tally.first_miss, avail, hw_sums, rad_sums
+        tally.outcome = run_lockstep(model, sched, iters, gens, grid, visit)
+        return tally
 
     def run_pass(rep_ids):
         # simulate() on contiguous parts of whole groups, one part per process.
         groups = np.split(rep_ids, np.flatnonzero(np.diff(rep_ids // _GROUP)) + 1)
-        div, fixed, miss, avail, hw, rad = zip(*_fork_map(simulate, _parts(groups)))
-        cat = np.concatenate
-        return cat(div), sum(fixed), cat(miss, axis=1), sum(avail), cat(hw), cat(rad)
+        return _MissTally.merge(_fork_map(simulate, groups))
 
-    tallies = run_pass(np.arange(reps))
-    diverged_at = tallies[0]
-    eff = diverged_at == -1
-    divergent = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(~eff)]
+    tally = run_pass(np.arange(reps))
+    eff = tally.outcome == -1
+    divergent = [(int(r), int(tally.outcome[r])) for r in np.flatnonzero(~eff)]
     eff_total = int(eff.sum())
     if eff_total == 0:
         raise NumericalError("all repetitions diverged; nothing to aggregate")
@@ -538,21 +554,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         # again over the effective repetitions rather than corrected by
         # subtraction, which would leave rounding error in the float sums.
         # Each repetition keeps its group.
-        tallies = run_pass(np.flatnonzero(eff))
-    _, fixed_counts, first_miss, avail_counts, hw_sums, rep_rad_sums = tallies
-    unif_counts = _uniform_counts(first_miss, n_grid)
-    unavailable_total = eff_total * n_grid - int(avail_counts.sum())
-    # The groups in index order, one addition at a time.
-    hw_sums, rep_rad_sums = (sum(g[1:], g[0]) for g in (hw_sums, rep_rad_sums))
-
-    # Where nothing was available the sums are 0, and 0 / 0 is nan.
-    with np.errstate(invalid="ignore"):
-        hw_means = hw_sums / avail_counts
-        rep_rad_means = rep_rad_sums / avail_counts
-    radius = np.array(
-        [rep_rad_means[bi] if per_rep_radius[bi] else shared_radius[bi] for bi in range(n_b)]
-    )
-    columns = _columns(grid, specs, radius, fixed_counts, unif_counts, eff_total, hw_means)
+        tally = run_pass(np.flatnonzero(eff))
+    hw_means, rep_rad_means = tally.means()
+    radius = [rep_rad_means[bi] if r is None else r for bi, r in enumerate(shared_radius)]
 
     metadata = {
         "experiment": "coverage",
@@ -570,24 +574,31 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         "seeds": {"seed": cfg.seed, "streams": f"0..{reps - 1}"},
         "reps_effective": eff_total,
         "divergent": {"count": len(divergent), "first_steps": divergent},
-        "unavailable_evaluations": unavailable_total,
+        "unavailable_evaluations": eff_total * n_grid - int(tally.avail.sum()),
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(**columns, metadata=metadata)
-    report.validate()
-    return report
+    return tally.report(grid, specs, radius, hw_means, metadata)
 
 
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
+def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries) -> tuple:
+    """run_gaussian_check's v as a float array and its BoundarySpecs, or the
+    ValueError that run_gaussian_check raises for its arguments."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
+        raise ValueError(f"v must be a nonempty square matrix, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("v must have finite entries")
+    if not np.array_equal(v, v.T):
+        raise ValueError("v must be exactly symmetric")
+    _check_counts(horizon=horizon, reps=reps)
+    return v, _distinct_specs(bnd.BoundarySpec(kind, alpha) for kind in boundaries)
+
+
 def run_gaussian_check(
-    v,
-    alpha: float,
-    horizon: int,
-    reps: int,
-    boundaries,
-    seed: int = 0,
+    v, alpha: float, horizon: int, reps: int, boundaries, seed: int = 0
 ) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
@@ -604,32 +615,20 @@ def run_gaussian_check(
     length of the first block. A tile makes its repetitions' generators,
     then walks every block in turn: it draws their normals, carries their
     running sums across blocks and tallies every kind in one call, so
-    every array holds at most about _TILE_ENTRIES floats. The tiles are cut
-    into min(_WORKERS, tiles) contiguous parts: the first walked here, the
-    others in forked children (_fork_map), or all here when the process
-    cannot fork or runs a second thread. Every operation is per repetition,
-    each stream is drawn in time order and the parts' counts are integers,
-    so the report does not depend on the tile or block sizes or on the
-    number of processes.
+    every array holds at most about _TILE_ENTRIES floats. _fork_map cuts
+    the tiles into parts, one _MissTally each, whose outcome is the final
+    running sums. Every operation is per repetition, each stream is drawn
+    in time order and the parts' counts are integers, so the report does
+    not depend on the tile or block sizes or on the number of processes.
 
     Raises ValueError unless v is a nonempty square matrix that is finite
-    and exactly symmetric, and SingularMatrixError unless it is
-    numerically positive definite.
+    and exactly symmetric, horizon and reps are integers >= 1 and the kinds
+    are distinct, and SingularMatrixError unless v is numerically positive
+    definite.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-        raise ValueError(f"v must be a nonempty square matrix, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("v must have finite entries")
-    if not np.array_equal(v, v.T):
-        raise ValueError("v must be exactly symmetric")
-    d = v.shape[0]
-    for name, value in (("horizon", horizon), ("reps", reps)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     wall_start = time.perf_counter()
-    specs = _distinct_specs(bnd.BoundarySpec(kind, alpha) for kind in boundaries)
-
+    v, specs = _gaussian_inputs(v, alpha, horizon, reps, boundaries)
+    d = v.shape[0]
     wh = whiten(v)
     if not wh.ok:
         raise SingularMatrixError("covariance must be numerically positive definite")
@@ -643,14 +642,14 @@ def run_gaussian_check(
     tiles = [range(lo, min(lo + tile, reps)) for lo in range(0, reps, tile)]
 
     def walk(part):
-        # The counts, first misses and final running sums of the repetitions
-        # of part's tiles. One loop over the tiles keeps each tile's arrays
+        # The tally of the repetitions of part's tiles, their final running
+        # sums its outcome. One loop over the tiles keeps each tile's arrays
         # until the next tile's replace them. Freed all at once, they let
         # malloc hand their pages back, and faulting them in again cost more
         # than the draws (7.7e5 page faults against 2.4e3 on gauss-d2).
         lo, n = part[0].start, part[-1].stop - part[0].start
         tally = _MissTally(len(specs), horizon, n)
-        total = np.zeros((n, d))
+        total = tally.outcome = np.zeros((n, d))
         for tile_reps in part:
             rs = slice(tile_reps.start - lo, tile_reps.stop - lo)
             gens = [rng_stream(seed, r) for r in tile_reps]
@@ -672,14 +671,10 @@ def run_gaussian_check(
                 lims = [lim[t0 : t0 + n_t] for lim in limits]
                 covered = np.array([stats[b.norm_kind] <= lim for b, lim in zip(specs, lims)])
                 tally.add(t0, covered.transpose(0, 2, 1), rs)
-        return tally.fixed, tally.first_miss, total
+        return tally
 
-    fixed, first_miss, total = zip(*_fork_map(walk, _parts(tiles)))
-    fixed, first_miss, total = sum(fixed), np.concatenate(first_miss, 1), np.concatenate(total)
-
+    tally = _MissTally.merge(_fork_map(walk, tiles))
     halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
-    unif_counts = _uniform_counts(first_miss, horizon)
-    columns = _columns(ts, specs, radii, fixed, unif_counts, int(reps), halfwidth)
     metadata = {
         "experiment": "gaussian-check",
         "config": {
@@ -692,12 +687,10 @@ def run_gaussian_check(
             "boundaries": [asdict(b) for b in specs],
         },
         "seeds": {"seed": int(seed), "streams": f"0..{reps - 1}"},
-        "mean_final": np.mean((total @ wh.root) / horizon, axis=0).tolist(),
+        "mean_final": np.mean((tally.outcome @ wh.root) / horizon, axis=0).tolist(),
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    report = CoverageReport(**columns, metadata=metadata)
-    report.validate()
-    return report
+    return tally.report(ts, specs, radii, halfwidth, metadata)
 
 
 # ---------------------------------------------------------------------------

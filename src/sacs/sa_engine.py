@@ -37,8 +37,11 @@ class DivergenceError(NumericalError):
     """An iterate left the finite floats. Carries the first divergent step."""
 
     def __init__(self, t: int) -> None:
-        super().__init__(f"iterate diverged at step {t}")
+        super().__init__(t)
         self.t = t
+
+    def __str__(self) -> str:
+        return f"iterate diverged at step {self.t}"
 
 
 @dataclass(frozen=True)

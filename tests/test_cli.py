@@ -483,6 +483,23 @@ def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gaussian-check", "--dim", "2", "--horizon", "0"], "horizon must be an integer >= 1, got 0"),
+        (["gaussian-check", "--dim", "2", "--reps", "0"], "reps must be an integer >= 1, got 0"),
+        (["gaussian-check", "--dim", "0"], "v must be a nonempty square matrix"),
+        (["coverage", "--iters", "0"], "iters must be an integer >= 1, got 0"),
+    ],
+    ids=["horizon", "reps", "dim", "iters"],
+)
+def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
+    # A count below 1 or an empty matrix is a configuration error too.
+    forbid_simulation(monkeypatch)
+    assert main([*args, "--out", "/no/such/dir/x.csv"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_step_exponent_exit_2(tmp_path):
     res = run_cli(
         "coverage",

@@ -638,11 +638,58 @@ def test_miss_tally_add_matches_a_per_kind_loop():
                         first_miss[bi, r] = min(first_miss[bi, r], lo + i)
     assert first_miss[:, 0].tolist() == [n_grid] * n_b
     assert first_miss[:, 8].tolist() == [0] * n_b
-    uniform = [[int(np.sum(f > i)) for i in range(n_grid)] for f in first_miss]
+    uniform = np.array([[np.sum(f > i) for i in range(n_grid)] for f in first_miss])
+    specs = [BoundarySpec(k, 0.1) for k in KINDS[:n_b]]
+    ones = np.ones((n_b, n_grid))
     for tally in (view, stack):
         assert tally.fixed.tolist() == fixed.tolist()
         assert tally.first_miss.tolist() == first_miss.tolist()
-        assert harness._uniform_counts(tally.first_miss, n_grid).tolist() == uniform
+        report = tally.report(np.arange(1, n_grid + 1), specs, ones, ones, {})
+        assert report.fixed_coverage.tolist() == (fixed / n_reps).T.ravel().tolist()
+        assert report.uniform_coverage.tolist() == (uniform / n_reps).T.ravel().tolist()
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 1), (3, 4, 4, 2)])
+def test_miss_tally_merge_matches_one_part(monkeypatch, sizes):
+    # the tallies of 1, 2 and 3 parts of whole groups, each filled in a
+    # forked process and fed the same blocks, merge into the tally of one
+    # part, bit for bit: counts, first misses, outcomes, the per-group sums
+    # (nan adds 0) and their means (nan at grid index 3, where none is
+    # available)
+    rng = np.random.default_rng(2)
+    n_b, n_grid, n = 2, 12, sum(sizes)
+    covered = rng.random((n_b, n_grid, n)) < 0.9
+    halfwidth, radius = rng.random((2, n_b, n_grid, n))
+    unavailable = rng.random((n_grid, n)) < 0.2
+    unavailable[3] = True
+    halfwidth[:, unavailable] = radius[:, unavailable] = np.nan
+    groups = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+
+    def fill(part):
+        reps = slice(part[0][0], part[-1][-1] + 1)
+        tally = harness._MissTally(n_b, n_grid, reps.stop - reps.start, map(len, part))
+        for rows in (slice(0, 5), slice(5, n_grid)):
+            tally.avail[rows] = np.count_nonzero(~np.isnan(halfwidth[0, rows, reps]), axis=1)
+            tally.add(rows.start, covered[:, rows, reps])
+            for bi in range(n_b):
+                tally.add_sums(bi, rows, halfwidth[bi, rows, reps], radius[bi, rows, reps])
+        tally.outcome = np.arange(n)[reps]
+        return tally
+
+    names = ("sizes", "fixed", "avail", "first_miss", "hw_sums", "rad_sums", "outcome")
+    one = fill(groups)
+    forks = count_forks(monkeypatch)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_WORKERS", workers)
+        forks.clear()
+        merged = harness._MissTally.merge(harness._fork_map(fill, groups))
+        assert len(forks) == workers - 1
+        for name in names:
+            mine, theirs = (np.asarray(getattr(t, name)) for t in (merged, one))
+            assert mine.tobytes() == theirs.tobytes(), name
+        for mine, theirs in zip(merged.means(), one.means()):
+            assert mine.tobytes() == theirs.tobytes()
+    assert np.isnan(one.means()[0]).sum() == n_b
 
 
 def test_gaussian_check_basic_properties():
@@ -818,6 +865,11 @@ def test_emit_report_validates_and_writes(tmp_path):
         emit_report(rep, "csv", tmp_path / "missing" / "r.csv")
     assert "cannot write report to" in str(exc.value)
     assert str(tmp_path / "missing" / "r.csv") in str(exc.value)
+    # a column changed in place after the report was built
+    rep.uniform_coverage[1] = 0.95
+    with pytest.raises(ValueError, match="gm time-uniform coverage increased at t=750"):
+        emit_report(rep, "csv", tmp_path / "changed.csv")
+    assert not (tmp_path / "changed.csv").exists()
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
@@ -861,20 +913,18 @@ def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
 
 
 def test_validate_rejects_bad_reports():
-    good = sample_report()
-    good.validate()
-    bad_rate = make_report(gm_rows([0.9], fixed=[1.5]))
+    # a report is validated when built
+    sample_report().validate()
     with pytest.raises(ValueError, match="gm rate 1.5 at t=1 outside"):
-        bad_rate.validate()
-    increasing = make_report(gm_rows([0.5, 0.7]))
+        make_report(gm_rows([0.9], fixed=[1.5]))
     with pytest.raises(ValueError, match="gm time-uniform coverage increased at t=2"):
-        increasing.validate()
+        make_report(gm_rows([0.5, 0.7]))
 
 
 def test_validate_rejects_nan_rate():
     for fixed, uniform in (([math.nan], [0.9]), ([0.9], [math.nan])):
         with pytest.raises(ValueError, match="gm rate nan at t=1 outside"):
-            make_report(gm_rows(uniform, fixed=fixed)).validate()
+            make_report(gm_rows(uniform, fixed=fixed))
 
 
 def test_validate_names_the_first_offending_t():
@@ -884,20 +934,20 @@ def test_validate_names_the_first_offending_t():
     # interleaved step-major; gm first fails at t=3 (an increase), then t=4
     rows = [r for pair in zip(lilub, gm) for r in pair]
     with pytest.raises(ValueError, match="^gm time-uniform coverage increased at t=3$"):
-        make_report(rows).validate()
+        make_report(rows)
     # kinds are checked in order of first appearance
     lilub[3] = ReportRow(4, "lilub", 0.0, 1.0, 1.0, 0.1, 2)
     rows = [r for pair in zip(lilub, gm) for r in pair]
     with pytest.raises(ValueError, match="^lilub radius_mean at t=4 not positive$"):
-        make_report(rows).validate()
+        make_report(rows)
     # within a row the rate rules come before the increase rule
     bad = gm_rows([1.0, 1.5])
     with pytest.raises(ValueError, match="^gm rate 1.5 at t=2 outside"):
-        make_report(bad).validate()
+        make_report(bad)
 
 
 def test_validate_allows_slack_and_nan_radius():
     # an increase within 1e-12 passes, as does a nan radius (unavailable)
-    make_report(gm_rows([1.0, 0.5, 0.5 + 1e-13], radius=math.nan)).validate()
+    make_report(gm_rows([1.0, 0.5, 0.5 + 1e-13], radius=math.nan))
     with pytest.raises(ValueError, match="increased at t=3"):
-        make_report(gm_rows([1.0, 0.5, 0.5 + 1e-11])).validate()
+        make_report(gm_rows([1.0, 0.5, 0.5 + 1e-11]))

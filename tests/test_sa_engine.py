@@ -1,6 +1,7 @@
 """Tests for the stochastic approximation recursion engine."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sacs import sa_engine
 from sacs.harness import validate_rate_condition
+from sacs.numerics import NumericalError, SingularMatrixError
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
@@ -318,6 +320,18 @@ def test_run_trajectory_divergence():
     diverged_at = run_lockstep(model, sched, 100, gens, [], None)
     assert exc.value.t == diverged_at[0] >= 1
     assert str(exc.value) == f"iterate diverged at step {exc.value.t}"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [NumericalError("no result"), SingularMatrixError("not positive definite"), DivergenceError(5)],
+    ids=lambda e: type(e).__name__,
+)
+def test_public_exceptions_survive_pickling(error):
+    # a forked worker's exception reaches the caller through pickle
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
 
 
 def test_run_trajectory_converges_to_root():
