@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _check_counts
+
 __all__ = [
     "KINDS",
     "NORM_BY_KIND",
@@ -195,8 +197,7 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     back as +inf: the region is the whole space there. alpha enters as
     -log(alpha), never as 1/alpha, so a subnormal alpha gives finite radii.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_counts(d=d)
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 1.0)):
         raise ValueError("every t must be finite and >= 1")

@@ -190,7 +190,7 @@ def _cmd_gaussian_check(args) -> int:
             raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
     kinds = _split_kinds(args.boundaries)
     # The inputs are checked before --out, as for coverage: a bad one exits 2.
-    harness._gaussian_inputs(v, args.alpha, args.horizon, args.reps, kinds)
+    harness._gaussian_inputs(v, args.alpha, args.horizon, args.reps, kinds, args.seed)
     _check_out(args.out)
     report = harness.run_gaussian_check(
         v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed

@@ -9,11 +9,12 @@ per group of consecutive repetitions. The parts' tallies merge exactly and
 the float sums are added in group order, so every report is a
 deterministic function of its configuration on any CPU count. The coverage
 run streams its repetitions in vectorized lockstep, one pass per part over
-groups of _GROUP repetitions. The Gaussian-oracle check has no per-step
-recursion, so it instead walks long per-repetition time blocks in tiles of
-a few repetitions, each array about _TILE_ENTRIES floats (512 KB), small
-enough to stay in a core's L2 cache, and compares running sums of standard
-normals with t times each radius.
+groups of _GROUP repetitions, and evaluates each batch of grid states that
+run_lockstep hands over with one call of each batched kernel. The
+Gaussian-oracle check has no per-step recursion, so it instead walks long
+per-repetition time blocks in tiles of a few repetitions, each array about
+_TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache,
+and compares running sums of standard normals with t times each radius.
 
 A report is columnar: one array per CSV column, built by the tally and
 validated when built, so a row costs about 68 bytes rather than a Python
@@ -37,10 +38,11 @@ import numpy as np
 
 from . import boundaries as bnd
 from .covariance import sandwich
-from .numerics import NumericalError, SingularMatrixError, whiten
+from .numerics import NumericalError, SingularMatrixError, _check_counts, whiten
 from .sa_engine import (
     ModelSpec,
     StepSchedule,
+    _check_seeds,
     _time_blocks,
     rng_stream,
     run_lockstep,
@@ -87,13 +89,6 @@ def _distinct_specs(specs) -> tuple:
     return specs
 
 
-def _check_counts(**counts) -> None:
-    """Raise ValueError unless every named count is an integer >= 1."""
-    for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one coverage Monte Carlo run.
@@ -114,6 +109,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_counts(iters=self.iters, reps=self.reps, start=self.start, stride=self.stride)
+        _check_seeds(seed=self.seed)
         if self.start > self.iters:
             raise ValueError(f"start ({self.start}) exceeds iters ({self.iters})")
         object.__setattr__(self, "boundaries", _distinct_specs(self.boundaries))
@@ -311,7 +307,6 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
 # Coverage Monte Carlo.
 
 
-_FLUSH_ENTRIES = 2**14  # matrix entries per flush; fewer let the tally dominate
 _GROUP = 128  # consecutive repetition indices whose float sums are kept together
 # CPUs this process may use: a run uses at most one process on each
 _WORKERS = (
@@ -493,37 +488,22 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         # One lockstep pass over the repetitions of the listed groups, in a
         # tally whose outcome is their first divergent steps.
         gens = [rng_stream(cfg.seed, int(r)) for r in itertools.chain(*groups)]
-        n = len(gens)
-        tally = _MissTally(n_b, n_grid, n, map(len, groups))
+        tally = _MissTally(n_b, n_grid, len(gens), map(len, groups))
 
-        # visit() only copies grid states into a ring buffer of k_buf grid
-        # points; one kernel call evaluates and tallies them all. Divergent
-        # repetitions are tallied too: a second pass leaves them out.
-        k_buf = max(1, _FLUSH_ENTRIES // (n * d * d))
-        buf_xbar = np.empty((k_buf, n, d))
-        buf_h = np.empty((k_buf, n, d, d))
-        buf_s = np.empty((k_buf, n, d, d))
-
-        def visit(tt, x, xbar, h_sum, s_sum):
-            i = (tt - start) // stride
-            j = i % k_buf
-            buf_xbar[j] = xbar
-            buf_h[j] = h_sum
-            buf_s[j] = s_sum
-            if j < k_buf - 1 and i < n_grid - 1:
-                return
-            m = j + 1
-            rows = slice(i - j, i + 1)
+        def visit(lo, x, xbar, h_sum, s_sum):
+            # One kernel call evaluates and tallies a batch of grid points,
+            # divergent repetitions too: a second pass leaves them out.
+            rows = slice(lo, lo + len(xbar))
             ts = grid[rows].astype(float)[:, None]
             scale = ts[..., None, None]
-            v, _ = sandwich(buf_h[:m] / scale, buf_s[:m] / scale)
+            v, _ = sandwich(h_sum / scale, s_sum / scale)
             # Every field is nan where the sandwich is unavailable; a nan
             # statistic never covers.
-            wh = whiten(v, buf_xbar[:m] - theta)
+            wh = whiten(v, xbar - theta)
             tally.avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
             base_sup = np.mean(wh.scale_sup, axis=-1)
             base_two = np.mean(wh.scale_two, axis=-1)
-            covered = np.empty((n_b, m, n), dtype=bool)
+            covered = np.empty((n_b, *xbar.shape[:2]), dtype=bool)
             for bi, b in enumerate(specs):
                 if per_rep_radius[bi]:
                     # nan where kappa is: an unavailable evaluation
@@ -533,7 +513,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
                 sup = b.norm_kind == "sup_norm"
                 np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
                 tally.add_sums(bi, rows, rad * (base_sup if sup else base_two), rep_rad)
-            tally.add(i - j, covered)
+            tally.add(lo, covered)
 
         tally.outcome = run_lockstep(model, sched, iters, gens, grid, visit)
         return tally
@@ -583,7 +563,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
-def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries) -> tuple:
+def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries, seed) -> tuple:
     """run_gaussian_check's v as a float array and its BoundarySpecs, or the
     ValueError that run_gaussian_check raises for its arguments."""
     v = np.asarray(v, dtype=float)
@@ -594,6 +574,7 @@ def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries) -> tu
     if not np.array_equal(v, v.T):
         raise ValueError("v must be exactly symmetric")
     _check_counts(horizon=horizon, reps=reps)
+    _check_seeds(seed=seed)
     return v, _distinct_specs(bnd.BoundarySpec(kind, alpha) for kind in boundaries)
 
 
@@ -627,7 +608,7 @@ def run_gaussian_check(
     definite.
     """
     wall_start = time.perf_counter()
-    v, specs = _gaussian_inputs(v, alpha, horizon, reps, boundaries)
+    v, specs = _gaussian_inputs(v, alpha, horizon, reps, boundaries, seed)
     d = v.shape[0]
     wh = whiten(v)
     if not wh.ok:

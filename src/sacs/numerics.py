@@ -33,6 +33,13 @@ class SingularMatrixError(NumericalError):
     """A matrix required to be positive definite was singular or indefinite."""
 
 
+def _check_counts(**counts) -> None:
+    """Raise ValueError unless every named count is an integer >= 1."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _matmul(a, b):
     """a @ b, as the broadcast product a * b when the inner dimension is 1.
 

@@ -4,7 +4,8 @@ Implements the recursion x_{t+1} = x_t - eta_t * G(x_t, xi_{t+1}) together
 with iterate averaging, running Jacobian and outer-product accumulators, and
 deterministic multi-stream data generation. ``run_lockstep`` advances many
 independent repetitions in vectorized lockstep and is the one execution
-path: it powers both ``run_trajectory`` and the coverage harness.
+path: it powers both ``run_trajectory`` and the coverage harness, handing
+them the states at the evaluation steps in batches for the batched kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .numerics import NumericalError
+from .numerics import NumericalError, _check_counts
 
 __all__ = [
     "DivergenceError",
@@ -91,8 +92,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_counts(dim=self.dim)
         theta = np.array(self.theta_star, dtype=float, copy=True)
         if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
             raise ValueError("theta_star must be a finite vector of length dim")
@@ -120,6 +120,13 @@ def default_model(kind: str, dim: int = 1) -> ModelSpec:
     raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
 
 
+def _check_seeds(**seeds) -> None:
+    """Raise ValueError unless every named seed is an integer in [0, 2**64)."""
+    for name, value in seeds.items():
+        if not isinstance(value, (int, np.integer)) or not (0 <= value < 2**64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Generator of stream `stream` of seed `seed`.
 
@@ -128,22 +135,16 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     pair reproduces the identical draw sequence within one build. Both must
     be integers in [0, 2**64).
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not isinstance(value, (int, np.integer)) or not (0 <= value < 2**64):
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    _check_seeds(seed=seed, stream=stream)
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
     return np.random.default_rng(ss)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Overflow-safe logistic function, branch by sign.
+    # Overflow-safe logistic function: exp only ever sees -|z| <= 0.
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sample_data_block(
@@ -168,6 +169,7 @@ def sample_data_block(
 
 
 _BLOCK_ENTRIES = 2**20  # floats per array of one streamed time block (8 MB)
+_FLUSH_ENTRIES = 2**14  # matrix entries per visited batch; fewer let the visits dominate
 
 
 def _time_blocks(T: int, width: int, entries: int):
@@ -209,11 +211,13 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     sample_data_block(model, gens[r], T), and results depend neither on the
     block size nor on how callers chunk the generator list; gens[r] ends in
     the state that call leaves it in.
-    visit(t, x, xbar, h_sum, s_sum) is called at each t in eval_times
-    (ascending, within [1, T]) with live internal arrays of shape (R, d) /
-    (R, d, d); callees must copy what they keep and must not mutate. This is
-    the one owner of visit's errstate, the recursion's: overflow, invalid
-    and underflow ignored. visit sets its own only to raise a warning.
+    visit(lo, x, xbar, h_sum, s_sum) gets the states at the steps in
+    eval_times (ascending, within [1, T]) in batches of k = max(1,
+    min(len(eval_times), _FLUSH_ENTRIES // (R d^2))) steps, the last one
+    partial: arrays of shape (m, R, d) / (m, R, d, d) at the m steps from
+    eval_times[lo] on, valid until visit returns. This is the one owner of
+    visit's errstate, the recursion's: overflow, invalid and underflow
+    ignored. visit sets its own only to raise a warning.
 
     Divergent repetitions are frozen (their rows turn nan) rather than
     raising, so surviving repetitions finish; their rows still reach visit.
@@ -224,7 +228,9 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     ev = [int(t) for t in eval_times]
     if ev and not (1 <= ev[0] and ev[-1] <= T and all(a < b for a, b in zip(ev, ev[1:]))):
         raise ValueError("eval_times must be strictly ascending within [1, T]")
-    k = 0
+    k = max(1, min(len(ev), _FLUSH_ENTRIES // max(1, n_reps * d * d)))
+    bufs = [*np.empty((2, k, n_reps, d)), *np.empty((2, k, n_reps, d, d))]
+    i = 0
 
     covs = []
     for gen in gens:
@@ -261,9 +267,13 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
                 if not math.isfinite(x.sum()):
                     newly = (diverged_at == -1) & ~np.isfinite(x).all(axis=1)
                     diverged_at[newly] = tt
-                if k < len(ev) and ev[k] == tt:
-                    visit(tt, x, xbar, h_sum, s_sum)
-                    k += 1
+                if i < len(ev) and ev[i] == tt:
+                    for buf, state in zip(bufs, (x, xbar, h_sum, s_sum)):
+                        buf[i % k] = state
+                    i += 1
+                    if i % k == 0 or i == len(ev):
+                        lo = (i - 1) // k * k
+                        visit(lo, *(buf[: i - lo] for buf in bufs))
         # Free this block before the next is drawn, so one block is live.
         del xs, ys
     return diverged_at
@@ -310,23 +320,20 @@ def run_trajectory(
         raise ValueError(f"T must be a nonnegative integer, got {T!r}")
     if rng is None:
         rng = rng_stream(0, 0)
-    theta = model.theta_star
+    checkpoints = [int(t) for t in checkpoints]
     trace: list[TrajectoryPoint] = []
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        h_hat = h_sum[0] / tt
-        s_hat = s_sum[0] / tt
+    def visit(lo, x, xbar, h_sum, s_sum):
+        # One sandwich call per batch of checkpoints, of the one repetition.
+        ts = checkpoints[lo : lo + len(xbar)]
+        scale = np.array(ts, dtype=float)[:, None, None]
+        h_hat, s_hat = h_sum[:, 0] / scale, s_sum[:, 0] / scale
         v, ok = covariance.sandwich(h_hat, s_hat)
-        trace.append(
-            TrajectoryPoint(
-                t=tt,
-                xbar=xbar[0].copy(),
-                h_hat=h_hat,
-                s_hat=s_hat,
-                sandwich=0.5 * (v + v.T) if ok and np.isfinite(v).all() else None,
-                err_norm=math.hypot(*(xbar[0] - theta)),
-            )
-        )
+        ok &= np.isfinite(v).all(axis=(1, 2))
+        sym = 0.5 * (v + np.swapaxes(v, 1, 2))
+        for t, xb, h, s, vs, good in zip(ts, xbar[:, 0].copy(), h_hat, s_hat, sym, ok):
+            err = math.hypot(*(xb - model.theta_star))
+            trace.append(TrajectoryPoint(t, xb, h, s, vs if good else None, err))
 
     diverged_at = run_lockstep(model, schedule, T, [rng], checkpoints, visit)
     if diverged_at[0] != -1:

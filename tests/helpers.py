@@ -1,8 +1,9 @@
 """Helpers shared by the test modules, including reference oracles that
 the library itself does not need: the Gaussian mixture martingale and the
 gm volume objective behind lambda_star, a log-log rate fit, and the
-Gaussian check's coverage computed the long way; and a report's whole CSV
-text, which the library only ever streams to a file.
+Gaussian check's coverage computed the long way; a report's whole CSV
+text, which the library only ever streams to a file; and a per-step view
+of run_lockstep's batched visits.
 """
 
 import math
@@ -13,6 +14,18 @@ from sacs.boundaries import BoundarySpec, radius_grid
 from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
 from sacs.numerics import SingularMatrixError, pd_eigh, whiten
 from sacs.sa_engine import rng_stream
+
+
+def per_point(fn, eval_times):
+    """A run_lockstep visit that calls fn(t, x, xbar, h_sum, s_sum) for each
+    step t of a batch, with that step's (R, d) and (R, d, d) arrays."""
+    eval_times = list(eval_times)
+
+    def visit(lo, *batch):
+        for i, t in enumerate(eval_times[lo : lo + len(batch[0])]):
+            fn(t, *(a[i] for a in batch))
+
+    return visit
 
 
 def make_report(rows, metadata=None):

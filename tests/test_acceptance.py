@@ -21,7 +21,7 @@ from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gau
 from sacs.numerics import whiten
 from sacs.sa_engine import StepSchedule, default_model, rng_stream, run_lockstep
 
-from helpers import gm_mixture_martingale, gm_volume_objective
+from helpers import gm_mixture_martingale, gm_volume_objective, per_point
 
 CS_KINDS = ("lilub", "gm", "lilen")
 LINEAR_ETA0 = 0.01
@@ -180,7 +180,7 @@ def test_logistic_default_step_still_biased():
         seen["bias"] = xbar[:, 0] - theta
 
     gens = [rng_stream(0, r) for r in range(reps)]
-    diverged_at = run_lockstep(model, sched, t, gens, [t], visit)
+    diverged_at = run_lockstep(model, sched, t, gens, [t], per_point(visit, [t]))
     bias = seen["bias"]
     mean = float(bias.mean())
     se = float(bias.std(ddof=1)) / math.sqrt(bias.size)
@@ -247,7 +247,7 @@ def test_criterion_6_plugin_limits():
 
     for lo in range(0, reps, 25):
         gens = [rng_stream(0, r) for r in range(lo, lo + 25)]
-        run_lockstep(model, sched, T, gens, [T], visit)
+        run_lockstep(model, sched, T, gens, [T], per_point(visit, [T]))
 
     h_med = float(np.median(h_vals))
     v_med = float(np.median(v_vals))

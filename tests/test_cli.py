@@ -490,11 +490,18 @@ def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, m
         (["gaussian-check", "--dim", "2", "--reps", "0"], "reps must be an integer >= 1, got 0"),
         (["gaussian-check", "--dim", "0"], "v must be a nonempty square matrix"),
         (["coverage", "--iters", "0"], "iters must be an integer >= 1, got 0"),
+        (["coverage", "--dim", "0"], "dim must be an integer >= 1, got 0"),
+        (["coverage", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+        (
+            ["gaussian-check", "--dim", "1", "--seed", "-1"],
+            "seed must be an integer in [0, 2**64), got -1",
+        ),
     ],
-    ids=["horizon", "reps", "dim", "iters"],
+    ids=["horizon", "reps", "dim", "iters", "coverage-dim", "coverage-seed", "gaussian-seed"],
 )
 def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
-    # A count below 1 or an empty matrix is a configuration error too.
+    # A count below 1, an empty matrix or a seed outside [0, 2**64) is a
+    # configuration error too.
     forbid_simulation(monkeypatch)
     assert main([*args, "--out", "/no/such/dir/x.csv"]) == 2
     assert message in capsys.readouterr().err
@@ -610,6 +617,12 @@ GOLDEN_CSV_SHA256 = [
         "run --dim 2 --iters 3000 --checkpoints every:500 --seed 3",
         "c06767c81d4f1ea8fcf45d1210aecc38f62fa090b856841e2f0cbfe2733ce3be",
     ),
+    # a trace at every step, its 2,000 checkpoints in two of run_lockstep's
+    # batches (1,820 and 180 steps at d = 3)
+    (
+        "run --dim 3 --iters 2000 --checkpoints every:1 --seed 1",
+        "8984e54eca9610a264ab9618f6e520dc2055aeae18fba715a92552c71799fae7",
+    ),
     # two time blocks (32,768 + 7,232 steps) and an odd repetition count
     (
         "gaussian-check --dim 2 --horizon 40000 --reps 7 --seed 5",
@@ -620,7 +633,7 @@ GOLDEN_CSV_SHA256 = [
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of eight small runs stays fixed.
+    """The sha256 of the CSVs of nine small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

@@ -15,6 +15,8 @@ from sacs.sa_engine import (
     sample_data_block,
 )
 
+from helpers import per_point
+
 
 def test_single_datum_estimate():
     # after one linear step from x0 = 0: h_hat = X^2, s_hat = (yX)^2
@@ -37,7 +39,7 @@ def test_plugin_estimate_normalizes_by_t():
     def visit(tt, x, xbar, h_sum, s_sum):
         sums[tt] = (h_sum[0].copy(), s_sum[0].copy())
 
-    run_lockstep(model, sched, 40, [rng_stream(5, 0)], [4, 40], visit)
+    run_lockstep(model, sched, 40, [rng_stream(5, 0)], [4, 40], per_point(visit, [4, 40]))
     trace = run_trajectory(model, sched, 40, [4, 40], rng=rng_stream(5, 0))
     for pt in trace:
         h_sum, s_sum = sums[pt.t]
@@ -105,7 +107,8 @@ def test_jacobian_estimate_accuracy_improves_with_t():
         def visit(tt, x, xbar, h_sum, s_sum):
             chunk_errs[tt] = np.abs(h_sum[:, 0, 0] / tt - 100.0 / 3.0)
 
-        run_lockstep(model, sched, 100_000, gens, [1000, 100_000], visit)
+        ev = [1000, 100_000]
+        run_lockstep(model, sched, 100_000, gens, ev, per_point(visit, ev))
         for tt, v in chunk_errs.items():
             errs.setdefault(tt, []).append(v)
 

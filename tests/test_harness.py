@@ -35,7 +35,7 @@ from sacs.sa_engine import (
     run_trajectory,
 )
 
-from helpers import csv_text, fit_rate, gaussian_check_reference, make_report
+from helpers import csv_text, fit_rate, gaussian_check_reference, make_report, per_point
 
 
 def small_config(**overrides):
@@ -162,7 +162,7 @@ def test_fit_rate_on_simulated_decay():
     def visit(tt, x, xbar, h_sum, s_sum):
         med[tt] = float(np.median(np.abs(xbar[:, 0] - 1.0)))
 
-    run_lockstep(model, sched, 16000, gens, ckpts, visit)
+    run_lockstep(model, sched, 16000, gens, ckpts, per_point(visit, ckpts))
     slope = fit_rate(sorted(med.items()), (1000.0, 16000.0))
     assert -0.7 <= slope <= -0.3
 
@@ -181,6 +181,8 @@ def test_experiment_config_validation():
         small_config(boundaries=(BoundarySpec("gm", 0.1), BoundarySpec("gm", 0.05)))
     with pytest.raises(ValueError):
         small_config(iters=800, start=801)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got -1"):
+        small_config(seed=-1)
 
 
 def test_run_coverage_shapes_and_grid():
@@ -308,7 +310,7 @@ def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
     # the report of the default sizes
     default = make()
     monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(harness, "_FLUSH_ENTRIES", 1)
+    monkeypatch.setattr(sa_engine, "_FLUSH_ENTRIES", 1)
     assert_same_report(make(), default)
     # so do Gaussian tiles of one repetition over 64-step blocks, and of
     # three repetitions over the whole 300-step horizon (the last tile of
@@ -368,16 +370,17 @@ def test_run_coverage_does_not_depend_on_cpu_count(monkeypatch, cfg, divergent):
 
 def fork_failure(monkeypatch, fail):
     # Runs a three-group coverage run on three processes, with
-    # fail(in_child, tt) called before each grid visit.
+    # fail(in_child, tt) called before each batch of grid points is
+    # evaluated, tt the batch's last grid step.
     monkeypatch.setattr(harness, "_GROUP", 4)
     monkeypatch.setattr(harness, "_WORKERS", 3)
     parent = os.getpid()
     lockstep = harness.run_lockstep
 
     def failing_lockstep(model, sched, iters, gens, grid, visit):
-        def failing_visit(tt, *state):
-            fail(os.getpid() != parent, tt)
-            visit(tt, *state)
+        def failing_visit(lo, *batch):
+            fail(os.getpid() != parent, grid[lo + len(batch[0]) - 1])
+            visit(lo, *batch)
 
         return lockstep(model, sched, iters, gens, grid, failing_visit)
 

@@ -1,6 +1,7 @@
 """The package namespace re-exports exactly the library modules' public names."""
 
 import dataclasses
+import importlib
 import inspect
 
 import sacs
@@ -63,6 +64,18 @@ def test_numerics_is_only_the_eigen_kernel():
         "Whitening",
         "whiten",
     ]
+
+
+def test_names_the_benchmark_tracer_binds():
+    # bench/spans.py binds run_lockstep's arguments by name and wraps the
+    # run_lockstep that harness looks up; bench/spans.py and bench/child.py
+    # read a report's rows, CSV_COLUMNS and sacs.covariance
+    params = inspect.signature(sa_engine.run_lockstep).parameters
+    assert {"model", "T", "gens", "visit"} <= set(params)
+    assert harness.run_lockstep is sa_engine.run_lockstep
+    assert isinstance(harness.CSV_COLUMNS, tuple)
+    assert isinstance(harness.CoverageReport.rows, property)
+    assert importlib.import_module("sacs.covariance") is covariance
 
 
 def test_no_parameter_that_only_tests_set():

@@ -25,6 +25,8 @@ from sacs.sa_engine import (
     step_size,
 )
 
+from helpers import per_point
+
 
 # ------------------------------------------------------------- schedule
 
@@ -159,6 +161,24 @@ def test_sample_logistic_moments():
     assert abs(ys.mean() - 0.5) < 3.0 * 0.5 / math.sqrt(200_000)
 
 
+def test_sigmoid_matches_the_masked_form():
+    # bit for bit the two-branch form with boolean masks, including at the
+    # signed zeros, infinities and smallest subnormals; a nan stays a nan
+    # (its sign bit may differ)
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0.0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]
+    z = np.concatenate([np.linspace(-800.0, 800.0, 2_000_001), edges])
+    assert sa_engine._sigmoid(z).tobytes() == masked(z).tobytes()
+    assert np.isnan(sa_engine._sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 # ------------------------------------------------------------- oracles
 
 
@@ -229,7 +249,8 @@ def every_step(model, sched, T, seed):
         states.append((x[0].copy(), xbar[0].copy(), h_sum[0].copy(), s_sum[0].copy()))
 
     gens = [rng_stream(seed, 0)]
-    diverged_at = run_lockstep(model, sched, T, gens, range(1, T + 1), visit)
+    steps = range(1, T + 1)
+    diverged_at = run_lockstep(model, sched, T, gens, steps, per_point(visit, steps))
     return states, int(diverged_at[0])
 
 
@@ -366,7 +387,7 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
             def visit(tt, x, xbar, h_sum, s_sum):
                 seen["state"] = (xbar.copy(), h_sum.copy(), s_sum.copy())
 
-            run_lockstep(model, sched, T, gens, [T], visit)
+            run_lockstep(model, sched, T, gens, [T], per_point(visit, [T]))
             parts.append(seen["state"])
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
@@ -409,6 +430,35 @@ def test_lockstep_holds_one_data_block(monkeypatch):
     assert peak < 1.5 * block_bytes
 
 
+@pytest.mark.parametrize("k", [1, 3, 100])
+def test_lockstep_visits_batches_of_k_steps(monkeypatch, k):
+    # buffers of k steps (all L = 7 when k >= L) give ceil(L / k) visits at
+    # lo = 0, k, 2k, ..., whose states are those of one-step batches
+    model, sched, n_reps = default_model("linear", 2), StepSchedule(0.01, 0.67), 3
+    ev = [2, 3, 5, 8, 13, 21, 34]
+
+    def batches(size):
+        monkeypatch.setattr(sa_engine, "_FLUSH_ENTRIES", size * n_reps * model.dim**2)
+        seen = []
+
+        def visit(lo, *batch):
+            assert [a.shape[1:] for a in batch] == [(3, 2), (3, 2), (3, 2, 2), (3, 2, 2)]
+            seen.append((lo, [a.copy() for a in batch]))
+
+        run_lockstep(model, sched, 40, [rng_stream(9, r) for r in range(n_reps)], ev, visit)
+        return seen
+
+    got, steps = batches(k), batches(1)
+    size = min(k, len(ev))
+    assert [lo for lo, _ in got] == list(range(0, len(ev), size))
+    assert [len(batch[0]) for _, batch in got] == [min(size, len(ev) - lo) for lo, _ in got]
+    assert [len(batch[0]) for _, batch in steps] == [1] * len(ev)
+    for i in range(4):
+        a = np.concatenate([batch[i] for _, batch in got])
+        b = np.concatenate([batch[i] for _, batch in steps])
+        assert a.tobytes() == b.tobytes()
+
+
 def test_lockstep_freezes_divergent_reps():
     # one exploding schedule: every repetition freezes to nan, none raises
     model = default_model("linear", 1)
@@ -419,7 +469,7 @@ def test_lockstep_freezes_divergent_reps():
     def visit(tt, x, xbar, h_sum, s_sum):
         seen["x"] = x.copy()
 
-    diverged_at = run_lockstep(model, sched, 60, gens, [60], visit)
+    diverged_at = run_lockstep(model, sched, 60, gens, [60], per_point(visit, [60]))
     assert np.all(diverged_at >= 1)
     assert not np.isfinite(seen["x"]).any()
 
@@ -460,6 +510,7 @@ def test_l2_decay_probe():
         mse = float(np.mean((x[:, 0] - 1.0) ** 2))
         ratios[tt] = mse / step_size(sched, tt - 1)
 
-    diverged_at = run_lockstep(model, sched, T, gens, [1000, 10_000], visit)
+    ev = [1000, 10_000]
+    diverged_at = run_lockstep(model, sched, T, gens, ev, per_point(visit, ev))
     assert np.all(diverged_at == -1)
     assert 0.0 < ratios[10_000] <= 2.0 * ratios[1000]
