@@ -6,10 +6,13 @@ deterministic multi-stream data generation. ``run_lockstep`` advances many
 independent repetitions in vectorized lockstep and is the one execution
 path: it powers both ``run_trajectory`` and the coverage harness, handing
 them the states at the evaluation steps in batches for the batched kernels.
+Its step loop holds only the gradient, the iterate and its average; the
+accumulators, the divergence screen and the batches are made per chunk.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -144,7 +147,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Overflow-safe logistic function: exp only ever sees -|z| <= 0.
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def sample_data_block(
@@ -187,19 +190,18 @@ def _time_blocks(T: int, width: int, entries: int):
         t0 += b
 
 
-def _grad_jac_batch(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    # Stochastic gradient G(x, xi) (R, d) and its Jacobian in x (R, d, d) per
-    # repetition; x: (R, d) iterates, xs: (R, d) covariates, ys: (R,)
-    # responses. Linear: G = -(y - x'X) X, the squared-loss gradient, so
-    # x - eta*G descends, with Jacobian XX'. Logistic: G = (sigmoid(x'X) - y) X,
-    # the log-loss gradient, with Jacobian sigmoid'(x'X) XX'. Both gradients
-    # have mean zero at theta_star; both Jacobians are symmetric PSD.
+def _gradient(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray, g=None, w=None):
+    # Stochastic gradient G(x, xi) (R, d) and the weight w (R,) of its Jacobian
+    # w XX' per repetition, written to g and w if given; x: (R, d) iterates,
+    # xs: (R, d) covariates, ys: (R,) responses. Linear: G = (x'X - y) X, the
+    # squared-loss gradient, so x - eta*G descends, with w = 1 (returned as
+    # None). Logistic: G = (sigmoid(x'X) - y) X, the log-loss gradient, with
+    # w = sigmoid'(x'X). Gradients have mean zero at theta_star; Jacobians are symmetric PSD.
     z = np.add.reduce(xs * x, axis=1)
-    outer = xs[:, :, None] * xs[:, None, :]
     if model.kind == "linear":
-        return -(ys - z)[:, None] * xs, outer
+        return np.multiply((z - ys)[:, None], xs, out=g), None
     s = _sigmoid(z)
-    return (s - ys)[:, None] * xs, (s * (1.0 - s))[:, None, None] * outer
+    return np.multiply((s - ys)[:, None], xs, out=g), np.multiply(s, 1.0 - s, out=w)
 
 
 def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
@@ -210,7 +212,10 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     past them by T*d draws. Each block so holds the rows of
     sample_data_block(model, gens[r], T), and results depend neither on the
     block size nor on how callers chunk the generator list; gens[r] ends in
-    the state that call leaves it in.
+    the state that call leaves it in. Only the gradient, x and xbar are
+    computed per step, into chunks of c = max(1, min(_FLUSH_ENTRIES //
+    (R d), b // 16)) steps, b the first block's length; the rest takes one
+    call per chunk, and the running sums one add per step.
     visit(lo, x, xbar, h_sum, s_sum) gets the states at the steps in
     eval_times (ascending, within [1, T]) in batches of k = max(1,
     min(len(eval_times), _FLUSH_ENTRIES // (R d^2))) steps, the last one
@@ -241,36 +246,60 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
         covs.append(np.random.Generator(bits))
     for gen in gens:
         gen.bit_generator.advance(T * d)
-    x = np.zeros((n_reps, d))
-    xbar = np.zeros((n_reps, d))
-    h_sum = np.zeros((n_reps, d, d))
-    s_sum = np.zeros((n_reps, d, d))
+    blocks = list(_time_blocks(T, n_reps * d, _BLOCK_ENTRIES))
+    c = max(1, min(_FLUSH_ENTRIES // max(1, n_reps * d), blocks[0][1] // 16 if blocks else 1))
+    # A chunk's covariates, responses, states, gradients and logistic weights.
+    xc, xk, xbk, gk = np.empty((4, c, n_reps, d))
+    yc = np.empty((c, n_reps))
+    wk = np.empty((c, n_reps)) if model.kind == "logistic" else [None] * c
+    acc = np.empty((2, c, n_reps, d, d))
+    x, xbar = np.zeros((2, n_reps, d))
+    sums = np.zeros((2, n_reps, d, d))  # h_sum and s_sum after the last chunk
     diverged_at = np.full(n_reps, -1, dtype=np.int64)
 
-    for t0, b in _time_blocks(T, n_reps * d, _BLOCK_ENTRIES):
-        xs = np.empty((b, n_reps, d))
-        ys = np.empty((b, n_reps))
+    for t0, b in blocks:
+        # Repetition-major, so that each repetition's rows are one run.
+        xs = np.empty((n_reps, b, d))
+        ys = np.empty((n_reps, b))
         for r, (cov, gen) in enumerate(zip(covs, gens)):
-            xs[:, r], ys[:, r] = sample_data_block(model, cov, b, gen)
+            xs[r], ys[r] = sample_data_block(model, cov, b, gen)
         etas = step_size(schedule, np.arange(t0, t0 + b))
         # nan rows from already-diverged repetitions flow through harmlessly.
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for j in range(b):
-                tt = t0 + j + 1
-                g, jac = _grad_jac_batch(model, x, xs[j], ys[j])
-                h_sum += jac
-                s_sum += g[:, :, None] * g[:, None, :]
-                x = x - etas[j] * g
-                xbar = xbar + (x - xbar) / tt
-                # A non-finite entry makes the sum non-finite, so the sum
-                # screens the per-row check.
-                if not math.isfinite(x.sum()):
-                    newly = (diverged_at == -1) & ~np.isfinite(x).all(axis=1)
-                    diverged_at[newly] = tt
-                if i < len(ev) and ev[i] == tt:
-                    for buf, state in zip(bufs, (x, xbar, h_sum, s_sum)):
-                        buf[i % k] = state
-                    i += 1
+            for j0 in range(0, b, c):
+                t = t0 + j0  # steps taken before this chunk
+                n = min(c, b - j0)
+                np.copyto(xc[:n], xs[:, j0 : j0 + n].swapaxes(0, 1))
+                np.copyto(yc[:n], ys[:, j0 : j0 + n].T)
+                steps = zip(range(t + 1, t + n + 1), etas[j0 : j0 + n], xc, yc, xk, xbk, gk, wk)
+                for tt, eta, xv, y, xo, xbo, go, wo in steps:
+                    g, _ = _gradient(model, x, xv, y, go, wo)
+                    x = np.subtract(x, eta * g, out=xo)
+                    xbar = np.add(xbar, (x - xbar) / tt, out=xbo)
+                jac, outer = acc[:, :n]
+                # einsum beats a broadcast; its +0 for a -0 product cannot reach sums from +0.
+                np.einsum("...i,...j->...ij", xc[:n], xc[:n], out=jac)
+                if model.kind == "logistic":
+                    jac *= wk[:n, :, None, None]
+                np.einsum("...i,...j->...ij", gk[:n], gk[:n], out=outer)
+                # np.cumsum, adding one entry's terms at a time, is slower.
+                running = acc[:, :n].swapaxes(0, 1)  # (n, 2, R, d, d), step by step
+                np.add(sums, running[0], out=running[0])
+                for prev, cur in zip(running, running[1:]):
+                    np.add(prev, cur, out=cur)
+                sums[...] = running[-1]
+                if not np.isfinite(xk[:n]).all():
+                    bad = ~np.isfinite(xk[:n]).all(axis=2)
+                    newly = (diverged_at == -1) & bad.any(axis=0)
+                    diverged_at[newly] = t + 1 + bad[:, newly].argmax(axis=0)
+                end = bisect.bisect_right(ev, t + n, i)
+                while i < end:
+                    # The chunk's evaluation steps that fit the open batch.
+                    m = min(end - i, k - i % k)
+                    rows = np.subtract(ev[i : i + m], t + 1)
+                    for buf, part in zip(bufs, (xk, xbk, *acc)):
+                        buf[i % k : i % k + m] = part[rows]
+                    i += m
                     if i % k == 0 or i == len(ev):
                         lo = (i - 1) // k * k
                         visit(lo, *(buf[: i - lo] for buf in bufs))

@@ -2,14 +2,15 @@
 the library itself does not need: the Gaussian mixture martingale and the
 gm volume objective behind lambda_star, a log-log rate fit, and the
 Gaussian check's coverage computed the long way; a report's whole CSV
-text, which the library only ever streams to a file; and a per-step view
-of run_lockstep's batched visits.
+text, which the library only ever streams to a file; a per-step view
+of run_lockstep's batched visits; and run_lockstep's per-step loop.
 """
 
 import math
 
 import numpy as np
 
+from sacs import sa_engine
 from sacs.boundaries import BoundarySpec, radius_grid
 from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
 from sacs.numerics import SingularMatrixError, pd_eigh, whiten
@@ -26,6 +27,64 @@ def per_point(fn, eval_times):
             fn(t, *(a[i] for a in batch))
 
     return visit
+
+
+def lockstep_reference(model, schedule, T, gens, eval_times, visit):
+    """run_lockstep the long way, for a bit-for-bit comparison: every state
+    is updated at every step, from the gradient and Jacobian of each step,
+    and copied into the visit buffers at each evaluation step. It reads
+    sa_engine's block and flush sizes, so its batches are run_lockstep's."""
+    n_reps = len(gens)
+    d = model.dim
+    ev = [int(t) for t in eval_times]
+    k = max(1, min(len(ev), sa_engine._FLUSH_ENTRIES // max(1, n_reps * d * d)))
+    bufs = [*np.empty((2, k, n_reps, d)), *np.empty((2, k, n_reps, d, d))]
+    i = 0
+    covs = []
+    for gen in gens:
+        bits = type(gen.bit_generator)(0)
+        bits.state = gen.bit_generator.state
+        covs.append(np.random.Generator(bits))
+    for gen in gens:
+        gen.bit_generator.advance(T * d)
+    x = np.zeros((n_reps, d))
+    xbar = np.zeros((n_reps, d))
+    h_sum = np.zeros((n_reps, d, d))
+    s_sum = np.zeros((n_reps, d, d))
+    diverged_at = np.full(n_reps, -1, dtype=np.int64)
+    for t0, b in sa_engine._time_blocks(T, n_reps * d, sa_engine._BLOCK_ENTRIES):
+        xs = np.empty((b, n_reps, d))
+        ys = np.empty((b, n_reps))
+        for r, (cov, gen) in enumerate(zip(covs, gens)):
+            xs[:, r], ys[:, r] = sa_engine.sample_data_block(model, cov, b, gen)
+        etas = sa_engine.step_size(schedule, np.arange(t0, t0 + b))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for j in range(b):
+                tt = t0 + j + 1
+                xv, y = xs[j], ys[j]
+                z = np.add.reduce(xv * x, axis=1)
+                jac = xv[:, :, None] * xv[:, None, :]
+                if model.kind == "linear":
+                    g = -(y - z)[:, None] * xv
+                else:
+                    s = sa_engine._sigmoid(z)
+                    g = (s - y)[:, None] * xv
+                    jac = (s * (1.0 - s))[:, None, None] * jac
+                h_sum += jac
+                s_sum += g[:, :, None] * g[:, None, :]
+                x = x - etas[j] * g
+                xbar = xbar + (x - xbar) / tt
+                if not math.isfinite(x.sum()):
+                    newly = (diverged_at == -1) & ~np.isfinite(x).all(axis=1)
+                    diverged_at[newly] = tt
+                if i < len(ev) and ev[i] == tt:
+                    for buf, state in zip(bufs, (x, xbar, h_sum, s_sum)):
+                        buf[i % k] = state
+                    i += 1
+                    if i % k == 0 or i == len(ev):
+                        lo = (i - 1) // k * k
+                        visit(lo, *(buf[: i - lo] for buf in bufs))
+    return diverged_at
 
 
 def make_report(rows, metadata=None):

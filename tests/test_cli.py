@@ -628,12 +628,24 @@ GOLDEN_CSV_SHA256 = [
         "gaussian-check --dim 2 --horizon 40000 --reps 7 --seed 5",
         "00117534fa697d706b945c0c50c3622b45968f568f799e32a81e1786f32e048e",
     ),
+    # two time blocks (13,056 + 1,944 steps), with run_lockstep's chunk,
+    # batch and block edges out of step
+    (
+        "coverage --dim 2 --iters 15000 --reps 40 --start 7 --stride 3 --seed 11",
+        "57821d01744a59585effa8e898e2429c0f09e5c0a1501f826f06db40645f47bb",
+    ),
+    # the logistic Jacobian weight, at the matched step size
+    (
+        "coverage --model logistic --dim 2 --eta0 16.6 --iters 3000 --reps 20 "
+        "--start 100 --stride 7 --seed 2",
+        "66653424a1fae7d5cf60cb3b481b99744aae2ea117fbf8b42d86b6921af1c1f3",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of nine small runs stays fixed.
+    """The sha256 of the CSVs of eleven small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

@@ -1,5 +1,6 @@
 """Tests for the stochastic approximation recursion engine."""
 
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -16,7 +17,7 @@ from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
     StepSchedule,
-    _grad_jac_batch,
+    _gradient,
     default_model,
     rng_stream,
     run_lockstep,
@@ -25,7 +26,7 @@ from sacs.sa_engine import (
     step_size,
 )
 
-from helpers import per_point
+from helpers import lockstep_reference, per_point
 
 
 # ------------------------------------------------------------- schedule
@@ -184,12 +185,19 @@ def test_sigmoid_matches_the_masked_form():
 
 def grad(model, x, xv, y):
     # the batched oracle on a single (iterate, datum) pair
-    return _grad_jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.array([y]))[0][0]
+    return _gradient(model, np.atleast_2d(x), np.atleast_2d(xv), np.array([y]))[0][0]
+
+
+def jacs(model, x, xs):
+    # the Jacobians w XX' of a batch, from the oracle's weight w (1 for
+    # linear), as run_lockstep builds them; they do not read the response
+    _, w = _gradient(model, x, xs, np.zeros(len(xs)))
+    outer = xs[:, :, None] * xs[:, None, :]
+    return outer if w is None else w[:, None, None] * outer
 
 
 def jac(model, x, xv):
-    # the Jacobian does not read the response
-    return _grad_jac_batch(model, np.atleast_2d(x), np.atleast_2d(xv), np.zeros(1))[1][0]
+    return jacs(model, np.atleast_2d(x), np.atleast_2d(xv))[0]
 
 
 def test_grad_oracle_values():
@@ -213,7 +221,7 @@ def test_jac_oracle_values():
     assert jac(default_model("logistic", 1), [0.0], [2.0])[0, 0] == 1.0
     # one row per repetition: a stack of outer products, each symmetric
     xs = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    _, j = _grad_jac_batch(default_model("linear", 2), np.zeros((2, 2)), xs, np.zeros(2))
+    j = jacs(default_model("linear", 2), np.zeros((2, 2)), xs)
     assert np.array_equal(j, xs[:, :, None] * xs[:, None, :])
 
 
@@ -428,6 +436,91 @@ def test_lockstep_holds_one_data_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block_bytes
+
+
+@pytest.mark.parametrize("n_reps, dim, T", [(256, 1, 5000), (30, 3, 6000)])
+def test_lockstep_chunk_scratch_is_small(n_reps, dim, T):
+    # at the benchmark's shapes (default block and flush sizes, 4096- and
+    # 6000-step blocks), a run holds under 2 MB beyond one data block's
+    # covariates and responses: the chunks' arrays stay cache-sized
+    model, sched = default_model("linear", dim), StepSchedule(0.01, 0.67)
+    block = max(b for _, b in sa_engine._time_blocks(T, n_reps * dim, sa_engine._BLOCK_ENTRIES))
+    block_bytes = block * n_reps * (dim + 1) * 8
+    run_lockstep(model, sched, 100, [rng_stream(3, r) for r in range(n_reps)], [], None)
+    gens = [rng_stream(4, r) for r in range(n_reps)]
+    tracemalloc.start()
+    try:
+        run_lockstep(model, sched, T, gens, [], None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - block_bytes < 2 * 2**20
+
+
+EVAL_TIMES = {
+    "every": range(1, 301),
+    "stride": range(7, 301, 3),
+    "sparse": [1, 2, 63, 64, 65, 128, 200, 299, 300],
+    "single": [150],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, dim, diverging, eval_times",
+    [
+        ("linear", 1, False, "every"),
+        ("linear", 1, True, "stride"),
+        ("linear", 2, False, "sparse"),
+        ("linear", 2, True, "single"),
+        ("linear", 3, False, "stride"),
+        ("linear", 3, True, "every"),
+        ("linear", 5, False, "single"),
+        ("linear", 5, True, "sparse"),
+        ("linear", 9, False, "every"),
+        ("linear", 9, True, "stride"),
+        ("logistic", 1, False, "sparse"),
+        ("logistic", 1, True, "every"),
+        ("logistic", 2, False, "stride"),
+        ("logistic", 2, True, "single"),
+    ],
+)
+def test_lockstep_matches_the_per_step_reference(monkeypatch, kind, dim, diverging, eval_times):
+    # run_lockstep's chunks give the states of the per-step loop bit for
+    # bit: every visited batch, its lo, the first divergent steps and the
+    # generators' end states. Besides the default sizes, 64-step blocks
+    # with chunks of 3 or 4 steps and batches of 1 or 3 put the chunk edges
+    # out of step with the block and batch edges. Diverging: linear
+    # at eta0 = 1e3 turns nan near step 100; logistic at eta0 = 1e10 with
+    # covariates up to 1e150 overflows x'X (d = 2) or saturates the
+    # sigmoid (d = 1).
+    model = default_model(kind, dim)
+    if diverging and kind == "logistic":
+        model = dataclasses.replace(model, cov_halfwidth=1e150)
+    sched = StepSchedule({"linear": 1e3, "logistic": 1e10}[kind] if diverging else 0.05, 0.67)
+    ev, n_reps, T = list(EVAL_TIMES[eval_times]), 3, 300
+
+    def run(lockstep):
+        gens = [rng_stream(8, r) for r in range(n_reps)]
+        seen = []
+
+        def visit(lo, *batch):
+            seen.append((lo, [a.copy() for a in batch]))
+
+        diverged_at = lockstep(model, sched, T, gens, ev, visit)
+        return seen, diverged_at, [g.bit_generator.state for g in gens]
+
+    for flush in (None, 3 * n_reps * dim**2, 3 * n_reps * dim):
+        if flush is not None:
+            monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 1)
+            monkeypatch.setattr(sa_engine, "_FLUSH_ENTRIES", flush)
+        (got, div, states), (want, div_ref, states_ref) = run(run_lockstep), run(lockstep_reference)
+        assert [lo for lo, _ in got] == [lo for lo, _ in want]
+        for (_, batch), (_, batch_ref) in zip(got, want):
+            for a, b in zip(batch, batch_ref):
+                assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+        assert div.tolist() == div_ref.tolist()
+        assert states == states_ref
+    assert (div != -1).any() == (diverging and (kind, dim) != ("logistic", 1))
 
 
 @pytest.mark.parametrize("k", [1, 3, 100])
