@@ -14,7 +14,8 @@ run_lockstep hands over with one call of each batched kernel. The
 Gaussian-oracle check has no per-step recursion, so it instead walks long
 per-repetition time blocks in tiles of a few repetitions, each array about
 _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache,
-and compares running sums of standard normals with t times each radius.
+and tallies running sums of standard normals against t times each radius
+in the one compare that both runners share, _MissTally.add.
 
 A report is columnar: one array per CSV column, built by the tally and
 validated when built, so a row costs about 68 bytes rather than a Python
@@ -316,11 +317,12 @@ _WORKERS = (
 
 class _MissTally:
     """Coverage tallies of n_b boundaries on n_grid grid points over n_reps
-    repetitions, fed all boundaries on a block of grid points at a time:
-    per-grid covered and available counts (fixed, avail), per boundary and
-    repetition the first grid index missed (n_grid if none), and per group
-    of consecutive repetitions (of the given sizes) the half-width and
-    radius sums. outcome is a row per repetition that the runner sets.
+    repetitions. add(), both runners' one coverage compare, takes every
+    boundary's statistic and limit on a block of grid points: per grid the
+    covered count (fixed; the runner sets avail), per boundary and
+    repetition the first grid index missed (n_grid if none). add_sums()
+    keeps the half-width and radius sums per group of consecutive
+    repetitions (of the given sizes). outcome is a row per repetition.
     merge() joins the tallies of a run's parts; the float sums stay per
     group until means() adds them in group order.
     """
@@ -335,14 +337,14 @@ class _MissTally:
         self.hw_sums, self.rad_sums = np.zeros((2, len(self.sizes), n_b, n_grid))
         self.outcome = None
 
-    def add(self, lo: int, covered: np.ndarray, rs: slice = slice(None)) -> None:
-        """Tally covered, (n_b, m, n) bool, at grid indices lo .. lo+m-1
-        for the n repetitions in the slice rs."""
-        counts = np.count_nonzero(covered, axis=2)
-        first = np.where(covered.all(axis=1), self.fixed.shape[1], lo + covered.argmin(axis=1))
-        miss = self.first_miss[:, rs]
-        np.minimum(miss, first, out=miss)
-        self.fixed[:, lo : lo + covered.shape[1]] += counts
+    def add(self, lo: int, stats, limits, rs: slice = slice(None)) -> None:
+        """Tally each boundary's (n, m) statistic, of the n repetitions in rs
+        at grid indices lo .. lo+m-1, as covered where it is at most its
+        limit, which broadcasts against it. A nan statistic never covers."""
+        covered = np.array([np.less_equal(s, lim) for s, lim in zip(stats, limits)])
+        first = np.where(covered.all(axis=2), self.fixed.shape[1], lo + covered.argmin(axis=2))
+        self.first_miss[:, rs] = np.minimum(self.first_miss[:, rs], first)
+        self.fixed[:, lo : lo + covered.shape[2]] += np.count_nonzero(covered, axis=1)
 
     def add_sums(self, bi: int, rows: slice, halfwidth, radius=None) -> None:
         """Add boundary bi's (m, n_reps) half-widths, and radii if given, at
@@ -476,12 +478,11 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     n_grid, n_b = grid.size, len(specs)
 
     # lilen is the one kind whose radius depends on the per-repetition
-    # condition number; with a scalar whitening matrix kappa is identically
-    # 1 and every kind shares one radius grid.
-    per_rep_radius = [b.kind == "lilen" and d > 1 for b in specs]
+    # condition number (None here); with a scalar whitening matrix kappa is
+    # identically 1 and every kind shares one radius grid.
     shared_radius = [
-        None if per_rep_radius[bi] else bnd.radius_grid(b, grid, d, kappa=1.0)
-        for bi, b in enumerate(specs)
+        None if b.kind == "lilen" and d > 1 else bnd.radius_grid(b, grid, d, kappa=1.0)
+        for b in specs
     ]
 
     def simulate(groups):
@@ -490,30 +491,25 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
         gens = [rng_stream(cfg.seed, int(r)) for r in itertools.chain(*groups)]
         tally = _MissTally(n_b, n_grid, len(gens), map(len, groups))
 
-        def visit(lo, x, xbar, h_sum, s_sum):
+        def visit(lo, xbar, h_hat, s_hat):
             # One kernel call evaluates and tallies a batch of grid points,
             # divergent repetitions too: a second pass leaves them out.
             rows = slice(lo, lo + len(xbar))
-            ts = grid[rows].astype(float)[:, None]
-            scale = ts[..., None, None]
-            v, _ = sandwich(h_sum / scale, s_sum / scale)
-            # Every field is nan where the sandwich is unavailable; a nan
-            # statistic never covers.
+            v, _ = sandwich(h_hat, s_hat)
+            # Every field is nan where the sandwich is unavailable.
             wh = whiten(v, xbar - theta)
             tally.avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)
-            base_sup = np.mean(wh.scale_sup, axis=-1)
-            base_two = np.mean(wh.scale_two, axis=-1)
-            covered = np.empty((n_b, *xbar.shape[:2]), dtype=bool)
-            for bi, b in enumerate(specs):
-                if per_rep_radius[bi]:
-                    # nan where kappa is: an unavailable evaluation
-                    rad = rep_rad = bnd.radius_grid(b, ts, d, kappa=wh.kappa)
-                else:
-                    rad, rep_rad = shared_radius[bi][rows, None], None
-                sup = b.norm_kind == "sup_norm"
-                np.less_equal(wh.stat_sup if sup else wh.stat_two, rad, out=covered[bi])
-                tally.add_sums(bi, rows, rad * (base_sup if sup else base_two), rep_rad)
-            tally.add(lo, covered)
+            stats = {"sup_norm": wh.stat_sup, "two_norm": wh.stat_two}
+            base = {"sup_norm": np.mean(wh.scale_sup, -1), "two_norm": np.mean(wh.scale_two, -1)}
+            ts = grid[rows].astype(float)[:, None]
+            # (m, 1) shared radii, or (m, R) ones that are nan where kappa is
+            radii = [
+                bnd.radius_grid(b, ts, d, kappa=wh.kappa) if r is None else r[rows, None]
+                for b, r in zip(specs, shared_radius)
+            ]
+            for bi, (b, rad, r) in enumerate(zip(specs, radii, shared_radius)):
+                tally.add_sums(bi, rows, rad * base[b.norm_kind], rad if r is None else None)
+            tally.add(lo, [stats[b.norm_kind].T for b in specs], [rad.T for rad in radii])
 
         tally.outcome = run_lockstep(model, sched, iters, gens, grid, visit)
         return tally
@@ -650,8 +646,7 @@ def run_gaussian_check(
                     two += col**2
                 stats = {"sup_norm": sup, "two_norm": two}
                 lims = [lim[t0 : t0 + n_t] for lim in limits]
-                covered = np.array([stats[b.norm_kind] <= lim for b, lim in zip(specs, lims)])
-                tally.add(t0, covered.transpose(0, 2, 1), rs)
+                tally.add(t0, [stats[b.norm_kind] for b in specs], lims, rs)
         return tally
 
     tally = _MissTally.merge(_fork_map(walk, tiles))

@@ -36,7 +36,7 @@ class SingularMatrixError(NumericalError):
 def _check_counts(**counts) -> None:
     """Raise ValueError unless every named count is an integer >= 1."""
     for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -5,9 +5,10 @@ with iterate averaging, running Jacobian and outer-product accumulators, and
 deterministic multi-stream data generation. ``run_lockstep`` advances many
 independent repetitions in vectorized lockstep and is the one execution
 path: it powers both ``run_trajectory`` and the coverage harness, handing
-them the states at the evaluation steps in batches for the batched kernels.
-Its step loop holds only the gradient, the iterate and its average; the
-accumulators, the divergence screen and the batches are made per chunk.
+them the averaged iterate and the accumulators' running means at the
+evaluation steps in batches for the batched kernels. Its step loop holds
+only the gradient, the iterate and its average; the accumulators, the
+divergence screen and the batches are made per chunk.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def default_model(kind: str, dim: int = 1) -> ModelSpec:
 def _check_seeds(**seeds) -> None:
     """Raise ValueError unless every named seed is an integer in [0, 2**64)."""
     for name, value in seeds.items():
-        if not isinstance(value, (int, np.integer)) or not (0 <= value < 2**64):
+        is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not is_int or not (0 <= value < 2**64):
             raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
@@ -216,11 +218,12 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     computed per step, into chunks of c = max(1, min(_FLUSH_ENTRIES //
     (R d), b // 16)) steps, b the first block's length; the rest takes one
     call per chunk, and the running sums one add per step.
-    visit(lo, x, xbar, h_sum, s_sum) gets the states at the steps in
+    visit(lo, xbar, h_hat, s_hat) gets the states at the steps in
     eval_times (ascending, within [1, T]) in batches of k = max(1,
     min(len(eval_times), _FLUSH_ENTRIES // (R d^2))) steps, the last one
-    partial: arrays of shape (m, R, d) / (m, R, d, d) at the m steps from
-    eval_times[lo] on, valid until visit returns. This is the one owner of
+    partial: at the m steps t from eval_times[lo] on, the averaged iterates
+    (m, R, d) and the running means h_sum / t and s_sum / t (m, R, d, d),
+    t a float, valid until visit returns. This is the one owner of
     visit's errstate, the recursion's: overflow, invalid and underflow
     ignored. visit sets its own only to raise a warning.
 
@@ -234,7 +237,7 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     if ev and not (1 <= ev[0] and ev[-1] <= T and all(a < b for a, b in zip(ev, ev[1:]))):
         raise ValueError("eval_times must be strictly ascending within [1, T]")
     k = max(1, min(len(ev), _FLUSH_ENTRIES // max(1, n_reps * d * d)))
-    bufs = [*np.empty((2, k, n_reps, d)), *np.empty((2, k, n_reps, d, d))]
+    xbars, hats = np.empty((k, n_reps, d)), np.empty((2, k, n_reps, d, d))
     i = 0
 
     covs = []
@@ -297,12 +300,13 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
                     # The chunk's evaluation steps that fit the open batch.
                     m = min(end - i, k - i % k)
                     rows = np.subtract(ev[i : i + m], t + 1)
-                    for buf, part in zip(bufs, (xk, xbk, *acc)):
-                        buf[i % k : i % k + m] = part[rows]
+                    at = slice(i % k, i % k + m)
+                    xbars[at] = xbk[rows]
+                    np.divide(acc[:, rows], (rows + t + 1.0)[:, None, None, None], out=hats[:, at])
                     i += m
                     if i % k == 0 or i == len(ev):
                         lo = (i - 1) // k * k
-                        visit(lo, *(buf[: i - lo] for buf in bufs))
+                        visit(lo, xbars[: i - lo], *hats[:, : i - lo])
         # Free this block before the next is drawn, so one block is live.
         del xs, ys
     return diverged_at
@@ -345,18 +349,18 @@ def run_trajectory(
 
     Raises DivergenceError if the iterate leaves the finite floats.
     """
-    if not isinstance(T, (int, np.integer)) or T < 0:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
         raise ValueError(f"T must be a nonnegative integer, got {T!r}")
     if rng is None:
         rng = rng_stream(0, 0)
     checkpoints = [int(t) for t in checkpoints]
     trace: list[TrajectoryPoint] = []
 
-    def visit(lo, x, xbar, h_sum, s_sum):
-        # One sandwich call per batch of checkpoints, of the one repetition.
+    def visit(lo, xbar, h_hat, s_hat):
+        # One sandwich call per batch of checkpoints, of the one repetition,
+        # on copies that the points keep: run_lockstep reuses its buffers.
         ts = checkpoints[lo : lo + len(xbar)]
-        scale = np.array(ts, dtype=float)[:, None, None]
-        h_hat, s_hat = h_sum[:, 0] / scale, s_sum[:, 0] / scale
+        h_hat, s_hat = h_hat[:, 0].copy(), s_hat[:, 0].copy()
         v, ok = covariance.sandwich(h_hat, s_hat)
         ok &= np.isfinite(v).all(axis=(1, 2))
         sym = 0.5 * (v + np.swapaxes(v, 1, 2))

@@ -18,7 +18,7 @@ from sacs.sa_engine import rng_stream
 
 
 def per_point(fn, eval_times):
-    """A run_lockstep visit that calls fn(t, x, xbar, h_sum, s_sum) for each
+    """A run_lockstep visit that calls fn(t, xbar, h_hat, s_hat) for each
     step t of a batch, with that step's (R, d) and (R, d, d) arrays."""
     eval_times = list(eval_times)
 
@@ -32,13 +32,14 @@ def per_point(fn, eval_times):
 def lockstep_reference(model, schedule, T, gens, eval_times, visit):
     """run_lockstep the long way, for a bit-for-bit comparison: every state
     is updated at every step, from the gradient and Jacobian of each step,
-    and copied into the visit buffers at each evaluation step. It reads
-    sa_engine's block and flush sizes, so its batches are run_lockstep's."""
+    and copied into the visit buffers at each evaluation step, the sums
+    divided by t there. It reads sa_engine's block and flush sizes, so its
+    batches are run_lockstep's."""
     n_reps = len(gens)
     d = model.dim
     ev = [int(t) for t in eval_times]
     k = max(1, min(len(ev), sa_engine._FLUSH_ENTRIES // max(1, n_reps * d * d)))
-    bufs = [*np.empty((2, k, n_reps, d)), *np.empty((2, k, n_reps, d, d))]
+    bufs = [np.empty((k, n_reps, d)), *np.empty((2, k, n_reps, d, d))]
     i = 0
     covs = []
     for gen in gens:
@@ -78,7 +79,7 @@ def lockstep_reference(model, schedule, T, gens, eval_times, visit):
                     newly = (diverged_at == -1) & ~np.isfinite(x).all(axis=1)
                     diverged_at[newly] = tt
                 if i < len(ev) and ev[i] == tt:
-                    for buf, state in zip(bufs, (x, xbar, h_sum, s_sum)):
+                    for buf, state in zip(bufs, (xbar, h_sum / tt, s_sum / tt)):
                         buf[i % k] = state
                     i += 1
                     if i % k == 0 or i == len(ev):

@@ -176,7 +176,7 @@ def test_logistic_default_step_still_biased():
     predicted = -theta * float(np.mean(np.exp(-drift)))
     seen = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum):
+    def visit(tt, xbar, h_hat, s_hat):
         seen["bias"] = xbar[:, 0] - theta
 
     gens = [rng_stream(0, r) for r in range(reps)]
@@ -239,8 +239,7 @@ def test_criterion_6_plugin_limits():
     reps, T = 50, 100_000
     h_vals, v_vals = [], []
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        h_hat, s_hat = h_sum / tt, s_sum / tt
+    def visit(tt, xbar, h_hat, s_hat):
         v, ok = sandwich(h_hat, s_hat)
         h_vals.extend(h_hat[:, 0, 0])
         v_vals.extend(v[ok, 0, 0])

@@ -203,6 +203,9 @@ def test_radius_domain_errors():
             radius(kind, 0, 1, 0.05)
         with pytest.raises(ValueError):
             radius(kind, 10, 0, 0.05)
+        # a bool is not a count, though Python counts it as an int
+        with pytest.raises(ValueError, match="d must be an integer >= 1, got True"):
+            radius(kind, 10, True, 0.05)
         with pytest.raises(ValueError):
             radius(kind, 10, 1, 0.05, kappa=0.5)
         with pytest.raises(ValueError):

@@ -677,3 +677,34 @@ def test_golden_json_digest(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f881c127e02b6d6968c7e33efeea4f313cec5e472f2036fdc61a676ff960e0c8"
     )
+
+
+# ------------------------------------------------------------ dependencies
+
+
+def test_commands_run_with_numpy_alone(tmp_path):
+    # numpy is the one runtime dependency: with the test-only packages made
+    # unimportable, every command runs at a tiny size and exits 0
+    script = (
+        "import json, sys\n"
+        "sys.modules.update(dict.fromkeys(('scipy', 'hypothesis', 'pytest')))\n"
+        "from sacs.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv):\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+    )
+    commands = [
+        ["coverage", "--iters", "300", "--reps", "4", "--start", "100", "--stride", "100"],
+        ["gaussian-check", "--dim", "2", "--horizon", "50", "--reps", "4"],
+        ["rates", "--a", "0.45", "--p", "10", "--linear"],
+        ["run", "--iters", "64"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(commands)]
+    res = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.csv", "1.csv", "2.csv", "3.csv"]

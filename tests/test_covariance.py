@@ -15,7 +15,7 @@ from sacs.sa_engine import (
     sample_data_block,
 )
 
-from helpers import per_point
+from helpers import lockstep_reference, per_point
 
 
 def test_single_datum_estimate():
@@ -31,20 +31,21 @@ def test_single_datum_estimate():
 
 
 def test_plugin_estimate_normalizes_by_t():
-    # each checkpoint divides the accumulators of the same stream by t
+    # each checkpoint divides the accumulators of the same stream by t, as
+    # the per-step reference does with the sums it keeps
     model = default_model("linear", 2)
     sched = StepSchedule(0.01, 0.67)
-    sums = {}
+    means = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        sums[tt] = (h_sum[0].copy(), s_sum[0].copy())
+    def visit(tt, xbar, h_hat, s_hat):
+        means[tt] = (h_hat[0].copy(), s_hat[0].copy())
 
-    run_lockstep(model, sched, 40, [rng_stream(5, 0)], [4, 40], per_point(visit, [4, 40]))
+    lockstep_reference(model, sched, 40, [rng_stream(5, 0)], [4, 40], per_point(visit, [4, 40]))
     trace = run_trajectory(model, sched, 40, [4, 40], rng=rng_stream(5, 0))
     for pt in trace:
-        h_sum, s_sum = sums[pt.t]
-        assert np.array_equal(pt.h_hat, h_sum / pt.t)
-        assert np.array_equal(pt.s_hat, s_sum / pt.t)
+        h_hat, s_hat = means[pt.t]
+        assert np.array_equal(pt.h_hat, h_hat)
+        assert np.array_equal(pt.s_hat, s_hat)
         h_inv = np.linalg.inv(pt.h_hat)
         assert pt.sandwich == pytest.approx(h_inv @ pt.s_hat @ h_inv, rel=1e-9)
 
@@ -104,8 +105,8 @@ def test_jacobian_estimate_accuracy_improves_with_t():
         gens = [rng_stream(31, r) for r in range(start, start + 100)]
         chunk_errs = {}
 
-        def visit(tt, x, xbar, h_sum, s_sum):
-            chunk_errs[tt] = np.abs(h_sum[:, 0, 0] / tt - 100.0 / 3.0)
+        def visit(tt, xbar, h_hat, s_hat):
+            chunk_errs[tt] = np.abs(h_hat[:, 0, 0] - 100.0 / 3.0)
 
         ev = [1000, 100_000]
         run_lockstep(model, sched, 100_000, gens, ev, per_point(visit, ev))

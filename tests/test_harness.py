@@ -159,7 +159,7 @@ def test_fit_rate_on_simulated_decay():
     ckpts = [1000, 2000, 4000, 8000, 16000]
     med = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum):
+    def visit(tt, xbar, h_hat, s_hat):
         med[tt] = float(np.median(np.abs(xbar[:, 0] - 1.0)))
 
     run_lockstep(model, sched, 16000, gens, ckpts, per_point(visit, ckpts))
@@ -183,6 +183,12 @@ def test_experiment_config_validation():
         small_config(iters=800, start=801)
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got -1"):
         small_config(seed=-1)
+    # a bool is not a count or a seed, though Python counts it as an int
+    for name in ("iters", "reps", "start", "stride"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got True"):
+            small_config(**{name: True})
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got False"):
+        small_config(seed=False)
 
 
 def test_run_coverage_shapes_and_grid():
@@ -614,37 +620,46 @@ def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
 
 
 def test_miss_tally_add_matches_a_per_kind_loop():
-    # stacked adds of three kinds equal a naive loop over kinds, grid points
-    # and repetitions: blocks at nonzero lo, repetition slices, stacks passed
-    # as a transposed view (as the Gaussian check does) or contiguous, and
-    # repetition 0 missing nowhere, repetition 8 everywhere
+    # adds of three kinds equal a naive loop over kinds, grid points and
+    # repetitions of statistic <= limit: blocks at nonzero lo, repetition
+    # slices, and statistics passed as transposed (m, n) views against a
+    # shared (1, m) limit (as the coverage visit does) or contiguous against
+    # a per-repetition (n, m) one. A nan statistic never covers, a +inf
+    # limit covers every other one; repetition 0 misses nowhere, repetition
+    # 8 everywhere
     rng = np.random.default_rng(0)
     n_b, n_grid, n_reps = 3, 20, 9
-    view, stack = (harness._MissTally(n_b, n_grid, n_reps) for _ in range(2))
-    fixed = np.zeros((n_b, n_grid), dtype=np.int64)
-    first_miss = np.full((n_b, n_reps), n_grid)
     adds = [(0, 6, slice(None)), (6, 5, slice(0, 4)), (6, 5, slice(4, 9)), (11, 9, slice(2, 7))]
-    for lo, m, rs in adds:
-        ids = range(n_reps)[rs]
-        covered = rng.random((n_b, len(ids), m)) < 0.9  # kinds, repetitions, grid
-        for r, value in ((0, True), (8, False)):
-            if r in ids:
-                covered[:, ids.index(r)] = value
-        view.add(lo, covered.transpose(0, 2, 1), rs)
-        stack.add(lo, np.ascontiguousarray(covered.transpose(0, 2, 1)), rs)
-        for bi in range(n_b):
-            for j, r in enumerate(ids):
-                for i in range(m):
-                    if covered[bi, j, i]:
-                        fixed[bi, lo + i] += 1
-                    else:
-                        first_miss[bi, r] = min(first_miss[bi, r], lo + i)
-    assert first_miss[:, 0].tolist() == [n_grid] * n_b
-    assert first_miss[:, 8].tolist() == [0] * n_b
-    uniform = np.array([[np.sum(f > i) for i in range(n_grid)] for f in first_miss])
     specs = [BoundarySpec(k, 0.1) for k in KINDS[:n_b]]
     ones = np.ones((n_b, n_grid))
-    for tally in (view, stack):
+    for per_rep in (False, True):
+        tally = harness._MissTally(n_b, n_grid, n_reps)
+        fixed = np.zeros((n_b, n_grid), dtype=np.int64)
+        first_miss = np.full((n_b, n_reps), n_grid)
+        for lo, m, rs in adds:
+            ids = range(n_reps)[rs]
+            stats = rng.random((n_b, m, len(ids)))  # kinds, grid, repetitions
+            stats[rng.random(stats.shape) < 0.05] = np.nan
+            limits = rng.uniform(0.8, 1.0, (n_b, m, len(ids) if per_rep else 1))
+            limits[:, 1] = np.inf
+            for r, value in ((0, 0.0), (8, np.nan)):
+                if r in ids:
+                    stats[:, :, ids.index(r)] = value
+            if per_rep:
+                contiguous = [np.ascontiguousarray(a.swapaxes(1, 2)) for a in (stats, limits)]
+                tally.add(lo, *contiguous, rs)
+            else:
+                tally.add(lo, [a.T for a in stats], [lim.T for lim in limits], rs)
+            for bi in range(n_b):
+                for j, r in enumerate(ids):
+                    for i in range(m):
+                        if stats[bi, i, j] <= limits[bi, i, j if per_rep else 0]:
+                            fixed[bi, lo + i] += 1
+                        else:
+                            first_miss[bi, r] = min(first_miss[bi, r], lo + i)
+        assert first_miss[:, 0].tolist() == [n_grid] * n_b
+        assert first_miss[:, 8].tolist() == [0] * n_b
+        uniform = np.array([[np.sum(f > i) for i in range(n_grid)] for f in first_miss])
         assert tally.fixed.tolist() == fixed.tolist()
         assert tally.first_miss.tolist() == first_miss.tolist()
         report = tally.report(np.arange(1, n_grid + 1), specs, ones, ones, {})
@@ -656,16 +671,16 @@ def test_miss_tally_add_matches_a_per_kind_loop():
 def test_miss_tally_merge_matches_one_part(monkeypatch, sizes):
     # the tallies of 1, 2 and 3 parts of whole groups, each filled in a
     # forked process and fed the same blocks, merge into the tally of one
-    # part, bit for bit: counts, first misses, outcomes, the per-group sums
-    # (nan adds 0) and their means (nan at grid index 3, where none is
-    # available)
+    # part, bit for bit: counts (a nan statistic misses), first misses,
+    # outcomes, the per-group sums (nan adds 0) and their means (nan at grid
+    # index 3, where none is available)
     rng = np.random.default_rng(2)
     n_b, n_grid, n = 2, 12, sum(sizes)
-    covered = rng.random((n_b, n_grid, n)) < 0.9
+    stats = rng.random((n_b, n_grid, n)) / 0.9  # covered at most 0.9 of the time
     halfwidth, radius = rng.random((2, n_b, n_grid, n))
     unavailable = rng.random((n_grid, n)) < 0.2
     unavailable[3] = True
-    halfwidth[:, unavailable] = radius[:, unavailable] = np.nan
+    stats[:, unavailable] = halfwidth[:, unavailable] = radius[:, unavailable] = np.nan
     groups = np.split(np.arange(n), np.cumsum(sizes)[:-1])
 
     def fill(part):
@@ -673,7 +688,7 @@ def test_miss_tally_merge_matches_one_part(monkeypatch, sizes):
         tally = harness._MissTally(n_b, n_grid, reps.stop - reps.start, map(len, part))
         for rows in (slice(0, 5), slice(5, n_grid)):
             tally.avail[rows] = np.count_nonzero(~np.isnan(halfwidth[0, rows, reps]), axis=1)
-            tally.add(rows.start, covered[:, rows, reps])
+            tally.add(rows.start, [a[rows, reps].T for a in stats], [1.0] * n_b)
             for bi in range(n_b):
                 tally.add_sums(bi, rows, halfwidth[bi, rows, reps], radius[bi, rows, reps])
         tally.outcome = np.arange(n)[reps]
@@ -725,6 +740,10 @@ def test_gaussian_check_validation():
         run_gaussian_check(v, 0.1, 100, 10, ("gm", "gm"))
     with pytest.raises(ValueError):
         run_gaussian_check(v, 0.1, 0, 10, ("gm",))
+    with pytest.raises(ValueError, match="reps must be an integer >= 1, got True"):
+        run_gaussian_check(v, 0.1, 100, True, ("gm",))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_gaussian_check(v, 0.1, 100, 10, ("gm",), seed=False)
     with pytest.raises(SingularMatrixError):
         run_gaussian_check(np.diag([1.0, 0.0]), 0.1, 100, 10, ("gm",))
 

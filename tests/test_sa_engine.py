@@ -117,6 +117,8 @@ def test_model_spec_validation():
         ModelSpec("linear", 1, np.array([1.0]), noise_sd=-1.0)
     with pytest.raises(ValueError):
         ModelSpec("linear", 1, np.array([1.0]), cov_halfwidth=0.0)
+    with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
+        ModelSpec("linear", True, np.array([1.0]))
 
 
 # ------------------------------------------------------------ rng streams
@@ -134,8 +136,8 @@ def test_rng_stream_reproducible_and_distinct():
 
 
 def test_rng_stream_validation():
-    for seed, stream in ((-1, 0), (0, -1), (2**64, 0), (1.5, 0)):
-        with pytest.raises(ValueError):
+    for seed, stream in ((-1, 0), (0, -1), (2**64, 0), (1.5, 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*64\)"):
             rng_stream(seed, stream)
 
 
@@ -253,8 +255,8 @@ def every_step(model, sched, T, seed):
     """One repetition through run_lockstep, its state copied after every step."""
     states = []
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        states.append((x[0].copy(), xbar[0].copy(), h_sum[0].copy(), s_sum[0].copy()))
+    def visit(tt, xbar, h_hat, s_hat):
+        states.append((xbar[0].copy(), h_hat[0].copy(), s_hat[0].copy()))
 
     gens = [rng_stream(seed, 0)]
     steps = range(1, T + 1)
@@ -262,34 +264,47 @@ def every_step(model, sched, T, seed):
     return states, int(diverged_at[0])
 
 
+def iterates(xbars):
+    """The raw iterates x_t = t xbar_t - (t-1) xbar_{t-1} of the averages
+    xbar_1, xbar_2, ... (xbar_0 = 0), to rounding."""
+    prev = np.zeros_like(xbars[0])
+    for t, xbar in enumerate(xbars, start=1):
+        yield t * xbar - (t - 1) * prev
+        prev = xbar
+
+
 def test_sa_step_frozen_dynamics():
     model = default_model("linear", 1)
     states, _ = every_step(model, StepSchedule(0.0, 0.7), 5, 0)
-    for x, xbar, h_sum, _ in states:
+    xbars = [xbar for xbar, _, _ in states]
+    for x, xbar in zip(iterates(xbars), xbars):
         assert np.array_equal(x, [0.0]) and np.array_equal(xbar, [0.0])
-    # the data are still consumed and accumulated
-    assert 0.0 < states[0][2][0, 0] < states[-1][2][0, 0]
+    # the data are still consumed and accumulated: h_sum_1 < h_sum_5
+    assert 0.0 < states[0][1][0, 0] < 5 * states[-1][1][0, 0]
 
 
 def test_sa_step_noiseless_fixed_point():
     # the recursion starts at x_0 = 0, so the root is put there
     model = ModelSpec("linear", 2, np.zeros(2), noise_sd=0.0, cov_halfwidth=1.0)
     states, _ = every_step(model, StepSchedule(0.1, 0.7), 50, 4)
-    for x, xbar, _, s_sum in states:
+    xbars = [xbar for xbar, _, _ in states]
+    for x, (xbar, _, s_hat) in zip(iterates(xbars), states):
         assert np.array_equal(x, model.theta_star)
         assert np.array_equal(xbar, model.theta_star)
-        assert not s_sum.any()
+        assert not s_hat.any()
 
 
 def test_sa_step_averaging_identity():
-    # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t; x_0 is excluded from the mean
+    # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t, the recursion's iterate
+    # taken here one datum at a time; x_0 is excluded from the mean
     model = default_model("linear", 2)
-    states, _ = every_step(model, StepSchedule(0.01, 0.67), 30, 11)
-    prev_bar = np.zeros(2)
-    for t, (x, xbar, _, _) in enumerate(states, start=1):
-        lhs = t * xbar - (t - 1) * prev_bar
+    sched = StepSchedule(0.01, 0.67)
+    states, _ = every_step(model, sched, 30, 11)
+    xs, ys = sample_data_block(model, rng_stream(11, 0), 30)
+    x = np.zeros(2)
+    for t, lhs in enumerate(iterates([xbar for xbar, _, _ in states]), start=1):
+        x = x - step_size(sched, t - 1) * grad(model, x, xs[t - 1], ys[t - 1])
         assert np.abs(lhs - x).max() <= 1e-9 * (1.0 + np.abs(x).max())
-        prev_bar = xbar
 
 
 def test_sa_step_accumulators_one_step():
@@ -297,18 +312,19 @@ def test_sa_step_accumulators_one_step():
     model = ModelSpec("linear", 1, np.array([1.0]), noise_sd=4.0, cov_halfwidth=10.0)
     xs, ys = sample_data_block(model, rng_stream(2, 0), 3)
     states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, 2)
-    x, _, h_sum, s_sum = states[0]
+    # at t = 1 the average is the iterate and the means are the sums
+    xbar, h_hat, s_hat = states[0]
     g = -ys[0] * xs[0, 0]
-    assert h_sum[0, 0] == xs[0, 0] ** 2
-    assert s_sum[0, 0] == g**2
-    assert x[0] == -0.01 * g
+    assert h_hat[0, 0] == xs[0, 0] ** 2
+    assert s_hat[0, 0] == g**2
+    assert xbar[0] == -0.01 * g
 
 
 def test_sa_step_divergence_raises():
     # the reported step is the first one whose iterate is not finite
     model = default_model("linear", 1)
     states, diverged_at = every_step(model, StepSchedule(1e150, 0.67), 50, 0)
-    finite = [bool(np.isfinite(x).all()) for x, _, _, _ in states]
+    finite = [bool(np.isfinite(x).all()) for x in iterates([xbar for xbar, _, _ in states])]
     assert diverged_at == finite.index(False) + 1 >= 1
 
 
@@ -337,6 +353,8 @@ def test_run_trajectory_empty_and_validation():
             run_trajectory(model, sched, 10, bad)
     with pytest.raises(ValueError):
         run_trajectory(model, sched, -1, [])
+    with pytest.raises(ValueError, match="T must be a nonnegative integer, got True"):
+        run_trajectory(model, sched, True, [1])
 
 
 def test_run_trajectory_divergence():
@@ -392,8 +410,8 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
         for gens in gen_lists:
             seen = {}
 
-            def visit(tt, x, xbar, h_sum, s_sum):
-                seen["state"] = (xbar.copy(), h_sum.copy(), s_sum.copy())
+            def visit(tt, xbar, h_hat, s_hat):
+                seen["state"] = (xbar.copy(), h_hat.copy(), s_hat.copy())
 
             run_lockstep(model, sched, T, gens, [T], per_point(visit, [T]))
             parts.append(seen["state"])
@@ -535,7 +553,7 @@ def test_lockstep_visits_batches_of_k_steps(monkeypatch, k):
         seen = []
 
         def visit(lo, *batch):
-            assert [a.shape[1:] for a in batch] == [(3, 2), (3, 2), (3, 2, 2), (3, 2, 2)]
+            assert [a.shape[1:] for a in batch] == [(3, 2), (3, 2, 2), (3, 2, 2)]
             seen.append((lo, [a.copy() for a in batch]))
 
         run_lockstep(model, sched, 40, [rng_stream(9, r) for r in range(n_reps)], ev, visit)
@@ -546,7 +564,7 @@ def test_lockstep_visits_batches_of_k_steps(monkeypatch, k):
     assert [lo for lo, _ in got] == list(range(0, len(ev), size))
     assert [len(batch[0]) for _, batch in got] == [min(size, len(ev) - lo) for lo, _ in got]
     assert [len(batch[0]) for _, batch in steps] == [1] * len(ev)
-    for i in range(4):
+    for i in range(3):
         a = np.concatenate([batch[i] for _, batch in got])
         b = np.concatenate([batch[i] for _, batch in steps])
         assert a.tobytes() == b.tobytes()
@@ -559,12 +577,12 @@ def test_lockstep_freezes_divergent_reps():
     gens = [rng_stream(1, r) for r in range(4)]
     seen = {}
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        seen["x"] = x.copy()
+    def visit(tt, xbar, h_hat, s_hat):
+        seen["xbar"] = xbar.copy()
 
     diverged_at = run_lockstep(model, sched, 60, gens, [60], per_point(visit, [60]))
     assert np.all(diverged_at >= 1)
-    assert not np.isfinite(seen["x"]).any()
+    assert not np.isfinite(seen["xbar"]).any()
 
 
 def test_lockstep_divergent_steps_match_single_runs():
@@ -592,18 +610,22 @@ def test_lockstep_rejects_bad_eval_times():
 
 def test_l2_decay_probe():
     # mean squared error of the raw iterate, scaled by the step size, stays
-    # bounded between the two checkpoints (within a factor of 2)
+    # bounded between the two checkpoints (within a factor of 2). The
+    # iterate x_t = t xbar_t - (t-1) xbar_{t-1} is recovered from the
+    # averages at t - 1 and t.
     model = default_model("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     reps, T = 200, 10_000
     gens = [rng_stream(77, r) for r in range(reps)]
-    ratios = {}
+    xbars, ratios = {}, {}
 
-    def visit(tt, x, xbar, h_sum, s_sum):
-        mse = float(np.mean((x[:, 0] - 1.0) ** 2))
-        ratios[tt] = mse / step_size(sched, tt - 1)
+    def visit(tt, xbar, h_hat, s_hat):
+        xbars[tt] = xbar[:, 0].copy()
+        if tt - 1 in xbars:
+            x = tt * xbars[tt] - (tt - 1) * xbars[tt - 1]
+            ratios[tt] = float(np.mean((x - 1.0) ** 2)) / step_size(sched, tt - 1)
 
-    ev = [1000, 10_000]
+    ev = [999, 1000, 9999, 10_000]
     diverged_at = run_lockstep(model, sched, T, gens, ev, per_point(visit, ev))
     assert np.all(diverged_at == -1)
     assert 0.0 < ratios[10_000] <= 2.0 * ratios[1000]
