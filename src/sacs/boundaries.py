@@ -54,8 +54,8 @@ _LOGLOG_MIN = math.e + 1e-12
 class BoundarySpec:
     """One boundary family with its level and shape parameters.
 
-    t0 only affects the gm family, eps_net only the lilen family; both
-    carry defaults so specs for the other kinds can ignore them.
+    t0 only affects the gm family, eps_net only the lilen family. The CLI
+    always uses their defaults; library callers may set other values.
     """
 
     kind: str

@@ -42,6 +42,11 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_boundary_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--boundaries", default=",".join(KINDS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sacs",
@@ -56,14 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage", help="Monte Carlo time-uniform coverage for a built-in model"
     )
     _add_model_args(c)
-    c.add_argument("--alpha", type=float, default=0.05)
+    _add_boundary_args(c)
     c.add_argument("--iters", type=int, default=20000)
     c.add_argument("--reps", type=int, default=500)
     c.add_argument("--start", type=int, default=1000)
     c.add_argument("--stride", type=int, default=10)
-    c.add_argument("--boundaries", default=",".join(KINDS))
-    c.add_argument("--t0", type=float, default=100.0)
-    c.add_argument("--eps-net", dest="eps_net", type=float, default=0.5)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out", required=True)
@@ -77,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
         help="'identity' or a file: first line d, then d rows of d reals",
     )
-    g.add_argument("--alpha", type=float, default=0.05)
+    _add_boundary_args(g)
     g.add_argument("--horizon", type=int, default=10000)
     g.add_argument("--reps", type=int, default=1000)
-    g.add_argument("--boundaries", default=",".join(KINDS))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
@@ -132,10 +133,7 @@ def _schedule(args) -> StepSchedule:
 
 def _cmd_coverage(args) -> int:
     model = default_model(args.model, args.dim)
-    specs = tuple(
-        BoundarySpec(kind, args.alpha, t0=args.t0, eps_net=args.eps_net)
-        for kind in _split_kinds(args.boundaries)
-    )
+    specs = tuple(BoundarySpec(kind, args.alpha) for kind in _split_kinds(args.boundaries))
     cfg = harness.ExperimentConfig(
         model=model,
         schedule=_schedule(args),

@@ -92,7 +92,8 @@ def _distinct_specs(specs) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one coverage Monte Carlo run.
+    """Full description of one coverage Monte Carlo run. Every field is
+    required; `sacs coverage` holds the command's defaults.
 
     start is the first evaluated step m and stride the evaluation spacing;
     the time-uniform grid is {m, m+stride, ...} capped at iters. Inference
@@ -103,10 +104,10 @@ class ExperimentConfig:
     schedule: StepSchedule
     iters: int
     reps: int
-    start: int = 1000
-    stride: int = 10
-    boundaries: tuple = ()
-    seed: int = 0
+    start: int
+    stride: int
+    boundaries: tuple
+    seed: int
 
     def __post_init__(self) -> None:
         _check_counts(iters=self.iters, reps=self.reps, start=self.start, stride=self.stride)

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -507,6 +509,27 @@ def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["coverage", "gaussian-check"])
+def test_boundary_shape_is_not_a_cli_option(capsys, command):
+    # Both commands take --alpha and --boundaries only: t0 and eps_net keep
+    # BoundarySpec's defaults, and library callers set other values.
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--t0", "50", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t0 50" in capsys.readouterr().err
+
+
+def test_benchmark_argv_parses():
+    # bench/ runs these command lines through sacs.cli.main, with --seed and
+    # --out added, so a cut to the CLI must keep every one of them valid.
+    bench = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
+    workloads = [*bench["WORKLOADS"].values(), *bench["TINY"].values()]
+    assert workloads
+    for wl in workloads:
+        args = cli.build_parser().parse_args([*wl.argv, "--seed", "0", "--out", "x.csv"])
+        assert (args.command, args.seed, args.out) == (wl.argv[0], 0, "x.csv")
+
+
 def test_bad_step_exponent_exit_2(tmp_path):
     res = run_cli(
         "coverage",
@@ -640,12 +663,18 @@ GOLDEN_CSV_SHA256 = [
         "--start 100 --stride 7 --seed 2",
         "66653424a1fae7d5cf60cb3b481b99744aae2ea117fbf8b42d86b6921af1c1f3",
     ),
+    # a logistic trace: its hhat, shat and vhat columns carry the Jacobian
+    # weight, at checkpoints out of step with run_lockstep's chunks
+    (
+        "run --model logistic --dim 2 --eta0 16.6 --iters 3000 --checkpoints every:7 --seed 4",
+        "52034e4512388803531f57774b5d80da8a362db249ccc731154dcb22c3a6ce41",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of eleven small runs stays fixed.
+    """The sha256 of the CSVs of twelve small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

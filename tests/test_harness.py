@@ -307,9 +307,20 @@ def assert_same_report(a, b):
             small_config(model=default_model("linear", 2), reps=6, start=600, stride=30)
         ),
         lambda: run_coverage(divergent_config()),
+        # the logistic Jacobian weight, taken per chunk, at the matched step
+        # size; stride 7 is out of step with the chunk of 93 steps
+        lambda: run_coverage(
+            small_config(
+                model=default_model("logistic", 2),
+                schedule=StepSchedule(16.6, 0.67),
+                reps=8,
+                start=100,
+                stride=7,
+            )
+        ),
         lambda: run_gaussian_check(**GAUSSIAN),
     ],
-    ids=["d1", "d2-lilen", "divergent", "gaussian"],
+    ids=["d1", "d2-lilen", "divergent", "logistic-d2", "gaussian"],
 )
 def test_tallies_do_not_depend_on_block_and_flush_sizes(monkeypatch, make):
     # the smallest time blocks (64 steps) and one grid point per flush give
