@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     r = sub.add_parser("rates", help="error-exponent table for a step schedule")
-    r.add_argument("--a", type=float, default=None)
+    a_or_grid = r.add_mutually_exclusive_group(required=True)
+    a_or_grid.add_argument("--a", type=float)
+    a_or_grid.add_argument("--grid", help="A_LO:A_HI:STEPS grid over a")
     r.add_argument("--lambda", dest="lam", type=float, default=1.0)
     r.add_argument(
         "--p", type=float, default="inf", help="moment order, a real > 1 or 'inf'"
@@ -95,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     kind = r.add_mutually_exclusive_group(required=True)
     kind.add_argument("--linear", action="store_true")
     kind.add_argument("--nonlinear", action="store_true")
-    r.add_argument("--grid", default=None, help="A_LO:A_HI:STEPS grid over a")
     r.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     t = sub.add_parser("run", help="single-trajectory checkpoint trace")
@@ -109,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _split_kinds(text: str) -> list[str]:
-    # BoundarySpec and the harness check the kinds.
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _specs(args) -> tuple:
+    # --boundaries's kinds at --alpha; BoundarySpec and the harness check them.
+    kinds = (tok.strip() for tok in args.boundaries.split(","))
+    return tuple(BoundarySpec(kind, args.alpha) for kind in kinds if kind)
 
 
 def _check_out(path: str) -> None:
@@ -132,16 +134,14 @@ def _schedule(args) -> StepSchedule:
 
 
 def _cmd_coverage(args) -> int:
-    model = default_model(args.model, args.dim)
-    specs = tuple(BoundarySpec(kind, args.alpha) for kind in _split_kinds(args.boundaries))
     cfg = harness.ExperimentConfig(
-        model=model,
+        model=default_model(args.model, args.dim),
         schedule=_schedule(args),
         iters=args.iters,
         reps=args.reps,
         start=args.start,
         stride=args.stride,
-        boundaries=specs,
+        boundaries=_specs(args),
         seed=args.seed,
     )
     _check_out(args.out)
@@ -186,13 +186,11 @@ def _cmd_gaussian_check(args) -> int:
         v = _read_cov(args.cov)
         if args.dim is not None and args.dim != len(v):
             raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
-    kinds = _split_kinds(args.boundaries)
+    specs = _specs(args)
     # The inputs are checked before --out, as for coverage: a bad one exits 2.
-    harness._gaussian_inputs(v, args.alpha, args.horizon, args.reps, kinds, args.seed)
+    harness._gaussian_inputs(v, args.horizon, args.reps, specs, args.seed)
     _check_out(args.out)
-    report = harness.run_gaussian_check(
-        v, args.alpha, args.horizon, args.reps, kinds, seed=args.seed
-    )
+    report = harness.run_gaussian_check(v, args.horizon, args.reps, specs, seed=args.seed)
     harness.emit_report(report, "csv", args.out)
     return 0
 
@@ -241,10 +239,8 @@ def _cmd_rates(args) -> int:
         if steps < 1:
             raise ValueError("--grid needs at least one step")
         a_values = np.linspace(lo, hi, steps)
-    elif args.a is not None:
-        a_values = [args.a]
     else:
-        raise ValueError("either --a or --grid is required")
+        a_values = [args.a]
     profiles = [
         harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
         for a in a_values

@@ -1,21 +1,21 @@
 """Experiment orchestration: coverage Monte Carlo, Gaussian-oracle checks,
 rate diagnostics, and CSV/JSON report emission.
 
-Repetitions use disjoint RNG streams (repetition r gets stream r of the
-experiment seed). Both runners cut their work into one contiguous part per
+Both runners take a tuple of BoundarySpecs and give repetition r stream r
+of the experiment seed. They cut their work into one contiguous part per
 CPU (_fork_map) and tally each part in a _MissTally: per-grid counts, each
-repetition's first miss, so memory does not grow with T, and float sums
-per group of consecutive repetitions. The parts' tallies merge exactly and
-the float sums are added in group order, so every report is a
-deterministic function of its configuration on any CPU count. The coverage
-run streams its repetitions in vectorized lockstep, one pass per part over
-groups of _GROUP repetitions, and evaluates each batch of grid states that
-run_lockstep hands over with one call of each batched kernel. The
-Gaussian-oracle check has no per-step recursion, so it instead walks long
-per-repetition time blocks in tiles of a few repetitions, each array about
-_TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2 cache,
-and tallies running sums of standard normals against t times each radius
-in the one compare that both runners share, _MissTally.add.
+repetition's first miss, so memory does not grow with T, and float sums per
+group of consecutive repetitions. The parts' tallies merge exactly and the
+float sums are added in group order, so every report is a deterministic
+function of its configuration on any CPU count. The coverage run streams
+its repetitions in vectorized lockstep, one pass per part over groups of
+_GROUP repetitions (two if one diverges), and evaluates each batch of grid
+states that run_lockstep hands over with one call of each batched kernel.
+The Gaussian-oracle check has no per-step recursion, so it instead walks
+long per-repetition time blocks in tiles of a few repetitions, each array
+about _TILE_ENTRIES floats (512 KB), small enough to stay in a core's L2
+cache, and tallies running sums of standard normals against t times each
+radius in the one compare that both runners share, _MissTally.add.
 
 A report is columnar: one array per CSV column, built by the tally and
 validated when built, so a row costs about 68 bytes rather than a Python
@@ -466,10 +466,10 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     unavailable evaluations.
 
     Repetitions run in groups of _GROUP consecutive indices, cut by
-    _fork_map into parts of whole groups, one lockstep pass and one
-    _MissTally each. The merged tally keeps the half-width and radius sums
-    per group and adds them in group order, so the report does not depend
-    on the CPU count.
+    _fork_map into parts of whole groups, one lockstep pass (two if one
+    diverges) and one _MissTally each. The merged tally keeps the
+    half-width and radius sums per group and adds them in group order, so
+    the report does not depend on the CPU count.
     """
     wall_start = time.perf_counter()
     model, sched = cfg.model, cfg.schedule
@@ -487,9 +487,10 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     ]
 
     def simulate(groups):
-        # One lockstep pass over the repetitions of the listed groups, in a
-        # tally whose outcome is their first divergent steps.
-        gens = [rng_stream(cfg.seed, int(r)) for r in itertools.chain(*groups)]
+        # The tally of one lockstep pass over the repetitions of the listed
+        # groups, its outcome their first divergent steps (-1 for none).
+        ids = np.concatenate(groups)
+        gens = [rng_stream(cfg.seed, int(r)) for r in ids]
         tally = _MissTally(n_b, n_grid, len(gens), map(len, groups))
 
         def visit(lo, xbar, h_hat, s_hat):
@@ -512,26 +513,25 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
                 tally.add_sums(bi, rows, rad * base[b.norm_kind], rad if r is None else None)
             tally.add(lo, [stats[b.norm_kind].T for b in specs], [rad.T for rad in radii])
 
-        tally.outcome = run_lockstep(model, sched, iters, gens, grid, visit)
+        outcome = run_lockstep(model, sched, iters, gens, grid, visit)
+        if (outcome != -1).any():
+            # Divergence is known only once a pass ends. The part's groups are
+            # tallied again without their divergent repetitions rather than
+            # corrected by subtraction, which would leave rounding error in
+            # the float sums. Each repetition keeps its group.
+            eff = ids[outcome == -1]
+            kept = [k for g in groups if len(k := g[np.isin(g, eff)])]
+            tally = simulate(kept) if kept else _MissTally(n_b, n_grid, 0)
+        tally.outcome = outcome  # all of the part's repetitions, for the metadata
         return tally
 
-    def run_pass(rep_ids):
-        # simulate() on contiguous parts of whole groups, one part per process.
-        groups = np.split(rep_ids, np.flatnonzero(np.diff(rep_ids // _GROUP)) + 1)
-        return _MissTally.merge(_fork_map(simulate, groups))
-
-    tally = run_pass(np.arange(reps))
+    groups = [np.arange(lo, min(lo + _GROUP, reps)) for lo in range(0, reps, _GROUP)]
+    tally = _MissTally.merge(_fork_map(simulate, groups))
     eff = tally.outcome == -1
     divergent = [(int(r), int(tally.outcome[r])) for r in np.flatnonzero(~eff)]
     eff_total = int(eff.sum())
     if eff_total == 0:
         raise NumericalError("all repetitions diverged; nothing to aggregate")
-    if divergent:
-        # Divergence is known only once a pass ends. The tallies are taken
-        # again over the effective repetitions rather than corrected by
-        # subtraction, which would leave rounding error in the float sums.
-        # Each repetition keeps its group.
-        tally = run_pass(np.flatnonzero(eff))
     hw_means, rep_rad_means = tally.means()
     radius = [rep_rad_means[bi] if r is None else r for bi, r in enumerate(shared_radius)]
 
@@ -560,9 +560,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
-def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries, seed) -> tuple:
-    """run_gaussian_check's v as a float array and its BoundarySpecs, or the
-    ValueError that run_gaussian_check raises for its arguments."""
+def _gaussian_inputs(v, horizon: int, reps: int, boundaries, seed) -> tuple:
+    """run_gaussian_check's v as a float array and boundaries as a tuple,
+    or the ValueError that run_gaussian_check raises for its arguments."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
         raise ValueError(f"v must be a nonempty square matrix, got shape {v.shape}")
@@ -572,20 +572,19 @@ def _gaussian_inputs(v, alpha: float, horizon: int, reps: int, boundaries, seed)
         raise ValueError("v must be exactly symmetric")
     _check_counts(horizon=horizon, reps=reps)
     _check_seeds(seed=seed)
-    return v, _distinct_specs(bnd.BoundarySpec(kind, alpha) for kind in boundaries)
+    return v, _distinct_specs(boundaries)
 
 
-def run_gaussian_check(
-    v, alpha: float, horizon: int, reps: int, boundaries, seed: int = 0
-) -> CoverageReport:
+def run_gaussian_check(v, horizon: int, reps: int, boundaries, seed: int = 0) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
-    Evaluates every listed boundary kind (strings; level alpha, default
-    shape parameters) at every t in [1, horizon] on the running mean of
-    N(0, v) vectors z_s v^{1/2}, v a (d, d) array and the z_s i.i.d.
-    standard normal, whitened with the TRUE v. That is S_t / t, S_t the sum
-    of the z_s, so |S_t| is compared with t r_t (squared, for the two norm).
-    This isolates the boundary guarantee from plug-in and averaging error.
+    Evaluates every BoundarySpec in boundaries (the specs that
+    ExperimentConfig.boundaries holds) at every t in [1, horizon] on the
+    running mean of N(0, v) vectors z_s v^{1/2}, v a (d, d) array and the
+    z_s i.i.d. standard normal, whitened with the TRUE v. That is S_t / t,
+    S_t the sum of the z_s, so |S_t| is compared with t r_t (squared, for
+    the two norm). This isolates the boundary guarantee from plug-in and
+    averaging error.
 
     The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
     (the whole horizon when it fits), and the repetitions into tiles of
@@ -600,12 +599,12 @@ def run_gaussian_check(
     not depend on the tile or block sizes or on the number of processes.
 
     Raises ValueError unless v is a nonempty square matrix that is finite
-    and exactly symmetric, horizon and reps are integers >= 1 and the kinds
-    are distinct, and SingularMatrixError unless v is numerically positive
-    definite.
+    and exactly symmetric, horizon and reps are integers >= 1 and the
+    boundaries are BoundarySpecs of distinct kinds, and SingularMatrixError
+    unless v is numerically positive definite.
     """
     wall_start = time.perf_counter()
-    v, specs = _gaussian_inputs(v, alpha, horizon, reps, boundaries, seed)
+    v, specs = _gaussian_inputs(v, horizon, reps, boundaries, seed)
     d = v.shape[0]
     wh = whiten(v)
     if not wh.ok:
@@ -657,7 +656,6 @@ def run_gaussian_check(
         "config": {
             "d": d,
             "v": v.tolist(),
-            "alpha": alpha,
             "horizon": int(horizon),
             "reps": int(reps),
             "seed": int(seed),

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from sacs import sa_engine
-from sacs.boundaries import BoundarySpec, radius_grid
+from sacs.boundaries import radius_grid
 from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
 from sacs.numerics import SingularMatrixError, pd_eigh, whiten
 from sacs.sa_engine import rng_stream
@@ -181,13 +181,13 @@ def fit_rate(checkpoints, window) -> float:
     return float(np.sum(dx * (ly - ly.mean())) / denom)
 
 
-def gaussian_check_reference(v, alpha, horizon, reps, kinds, seed=0, radius_scale=1.0):
+def gaussian_check_reference(v, horizon, reps, boundaries, seed=0, radius_scale=1.0):
     """The covered counts and mean_final of run_gaussian_check, the long way.
 
     Each repetition draws its whole path of N(0, v) vectors through the
     square root of v, takes the running mean, whitens it with the inverse
     square root and compares its sup and two norms with each kind's radius.
-    Returns the fixed and time-uniform covered counts, (len(kinds),
+    Returns the fixed and time-uniform covered counts, (len(boundaries),
     horizon) integer arrays, and the repetitions' mean of the final running
     mean.
     """
@@ -195,9 +195,8 @@ def gaussian_check_reference(v, alpha, horizon, reps, kinds, seed=0, radius_scal
     d = len(v)
     wh = whiten(v)
     ts = np.arange(1, horizon + 1)
-    specs = [BoundarySpec(kind, alpha) for kind in kinds]
-    radii = [radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in specs]
-    fixed = np.zeros((len(specs), horizon), dtype=np.int64)
+    radii = [radius_grid(b, ts, d, kappa=wh.kappa) * radius_scale for b in boundaries]
+    fixed = np.zeros((len(boundaries), horizon), dtype=np.int64)
     uniform = np.zeros_like(fixed)
     finals = []
     for r in range(reps):
@@ -208,7 +207,7 @@ def gaussian_check_reference(v, alpha, horizon, reps, kinds, seed=0, radius_scal
             "sup_norm": np.max(np.abs(white), axis=1),
             "two_norm": np.sqrt(np.sum(white * white, axis=1)),
         }
-        covered = np.array([stats[b.norm_kind] <= rad for b, rad in zip(specs, radii)])
+        covered = np.array([stats[b.norm_kind] <= rad for b, rad in zip(boundaries, radii)])
         fixed += covered
         uniform += np.logical_and.accumulate(covered, axis=1)
         finals.append(mean[-1])

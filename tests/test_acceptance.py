@@ -102,10 +102,9 @@ def test_criterion_1_gaussian_oracle_coverage():
     start = time.perf_counter()
     worst = 1.0
     details = []
+    specs = tuple(BoundarySpec(kind, 0.1) for kind in CS_KINDS)
     for v in configs:
-        rep = run_gaussian_check(
-            v, alpha=0.1, horizon=10_000, reps=2000, boundaries=CS_KINDS, seed=0
-        )
+        rep = run_gaussian_check(v, horizon=10_000, reps=2000, boundaries=specs, seed=0)
         for kind in CS_KINDS:
             cov = uniform_at_end(rep, kind)
             worst = min(worst, cov)

@@ -349,6 +349,13 @@ def test_rates_requires_a_or_grid():
     assert "error:" in res.stderr
 
 
+def test_rates_takes_a_or_grid_not_both():
+    # one of them would go unused
+    res = run_cli("rates", "--a", "0.7", "--grid", "0.6:0.8:3", "--linear")
+    assert res.returncode == 2 and not res.stdout
+    assert "argument --grid: not allowed with argument --a" in res.stderr
+
+
 def test_rates_rejects_bad_p():
     res = run_cli("rates", "--a", "0.7", "--p", "0.5", "--linear")
     assert res.returncode == 2
@@ -669,12 +676,18 @@ GOLDEN_CSV_SHA256 = [
         "run --model logistic --dim 2 --eta0 16.6 --iters 3000 --checkpoints every:7 --seed 4",
         "52034e4512388803531f57774b5d80da8a362db249ccc731154dcb22c3a6ce41",
     ),
+    # d = 5: BLAS row groups, which run_lockstep's time blocks align to, and
+    # lilen radii per repetition past d = 3
+    (
+        "coverage --dim 5 --iters 3000 --reps 12 --start 500 --stride 50 --seed 2",
+        "e104f3a3bceeb76af52a3444da687e24eb944868d4f2b9648a12691eb422634c",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of twelve small runs stays fixed.
+    """The sha256 of the CSVs of thirteen small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They

@@ -38,6 +38,11 @@ from sacs.sa_engine import (
 from helpers import csv_text, fit_rate, gaussian_check_reference, make_report, per_point
 
 
+def specs(alpha, kinds=KINDS):
+    # one BoundarySpec of each kind, at level alpha and the default shape
+    return tuple(BoundarySpec(k, alpha) for k in kinds)
+
+
 def small_config(**overrides):
     base = dict(
         model=default_model("linear", 1),
@@ -46,7 +51,7 @@ def small_config(**overrides):
         reps=10,
         start=500,
         stride=250,
-        boundaries=tuple(BoundarySpec(k, 0.1) for k in KINDS),
+        boundaries=specs(0.1),
         seed=0,
     )
     base.update(overrides)
@@ -67,7 +72,7 @@ def divergent_config():
 
 # a gaussian check of 40 repetitions over 300 steps at d = 2
 GAUSSIAN = dict(
-    v=np.array([[2.0, 1.0], [1.0, 2.0]]), alpha=0.1, horizon=300, reps=40, boundaries=KINDS, seed=4
+    v=np.array([[2.0, 1.0], [1.0, 2.0]]), horizon=300, reps=40, boundaries=specs(0.1), seed=4
 )
 
 
@@ -385,6 +390,33 @@ def test_run_coverage_does_not_depend_on_cpu_count(monkeypatch, cfg, divergent):
     assert_same_report(reports[0], default)
 
 
+def test_run_coverage_reruns_divergent_repetitions_in_their_part(monkeypatch):
+    # four groups of four on two processes, each part with a divergent
+    # repetition: each part tallies its own groups again without it, so the
+    # run forks once, and its report is the one-process report
+    cfg = dataclasses.replace(divergent_config(), reps=14)
+    monkeypatch.setattr(harness, "_GROUP", 4)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    default = run_coverage(cfg)
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    forks = count_forks(monkeypatch)
+    report = run_coverage(cfg)
+    assert len(forks) == 1
+    first_steps = report.metadata["divergent"]["first_steps"]
+    assert {r // 8 for r, _ in first_steps} == {0, 1}
+    assert_same_bytes(report, default)
+    # one repetition per group and per process: the third part's only
+    # repetition diverges, and its empty tally merges with the others
+    cfg = dataclasses.replace(cfg, reps=3)
+    monkeypatch.setattr(harness, "_GROUP", 1)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    default = run_coverage(cfg)
+    monkeypatch.setattr(harness, "_WORKERS", 3)
+    report = run_coverage(cfg)
+    assert report.metadata["divergent"]["first_steps"] == [(2, 1148)]
+    assert_same_bytes(report, default)
+
+
 def fork_failure(monkeypatch, fail):
     # Runs a three-group coverage run on three processes, with
     # fail(in_child, tt) called before each batch of grid points is
@@ -470,10 +502,10 @@ def test_gaussian_check_memory_does_not_grow_with_reps(monkeypatch):
     # 2,000 steps (64 MB of draws) peak far below one array of all of them;
     # one process, as tracemalloc does not see a forked child's tiles
     monkeypatch.setattr(harness, "_WORKERS", 1)
-    run_gaussian_check(np.eye(2), 0.05, 100, 10, ("gm",))
+    run_gaussian_check(np.eye(2), 100, 10, specs(0.05, ("gm",)))
     tracemalloc.start()
     try:
-        run_gaussian_check(np.eye(2), 0.05, 2000, 2000, ("gm",))
+        run_gaussian_check(np.eye(2), 2000, 2000, specs(0.05, ("gm",)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,7 +559,7 @@ def test_gaussian_check_starts_at_most_one_worker_per_tile(monkeypatch, reps, wo
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
     monkeypatch.setattr(harness, "_WORKERS", 3)
     forks = count_forks(monkeypatch)
-    run_gaussian_check(np.eye(1), 0.1, 64, reps, ("gm",))
+    run_gaussian_check(np.eye(1), 64, reps, specs(0.1, ("gm",)))
     assert len(forks) == workers - 1
 
 
@@ -549,7 +581,7 @@ def gaussian_fork_failure(monkeypatch, fail):
             self.gen.standard_normal(out=out)
 
     monkeypatch.setattr(harness, "rng_stream", Stream)
-    run_gaussian_check(np.eye(1), 0.1, 64, 12, ("gm",))
+    run_gaussian_check(np.eye(1), 64, 12, specs(0.1, ("gm",)))
 
 
 def test_gaussian_check_raises_a_child_exception(monkeypatch):
@@ -620,11 +652,9 @@ def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
     unscaled = harness.bnd.radius_grid
     monkeypatch.setattr(harness.bnd, "radius_grid", lambda *a, **k: 0.8 * unscaled(*a, **k))
-    kw = dict(alpha=0.1, horizon=300, reps=30, seed=5)
-    report = run_gaussian_check(v, boundaries=KINDS, **kw)
-    fixed, uniform, mean_final = gaussian_check_reference(
-        v, kinds=KINDS, radius_scale=0.8, **kw
-    )
+    kw = dict(horizon=300, reps=30, boundaries=specs(0.1), seed=5)
+    report = run_gaussian_check(v, **kw)
+    fixed, uniform, mean_final = gaussian_check_reference(v, radius_scale=0.8, **kw)
     assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
     assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
     assert report.metadata["mean_final"] == pytest.approx(mean_final.tolist(), rel=1e-12)
@@ -723,7 +753,7 @@ def test_miss_tally_merge_matches_one_part(monkeypatch, sizes):
 
 def test_gaussian_check_basic_properties():
     v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    rep = run_gaussian_check(v, 0.1, horizon=400, reps=200, boundaries=KINDS, seed=3)
+    rep = run_gaussian_check(v, horizon=400, reps=200, boundaries=specs(0.1), seed=3)
     assert len(rep.rows) == 400 * len(KINDS)
     # the three CS families keep time-uniform coverage near 1 - alpha;
     # the fixed baseline holds no such guarantee and is excluded
@@ -736,27 +766,52 @@ def test_gaussian_check_basic_properties():
     assert np.abs(mean_final).max() <= 4.0 * se
 
 
+def test_gaussian_check_takes_boundary_specs():
+    # a level and a shape of their own per kind at d = 2: the covered counts
+    # are the reference's and each radius_mean is radius_grid's
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    bounds = (
+        BoundarySpec("gm", 0.05, t0=50.0),
+        BoundarySpec("lilen", 0.1, eps_net=0.3),
+        BoundarySpec("lilub", 0.01),
+    )
+    kw = dict(horizon=300, reps=30, boundaries=bounds, seed=6)
+    report = run_gaussian_check(v, **kw)
+    fixed, uniform, _ = gaussian_check_reference(v, **kw)
+    assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
+    assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
+    ts = np.arange(1, 301)
+    radii = np.array([radius_grid(b, ts, 2, kappa=whiten(v).kappa) for b in bounds])
+    assert report.radius_mean.tolist() == radii.T.ravel().tolist()
+    # each boundary records its own level; there is no run-wide one
+    config = report.metadata["config"]
+    assert config["boundaries"] == [dataclasses.asdict(b) for b in bounds]
+    assert "alpha" not in config
+
+
 def test_gaussian_check_deterministic_and_validated():
     v = np.array([[1.0]])
-    a = csv_text(run_gaussian_check(v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
-    b = csv_text(run_gaussian_check(v, 0.05, 200, 50, ("lilub", "gm"), seed=9))
+    a = csv_text(run_gaussian_check(v, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
+    b = csv_text(run_gaussian_check(v, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
     assert a == b
 
 
 def test_gaussian_check_validation():
     v = np.array([[1.0]])
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 0.1, 100, 10, ())
+        run_gaussian_check(v, 100, 10, ())
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 0.1, 100, 10, ("gm", "gm"))
+        run_gaussian_check(v, 100, 10, specs(0.1, ("gm", "gm")))
+    with pytest.raises(ValueError, match="boundaries must be BoundarySpec instances"):
+        run_gaussian_check(v, 100, 10, ("gm",))
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 0.1, 0, 10, ("gm",))
+        run_gaussian_check(v, 0, 10, specs(0.1, ("gm",)))
     with pytest.raises(ValueError, match="reps must be an integer >= 1, got True"):
-        run_gaussian_check(v, 0.1, 100, True, ("gm",))
+        run_gaussian_check(v, 100, True, specs(0.1, ("gm",)))
     with pytest.raises(ValueError, match="seed must be an integer"):
-        run_gaussian_check(v, 0.1, 100, 10, ("gm",), seed=False)
+        run_gaussian_check(v, 100, 10, specs(0.1, ("gm",)), seed=False)
     with pytest.raises(SingularMatrixError):
-        run_gaussian_check(np.diag([1.0, 0.0]), 0.1, 100, 10, ("gm",))
+        run_gaussian_check(np.diag([1.0, 0.0]), 100, 10, specs(0.1, ("gm",)))
 
 
 @pytest.mark.parametrize(
@@ -773,7 +828,7 @@ def test_gaussian_check_validation():
 )
 def test_gaussian_check_rejects_bad_v(v, match):
     with pytest.raises(ValueError, match=match):
-        run_gaussian_check(v, 0.1, 100, 10, ("gm",))
+        run_gaussian_check(v, 100, 10, specs(0.1, ("gm",)))
 
 
 # --------------------------------------------------------------- emission
@@ -931,7 +986,7 @@ def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
     # 10,000 steps x 4 kinds. Rows were once ~335 B objects each, with the
     # whole CSV text on top (2.7 times the column bytes); now validation
     # and one chunk of formatted rows take about a quarter of them
-    rep = run_gaussian_check(np.array([[1.0]]), 0.05, 10_000, 4, KINDS, seed=1)
+    rep = run_gaussian_check(np.array([[1.0]]), 10_000, 4, specs(0.05), seed=1)
     column_bytes = sum(getattr(rep, c).nbytes for c in CSV_COLUMNS)
     assert len(rep.t) == 40_000
     emit_report(rep, "csv", tmp_path / "warm.csv")

@@ -80,7 +80,8 @@ def test_names_the_benchmark_tracer_binds():
 
 def test_no_parameter_that_only_tests_set():
     # every caller started the recursion at 0, used every coordinate and
-    # the unscaled radii, and read singularity off the missing sandwich
+    # the unscaled radii, read singularity off the missing sandwich and gave
+    # each boundary its level in its BoundarySpec
     def params(fn):
         return set(inspect.signature(fn).parameters)
 
@@ -90,5 +91,6 @@ def test_no_parameter_that_only_tests_set():
     assert "x0" not in params(sa_engine.run_lockstep)
     assert "x0" not in params(sa_engine.run_trajectory)
     assert "radius_scale" not in params(harness.run_gaussian_check)
+    assert "alpha" not in params(harness.run_gaussian_check)
     assert "subset" not in fields(harness.ExperimentConfig)
     assert "singular" not in fields(sa_engine.TrajectoryPoint)
