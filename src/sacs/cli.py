@@ -7,7 +7,7 @@ Subcommands:
   run             single-trajectory checkpoint trace
 
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure, 4 I/O error.
+failure, 4 I/O error (a worker process lost without a result included).
 """
 
 from __future__ import annotations
@@ -73,12 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser(
         "gaussian-check", help="boundary coverage on exact Gaussian running means"
     )
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument(
-        "--cov",
-        default="identity",
-        help="'identity' or a file: first line d, then d rows of d reals",
-    )
+    g.add_argument("--dim", type=int, required=True)
     _add_boundary_args(g)
     g.add_argument("--horizon", type=int, default=10000)
     g.add_argument("--reps", type=int, default=1000)
@@ -150,43 +145,8 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
-def _read_cov(path: str) -> np.ndarray:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"covariance file {path} is empty")
-    try:
-        d = int(lines[0])
-    except ValueError:
-        raise ValueError(f"covariance file {path}: first line must be the dimension")
-    if d < 1 or len(lines) != d + 1:
-        raise ValueError(f"covariance file {path}: expected {d} matrix rows")
-    rows = []
-    for k, ln in enumerate(lines[1:], 1):
-        try:
-            rows.append([float(tok) for tok in ln.split()])
-        except ValueError as e:
-            raise ValueError(f"covariance file {path}: matrix row {k}: {e}") from None
-        if len(rows[-1]) != d:
-            raise ValueError(f"covariance file {path}: matrix row {k} needs {d} entries")
-    a = np.array(rows)
-    if not np.isfinite(a).all():
-        raise ValueError(f"covariance file {path}: entries must be finite")
-    # Tolerate round-off in printed digits, not a different upper triangle.
-    if np.max(np.abs(a - a.T)) > 1e-9 * np.max(np.abs(a)):
-        raise ValueError(f"covariance file {path}: matrix is not symmetric")
-    return 0.5 * (a + a.T)
-
-
 def _cmd_gaussian_check(args) -> int:
-    if args.cov == "identity":
-        if args.dim is None:
-            raise ValueError("--dim is required when --cov is 'identity'")
-        v = np.eye(args.dim)
-    else:
-        v = _read_cov(args.cov)
-        if args.dim is not None and args.dim != len(v):
-            raise ValueError(f"--dim {args.dim} disagrees with file dimension {len(v)}")
-    specs = _specs(args)
+    v, specs = np.eye(args.dim), _specs(args)
     # The inputs are checked before --out, as for coverage: a bad one exits 2.
     harness._gaussian_inputs(v, args.horizon, args.reps, specs, args.seed)
     _check_out(args.out)

@@ -126,7 +126,8 @@ class CoverageReport:
     ...). Metadata echoes the configuration, the seed layout, divergence
     and availability accounting, and wall time; wall time never enters the
     CSV so CSV output stays byte-deterministic. Construction raises the
-    ValueError of validate() for an invalid report.
+    ValueError of validate() for an invalid report, then marks the column
+    arrays read-only (no copy), so a valid report cannot be edited later.
     """
 
     t: np.ndarray
@@ -145,6 +146,8 @@ class CoverageReport:
         for name, col in zip(CSV_COLUMNS, cols):
             object.__setattr__(self, name, col)
         self.validate()
+        for col in cols:
+            col.setflags(write=False)
 
     @property
     def rows(self) -> tuple:
@@ -401,9 +404,9 @@ def _fork_map(fn, items) -> list:
     process cannot fork or runs a second thread, which a forked child would
     not inherit. fn(parts[0]) runs here, each other part in a forked child
     that pickles its result or exception into a pipe. The exception is
-    raised here; a child that ends without a result raises RuntimeError
-    naming its repetitions and exit status. On any failure or interrupt
-    here, every child left is killed and reaped first."""
+    raised here; a child that ends without a result raises
+    ChildProcessError naming its repetitions and exit status. On any
+    failure or interrupt here, every child left is killed and reaped first."""
     k = min(_WORKERS, len(items)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     parts = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
     if k == 1:
@@ -437,7 +440,7 @@ def _fork_map(fn, items) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code:
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"the process for repetitions {part[0][0]}..{part[-1][-1]} ended "
                     f"without a result (exit status {code})"
                 )
@@ -711,12 +714,11 @@ def report_to_json(report: CoverageReport) -> str:
 
 
 def emit_report(report: CoverageReport, format: str, path) -> None:
-    """Write the report as CSV or JSON; validates invariants first.
+    """Write the report, valid since it was built, as CSV or JSON.
 
     Floats are printed with 9 significant digits. CSV is written a piece
     at a time. I/O failures are re-raised as OSError naming the path.
     """
-    report.validate()
     if format == "csv":
         pieces = _csv_pieces(report)
     elif format == "json":

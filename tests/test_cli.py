@@ -209,97 +209,6 @@ def test_gaussian_check_requires_dim_for_identity(tmp_path):
     assert "dim" in res.stderr
 
 
-def test_gaussian_check_cov_file(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n2.0 1.0\n1.0 2.0\n")
-    out = tmp_path / "g.csv"
-    res = run_cli(
-        "gaussian-check",
-        "--cov",
-        str(cov),
-        "--horizon",
-        "100",
-        "--reps",
-        "20",
-        "--boundaries",
-        "gm",
-        "--out",
-        str(out),
-    )
-    assert res.returncode == 0, res.stderr
-    assert len(read_rows(out)) == 100
-
-
-def test_gaussian_check_cov_dim_mismatch(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n2.0 1.0\n1.0 2.0\n")
-    res = run_cli(
-        "gaussian-check",
-        "--cov",
-        str(cov),
-        "--dim",
-        "3",
-        "--out",
-        str(tmp_path / "g.csv"),
-    )
-    assert res.returncode == 2
-
-
-def test_gaussian_check_asymmetric_cov_exit_2(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n2 100\n-100 2\n")
-    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
-    assert res.returncode == 2
-    assert str(cov) in res.stderr and "not symmetric" in res.stderr
-    assert not (tmp_path / "g.csv").exists()
-    # round-off in the printed digits is not asymmetry
-    cov.write_text("2\n2.0 0.333333333333\n0.3333333333333333 2.0\n")
-    res = run_cli(
-        "gaussian-check", "--cov", str(cov), "--horizon", "50", "--reps", "5",
-        "--out", str(tmp_path / "g.csv"),
-    )  # fmt: skip
-    assert res.returncode == 0, res.stderr
-
-
-def test_gaussian_check_nonfinite_cov_exit_2(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n2.0 nan\nnan 2.0\n")
-    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
-    assert res.returncode == 2
-    assert str(cov) in res.stderr and "finite" in res.stderr
-
-
-def test_gaussian_check_bad_cov_row_names_file_and_row(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n2.0 1.0\n1.0 x\n")
-    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
-    assert res.returncode == 2
-    assert f"covariance file {cov}: matrix row 2:" in res.stderr and "'x'" in res.stderr
-    assert not (tmp_path / "g.csv").exists()
-    cov.write_text("2\n2.0 1.0 0.5\n1.0 2.0\n")
-    res = run_cli("gaussian-check", "--cov", str(cov), "--out", str(tmp_path / "g.csv"))
-    assert res.returncode == 2
-    assert f"covariance file {cov}: matrix row 1 needs 2 entries" in res.stderr
-
-
-def test_gaussian_check_singular_cov_exit_3(tmp_path):
-    cov = tmp_path / "v.txt"
-    cov.write_text("2\n1.0 1.0\n1.0 1.0\n")
-    res = run_cli(
-        "gaussian-check",
-        "--cov",
-        str(cov),
-        "--horizon",
-        "50",
-        "--reps",
-        "5",
-        "--out",
-        str(tmp_path / "g.csv"),
-    )
-    assert res.returncode == 3
-    assert "numerical failure" in res.stderr
-
-
 # ------------------------------------------------------------------- rates
 
 
@@ -520,8 +429,9 @@ def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
 def test_boundary_shape_is_not_a_cli_option(capsys, command):
     # Both commands take --alpha and --boundaries only: t0 and eps_net keep
     # BoundarySpec's defaults, and library callers set other values.
+    args = [command, "--dim", "2", "--t0", "50", "--out", "x.csv"]
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args([command, "--t0", "50", "--out", "x.csv"])
+        cli.build_parser().parse_args(args)
     assert exc.value.code == 2
     assert "unrecognized arguments: --t0 50" in capsys.readouterr().err
 
@@ -556,6 +466,28 @@ def test_unwritable_out_exit_4():
     res = run_cli("rates", "--a", "0.7", "--linear", "--out", "/nonexistent-dir/x.csv")
     assert res.returncode == 4
     assert "i/o error" in res.stderr
+
+
+def test_lost_worker_exit_4(monkeypatch, capsys, tmp_path):
+    # A forked part that ends without a result fails the run with one line
+    # and exit 4, like any other failed I/O, not with a traceback.
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    parent, lockstep = os.getpid(), harness.run_lockstep
+
+    def dying_lockstep(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return lockstep(*args)
+
+    monkeypatch.setattr(harness, "run_lockstep", dying_lockstep)
+    out = tmp_path / "c.csv"
+    args = ["coverage", "--iters", "300", "--reps", "200", "--start", "100", "--stride", "100"]
+    assert main([*args, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "i/o error: the process for repetitions 128..199 ended without a result "
+        "(exit status 9)\n"
+    )
+    assert not out.exists()
 
 
 SIMULATING_COMMANDS = pytest.mark.parametrize(
@@ -631,12 +563,6 @@ GOLDEN_CSV_SHA256 = [
         "gaussian-check --dim 2 --horizon 500 --reps 60 --seed 2",
         "9368b2134cfe1554f84bc63303703bf285b4003403ccaa3e7e77db50d759314e",
     ),
-    # a correlated covariance (so neither square root is the identity), in
-    # five repetition tiles
-    (
-        "gaussian-check --cov {tmp}/v.txt --horizon 2000 --reps 80 --seed 4",
-        "accc34b055536d7a4d41ed9e938eaa4e7debede76844233771b15aa2b887842d",
-    ),
     # 7,604 rows, written in several chunks of harness._CSV_CHUNK rows
     (
         "coverage --dim 1 --iters 2000 --reps 10 --start 100 --stride 1 --seed 7",
@@ -687,7 +613,7 @@ GOLDEN_CSV_SHA256 = [
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of thirteen small runs stays fixed.
+    """The sha256 of the CSVs of twelve small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They
@@ -695,9 +621,8 @@ def test_golden_csv_digests(tmp_path, args, digest):
     another numpy or BLAS build may round differently and then needs
     digests of its own.
     """
-    (tmp_path / "v.txt").write_text("2\n2.0 1.0\n1.0 2.0\n")
     out = tmp_path / "out.csv"
-    res = run_cli(*args.format(tmp=tmp_path).split(), "--out", str(out))
+    res = run_cli(*args.split(), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

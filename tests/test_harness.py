@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -452,7 +453,7 @@ def test_run_coverage_names_a_killed_child(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
 
     match = r"repetitions 4\.\.7 ended without a result \(exit status -9\)"
-    with pytest.raises(RuntimeError, match=match):
+    with pytest.raises(ChildProcessError, match=match):
         fork_failure(monkeypatch, fail)
 
 
@@ -599,7 +600,7 @@ def test_gaussian_check_names_a_killed_child(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
 
     match = r"repetitions 4\.\.7 ended without a result \(exit status -9\)"
-    with pytest.raises(RuntimeError, match=match):
+    with pytest.raises(ChildProcessError, match=match):
         gaussian_fork_failure(monkeypatch, fail)
 
 
@@ -814,6 +815,32 @@ def test_gaussian_check_validation():
         run_gaussian_check(np.diag([1.0, 0.0]), 100, 10, specs(0.1, ("gm",)))
 
 
+def test_gaussian_check_golden_digest_of_a_correlated_v():
+    """The sha256 of the CSV of a gaussian check with a correlated v (so
+    neither square root is the identity), in five repetition tiles, stays
+    fixed. Taken on the same build as test_cli.GOLDEN_CSV_SHA256."""
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    text = csv_text(run_gaussian_check(v, 2000, 80, specs(0.05), seed=4))
+    digest = "accc34b055536d7a4d41ed9e938eaa4e7debede76844233771b15aa2b887842d"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gaussian_check_coverage_does_not_depend_on_v():
+    # The check whitens with the true v, so it compares S_t / t of standard
+    # normals whatever v is. A correlated v draws the identity's coverage,
+    # and of the radii only lilen's moves: its kappa (3 here) enlarges it.
+    # So the CLI's identity of --dim D shows all that another v could.
+    kw = dict(horizon=500, reps=60, boundaries=specs(0.05), seed=3)
+    corr = run_gaussian_check(np.array([[2.0, 1.0], [1.0, 2.0]]), **kw)
+    eye = run_gaussian_check(np.eye(2), **kw)
+    same = eye.boundary_kind != "lilen"
+    for name in ("fixed_coverage", "uniform_coverage", "radius_mean"):
+        assert getattr(corr, name)[same].tolist() == getattr(eye, name)[same].tolist()
+    corr_r, eye_r = corr.radius_mean[~same], eye.radius_mean[~same]
+    finite = np.isfinite(eye_r)
+    assert finite.any() and (corr_r[finite] >= eye_r[finite]).all()
+
+
 @pytest.mark.parametrize(
     "v, match",
     [
@@ -953,11 +980,32 @@ def test_emit_report_validates_and_writes(tmp_path):
         emit_report(rep, "csv", tmp_path / "missing" / "r.csv")
     assert "cannot write report to" in str(exc.value)
     assert str(tmp_path / "missing" / "r.csv") in str(exc.value)
-    # a column changed in place after the report was built
-    rep.uniform_coverage[1] = 0.95
-    with pytest.raises(ValueError, match="gm time-uniform coverage increased at t=750"):
-        emit_report(rep, "csv", tmp_path / "changed.csv")
-    assert not (tmp_path / "changed.csv").exists()
+    # a built report's columns are read-only: it cannot be made invalid
+    with pytest.raises(ValueError, match="read-only"):
+        rep.uniform_coverage[1] = 0.95
+
+
+def test_report_columns_do_not_follow_the_arrays_given(tmp_path):
+    # The arrays a report is built from become its read-only columns (not
+    # copies), so the caller cannot change a validated report through them.
+    columns = {
+        "t": np.array([500, 750]),
+        "boundary_kind": np.array(["gm", "gm"]),
+        "radius_mean": np.array([0.2, 0.1]),
+        "fixed_coverage": np.array([1.0, 1.0]),
+        "uniform_coverage": np.array([1.0, 0.9]),
+        "halfwidth_mean": np.array([0.3, 0.2]),
+        "reps_effective": np.array([10, 10]),
+    }
+    rep = CoverageReport(**columns, metadata={})
+    before = csv_text(rep)
+    edits = [("t", 1, 1), ("boundary_kind", 1, "xx"), ("reps_effective", ..., -7)]
+    for name, at, value in edits:
+        with pytest.raises(ValueError, match="read-only"):
+            columns[name][at] = value
+        assert getattr(rep, name) is columns[name]
+    emit_report(rep, "csv", tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == before
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
