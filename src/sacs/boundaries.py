@@ -49,19 +49,18 @@ NORM_BY_KIND = {
 # Iterated-logarithm arguments below this are treated as out of domain.
 _LOGLOG_MIN = math.e + 1e-12
 
+# The paper's boundary shapes: the gm mixture's time offset and the lilen
+# epsilon-net.
+_GM_T0 = 100.0
+_LILEN_EPS_NET = 0.5
+
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """One boundary family with its level and shape parameters.
-
-    t0 only affects the gm family, eps_net only the lilen family. The CLI
-    always uses their defaults; library callers may set other values.
-    """
+    """One boundary family at its level alpha."""
 
     kind: str
     alpha: float
-    t0: float = 100.0
-    eps_net: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -71,10 +70,6 @@ class BoundarySpec:
         if self.alpha / 2.0 == 0.0:
             # The fixed baseline's quantile level; only 5e-324 gets here.
             raise ValueError(f"alpha / 2 underflows to 0 at alpha = {self.alpha}")
-        if not (math.isfinite(self.t0) and self.t0 >= 1.0):
-            raise ValueError(f"t0 must be >= 1, got {self.t0}")
-        if not (0.0 < self.eps_net < 1.0):
-            raise ValueError(f"eps_net must lie in (0, 1), got {self.eps_net}")
 
     @property
     def norm_kind(self) -> str:
@@ -131,11 +126,11 @@ def _lilub_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
     return out
 
 
-def _gm_grid(ts: np.ndarray, d: int, alpha: float, t0: float) -> np.ndarray:
+def _gm_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     ls = lambda_star(alpha)
-    drift = 1.0 + t0 / (ts * ls)
-    growth = d * np.log1p(ts * ls / t0) - 2.0 * math.log(alpha)
+    drift = 1.0 + _GM_T0 / (ts * ls)
+    growth = d * np.log1p(ts * ls / _GM_T0) - 2.0 * math.log(alpha)
     return np.sqrt(drift * growth / ts)
 
 
@@ -151,17 +146,17 @@ def _c_d_constant(d: int) -> float:
     return math.exp(log_c)
 
 
-def _lilen_grid(ts, d: int, alpha: float, eps_net: float, kappa) -> np.ndarray:
+def _lilen_grid(ts, d: int, alpha: float, kappa) -> np.ndarray:
     ts, kappa = np.broadcast_arrays(
         np.asarray(ts, dtype=float), np.asarray(kappa, dtype=float)
     )
     radicand = (
         1.4 * _loglog_or_inf(2.0 * ts * kappa)
         + (math.log(5.2 * _c_d_constant(d)) - math.log(alpha))
-        + (d - 1) * np.log(3.0 * np.sqrt(kappa) / eps_net)
+        + (d - 1) * np.log(3.0 * np.sqrt(kappa) / _LILEN_EPS_NET)
     )
     with np.errstate(invalid="ignore"):
-        out = (2.0 / (1.0 - eps_net)) * np.sqrt(radicand / ts)
+        out = (2.0 / (1.0 - _LILEN_EPS_NET)) * np.sqrt(radicand / ts)
     out[radicand <= 0.0] = np.inf
     return out
 
@@ -179,8 +174,8 @@ def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     """Radii of one boundary over an array of finite steps ts >= 1.
 
-    The families, in whitened units (l* = lambda_star(alpha), eps =
-    eps_net, C_d = d 2^d Gamma((d+1)/2) / pi^((d-1)/2)):
+    The families, in whitened units (l* = lambda_star(alpha), t0 = 100,
+    eps = 0.5, C_d = d 2^d Gamma((d+1)/2) / pi^((d-1)/2)):
 
       lilub  1.7 sqrt((loglog(2t) + 0.72 log(10.4 d / alpha)) / t)
       gm     sqrt((1 + t0/(t l*)) (d log(1 + t l*/t0) + 2 log(1/alpha)) / t)
@@ -206,7 +201,7 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
     if spec.kind == "lilub":
         return _lilub_grid(ts, d, spec.alpha)
     if spec.kind == "gm":
-        return _gm_grid(ts, d, spec.alpha, spec.t0)
+        return _gm_grid(ts, d, spec.alpha)
     if spec.kind == "lilen":
-        return _lilen_grid(ts, d, spec.alpha, spec.eps_net, kappa)
+        return _lilen_grid(ts, d, spec.alpha, kappa)
     return _fixed_grid(ts, spec.alpha)

@@ -146,11 +146,11 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_gaussian_check(args) -> int:
-    v, specs = np.eye(args.dim), _specs(args)
+    specs = _specs(args)
     # The inputs are checked before --out, as for coverage: a bad one exits 2.
-    harness._gaussian_inputs(v, args.horizon, args.reps, specs, args.seed)
+    harness._gaussian_inputs(args.dim, args.horizon, args.reps, specs, args.seed)
     _check_out(args.out)
-    report = harness.run_gaussian_check(v, args.horizon, args.reps, specs, seed=args.seed)
+    report = harness.run_gaussian_check(args.dim, args.horizon, args.reps, specs, seed=args.seed)
     harness.emit_report(report, "csv", args.out)
     return 0
 

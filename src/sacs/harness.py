@@ -39,7 +39,7 @@ import numpy as np
 
 from . import boundaries as bnd
 from .covariance import sandwich
-from .numerics import NumericalError, SingularMatrixError, _check_counts, whiten
+from .numerics import NumericalError, _check_counts, whiten
 from .sa_engine import (
     ModelSpec,
     StepSchedule,
@@ -563,35 +563,31 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
 _TILE_ENTRIES = 2**16  # floats per array of one repetition tile (512 KB)
 
 
-def _gaussian_inputs(v, horizon: int, reps: int, boundaries, seed) -> tuple:
-    """run_gaussian_check's v as a float array and boundaries as a tuple,
-    or the ValueError that run_gaussian_check raises for its arguments."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-        raise ValueError(f"v must be a nonempty square matrix, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("v must have finite entries")
-    if not np.array_equal(v, v.T):
-        raise ValueError("v must be exactly symmetric")
-    _check_counts(horizon=horizon, reps=reps)
+def _gaussian_inputs(dim: int, horizon: int, reps: int, boundaries, seed) -> tuple:
+    """run_gaussian_check's boundaries as a tuple, or the ValueError that
+    run_gaussian_check raises for its arguments."""
+    _check_counts(dim=dim, horizon=horizon, reps=reps)
     _check_seeds(seed=seed)
-    return v, _distinct_specs(boundaries)
+    return _distinct_specs(boundaries)
 
 
-def run_gaussian_check(v, horizon: int, reps: int, boundaries, seed: int = 0) -> CoverageReport:
+def run_gaussian_check(
+    dim: int, horizon: int, reps: int, boundaries, seed: int = 0
+) -> CoverageReport:
     """Coverage of the boundaries on exact Gaussian running means.
 
     Evaluates every BoundarySpec in boundaries (the specs that
     ExperimentConfig.boundaries holds) at every t in [1, horizon] on the
-    running mean of N(0, v) vectors z_s v^{1/2}, v a (d, d) array and the
-    z_s i.i.d. standard normal, whitened with the TRUE v. That is S_t / t,
-    S_t the sum of the z_s, so |S_t| is compared with t r_t (squared, for
-    the two norm). This isolates the boundary guarantee from plug-in and
-    averaging error.
+    running mean S_t / t of i.i.d. standard normal vectors z_s of length
+    dim, S_t the sum of the z_s. That is the running mean of N(0, v)
+    vectors whitened with the TRUE v, for any v, so the condition number
+    is 1 and the half-width is the radius: |S_t| is compared with t r_t
+    (squared, for the two norm). This isolates the boundary guarantee from
+    plug-in and averaging error.
 
-    The horizon is cut into time blocks of at most _TILE_ENTRIES / d steps
+    The horizon is cut into time blocks of at most _TILE_ENTRIES / dim steps
     (the whole horizon when it fits), and the repetitions into tiles of
-    _TILE_ENTRIES // (steps * d) repetitions (at least one), steps the
+    _TILE_ENTRIES // (steps * dim) repetitions (at least one), steps the
     length of the first block. A tile makes its repetitions' generators,
     then walks every block in turn: it draws their normals, carries their
     running sums across blocks and tallies every kind in one call, so
@@ -601,24 +597,17 @@ def run_gaussian_check(v, horizon: int, reps: int, boundaries, seed: int = 0) ->
     in time order and the parts' counts are integers, so the report does
     not depend on the tile or block sizes or on the number of processes.
 
-    Raises ValueError unless v is a nonempty square matrix that is finite
-    and exactly symmetric, horizon and reps are integers >= 1 and the
-    boundaries are BoundarySpecs of distinct kinds, and SingularMatrixError
-    unless v is numerically positive definite.
+    Raises ValueError unless dim, horizon and reps are integers >= 1 and
+    the boundaries are BoundarySpecs of distinct kinds.
     """
     wall_start = time.perf_counter()
-    v, specs = _gaussian_inputs(v, horizon, reps, boundaries, seed)
-    d = v.shape[0]
-    wh = whiten(v)
-    if not wh.ok:
-        raise SingularMatrixError("covariance must be numerically positive definite")
+    specs = _gaussian_inputs(dim, horizon, reps, boundaries, seed)
     ts = np.arange(1, horizon + 1, dtype=np.int64)
-    radii = np.array([bnd.radius_grid(b, ts, d, kappa=wh.kappa) for b in specs])
-    base = {"sup_norm": float(np.mean(wh.scale_sup)), "two_norm": float(np.mean(wh.scale_two))}
+    radii = np.array([bnd.radius_grid(b, ts, dim) for b in specs])
     limits = [(r * ts) ** 2 if b.norm_kind == "two_norm" else r * ts for r, b in zip(radii, specs)]
 
-    blocks = list(_time_blocks(horizon, d, _TILE_ENTRIES))
-    tile = max(1, _TILE_ENTRIES // (blocks[0][1] * d))
+    blocks = list(_time_blocks(horizon, dim, _TILE_ENTRIES))
+    tile = max(1, _TILE_ENTRIES // (blocks[0][1] * dim))
     tiles = [range(lo, min(lo + tile, reps)) for lo in range(0, reps, tile)]
 
     def walk(part):
@@ -629,12 +618,12 @@ def run_gaussian_check(v, horizon: int, reps: int, boundaries, seed: int = 0) ->
         # than the draws (7.7e5 page faults against 2.4e3 on gauss-d2).
         lo, n = part[0].start, part[-1].stop - part[0].start
         tally = _MissTally(len(specs), horizon, n)
-        total = tally.outcome = np.zeros((n, d))
+        total = tally.outcome = np.zeros((n, dim))
         for tile_reps in part:
             rs = slice(tile_reps.start - lo, tile_reps.stop - lo)
             gens = [rng_stream(seed, r) for r in tile_reps]
             for t0, n_t in blocks:
-                z = np.empty((len(tile_reps), n_t, d))
+                z = np.empty((len(tile_reps), n_t, dim))
                 for zr, gen in zip(z, gens):
                     gen.standard_normal(out=zr)
                 # Adding the running total to the block's first draw keeps the
@@ -653,22 +642,20 @@ def run_gaussian_check(v, horizon: int, reps: int, boundaries, seed: int = 0) ->
         return tally
 
     tally = _MissTally.merge(_fork_map(walk, tiles))
-    halfwidth = np.array([r * base[b.norm_kind] for r, b in zip(radii, specs)])
     metadata = {
         "experiment": "gaussian-check",
         "config": {
-            "d": d,
-            "v": v.tolist(),
+            "d": int(dim),
             "horizon": int(horizon),
             "reps": int(reps),
             "seed": int(seed),
             "boundaries": [asdict(b) for b in specs],
         },
         "seeds": {"seed": int(seed), "streams": f"0..{reps - 1}"},
-        "mean_final": np.mean((tally.outcome @ wh.root) / horizon, axis=0).tolist(),
+        "mean_final": np.mean(tally.outcome / horizon, axis=0).tolist(),
         "wall_time_s": time.perf_counter() - wall_start,
     }
-    return tally.report(ts, specs, radii, halfwidth, metadata)
+    return tally.report(ts, specs, radii, radii, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "SingularMatrixError",
     "PD_RTOL",
     "pd_eigh",
     "Whitening",
@@ -27,10 +26,6 @@ PD_RTOL = 1e-12
 
 class NumericalError(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
-
-
-class SingularMatrixError(NumericalError):
-    """A matrix required to be positive definite was singular or indefinite."""
 
 
 def _check_counts(**counts) -> None:
@@ -88,8 +83,7 @@ class Whitening:
     symmetric square root of V and its inverse, scale_two = sqrt(diag V)
     and scale_sup the row 1-norms of root (the per-coordinate half-widths
     of the unit two-norm and sup-norm regions), kappa the condition number.
-    stat_sup and stat_two are the norms of inv_root @ delta, or None when
-    no delta was given.
+    stat_sup and stat_two are the norms of inv_root @ delta.
     """
 
     ok: np.ndarray
@@ -98,15 +92,16 @@ class Whitening:
     inv_root: np.ndarray
     scale_two: np.ndarray
     scale_sup: np.ndarray
-    stat_sup: np.ndarray | None
-    stat_two: np.ndarray | None
+    stat_sup: np.ndarray
+    stat_two: np.ndarray
 
 
-def whiten(v, delta=None) -> Whitening:
-    """Whiten stacked covariances v of shape (..., k, k) in one batched call.
+def whiten(v, delta) -> Whitening:
+    """Whiten stacked covariances v of shape (..., k, k) and the vectors
+    delta in one batched call.
 
-    delta, if given, broadcasts against v's batch shape with a trailing
-    axis of length k. Entries of v that are not finite or not numerically
+    delta broadcasts against v's batch shape with a trailing axis of
+    length k. Entries of v that are not finite or not numerically
     positive definite (relative floor PD_RTOL) are masked as unavailable.
     """
     v = np.asarray(v, dtype=float)
@@ -114,16 +109,14 @@ def whiten(v, delta=None) -> Whitening:
     qt = np.swapaxes(q, -1, -2)
     rw = np.sqrt(w)
     diag = np.where(ok[..., None], np.diagonal(v, axis1=-2, axis2=-1), np.nan)
-    stat_sup = stat_two = None
     # Finite but extreme entries may overflow; the result is inf or nan and
     # reads as unavailable or uncovered, never as an error.
     with np.errstate(over="ignore", invalid="ignore"):
         root = _matmul(q * rw[..., None, :], qt)
         inv_root = _matmul(q / rw[..., None, :], qt)
-        if delta is not None:
-            white = _matmul(inv_root, np.asarray(delta, dtype=float)[..., None])[..., 0]
-            stat_sup = np.max(np.abs(white), axis=-1)
-            stat_two = np.sqrt(np.sum(white * white, axis=-1))
+        white = _matmul(inv_root, np.asarray(delta, dtype=float)[..., None])[..., 0]
+        stat_sup = np.max(np.abs(white), axis=-1)
+        stat_two = np.sqrt(np.sum(white * white, axis=-1))
     return Whitening(
         ok=ok,
         kappa=w[..., -1] / w[..., 0],

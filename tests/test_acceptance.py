@@ -94,21 +94,16 @@ def logistic_coverage_report():
 
 def test_criterion_1_gaussian_oracle_coverage():
     threshold = 0.90 - 2.0 * math.sqrt(0.1 * 0.9 / 2000.0)
-    configs = (
-        np.array([[1.0]]),
-        np.eye(2),
-        np.array([[2.0, 1.0], [1.0, 2.0]]),
-    )
     start = time.perf_counter()
     worst = 1.0
     details = []
     specs = tuple(BoundarySpec(kind, 0.1) for kind in CS_KINDS)
-    for v in configs:
-        rep = run_gaussian_check(v, horizon=10_000, reps=2000, boundaries=specs, seed=0)
+    for d in (1, 2):
+        rep = run_gaussian_check(d, horizon=10_000, reps=2000, boundaries=specs, seed=0)
         for kind in CS_KINDS:
             cov = uniform_at_end(rep, kind)
             worst = min(worst, cov)
-            details.append(f"d={len(v)} {kind} {cov:.4f}")
+            details.append(f"d={d} {kind} {cov:.4f}")
     elapsed = time.perf_counter() - start
     ok = worst >= threshold and elapsed < 300.0
     assert record(
@@ -274,7 +269,7 @@ def test_criterion_8_martingale_mean_one():
     # variance of the martingale small enough for a 3 stderr check
     inv_v = np.linalg.inv(v)
     sigma = np.array(inv_v / 400.0)
-    sq = whiten(v).root
+    sq = whiten(v, np.zeros(2)).root
     n_paths, horizon = 10_000, 200
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((n_paths, horizon, 2))

@@ -18,14 +18,15 @@ from sacs.boundaries import (
     lambda_star,
     radius_grid,
 )
-from sacs.numerics import SingularMatrixError, whiten
+from sacs import boundaries
+from sacs.numerics import whiten
 
 from helpers import gm_mixture_martingale, gm_volume_objective
 
 
-def radius(kind, t, d, alpha, kappa=1.0, **shape):
+def radius(kind, t, d, alpha, kappa=1.0):
     """One radius through radius_grid, as a float (+inf where undefined)."""
-    return float(radius_grid(BoundarySpec(kind, alpha, **shape), [t], d, kappa)[0])
+    return float(radius_grid(BoundarySpec(kind, alpha), [t], d, kappa)[0])
 
 
 # ----------------------------------------------------------- lambda_star
@@ -114,36 +115,39 @@ def test_radius_finite_at_tiny_alpha(alpha):
 def test_radius_frozen_values():
     assert radius("lilub", 100, 1, 0.05) == pytest.approx(0.3990627054803708, rel=1e-12)
     assert radius("lilub", 100, 2, 0.05) == pytest.approx(0.41674218581564854, rel=1e-12)
-    assert radius("gm", 100, 1, 0.05, t0=100.0) == pytest.approx(0.3035122413028551, rel=1e-12)
-    assert radius("lilen", 100, 1, 0.05, eps_net=0.5, kappa=1.0) == pytest.approx(
+    assert radius("gm", 100, 1, 0.05) == pytest.approx(0.3035122413028551, rel=1e-12)
+    assert radius("lilen", 100, 1, 0.05, kappa=1.0) == pytest.approx(
         1.1079265743684903, rel=1e-12
     )
     assert radius("fixed", 100, 1, 0.05) == pytest.approx(0.19599639845400538, rel=1e-12)
 
 
 def test_radius_gm_t0_equals_t_identity():
-    # substituting t0 = t collapses the drift and growth terms
-    for t, d, alpha in ((50, 1, 0.1), (400, 3, 0.05)):
+    # at t = t0 = 100 the drift and growth terms collapse
+    t = 100
+    for d, alpha in ((1, 0.1), (3, 0.05)):
         ls = lambda_star(alpha)
         direct = math.sqrt(
             (1.0 + 1.0 / ls) * (d * math.log1p(ls) + 2.0 * math.log(1.0 / alpha)) / t
         )
-        assert radius("gm", t, d, alpha, t0=float(t)) == pytest.approx(direct, rel=1e-13)
+        assert radius("gm", t, d, alpha) == pytest.approx(direct, rel=1e-13)
 
 
 def test_radius_lil_en_d1_drops_net_term():
     # for d = 1 the epsilon-net term vanishes for every kappa
     for kappa in (1.0, 7.5):
-        val = radius("lilen", 200, 1, 0.1, kappa, eps_net=0.3)
-        direct = (2.0 / 0.7) * math.sqrt(
+        val = radius("lilen", 200, 1, 0.1, kappa)
+        direct = (2.0 / 0.5) * math.sqrt(
             (1.4 * math.log(math.log(400.0 * kappa)) + math.log(5.2 * 2.0 / 0.1)) / 200.0
         )
         assert val == pytest.approx(direct, rel=1e-13)
 
 
-def test_radius_lil_en_diverges_as_net_degenerates():
-    base = radius("lilen", 100, 2, 0.1, eps_net=0.5)
-    assert radius("lilen", 100, 2, 0.1, eps_net=1.0 - 1e-9) > 1e6 * base
+def test_radius_lil_en_diverges_as_net_degenerates(monkeypatch):
+    # the formula at a net radius eps near 1, in place of the paper's 0.5
+    base = radius("lilen", 100, 2, 0.1)
+    monkeypatch.setattr(boundaries, "_LILEN_EPS_NET", 1.0 - 1e-9)
+    assert radius("lilen", 100, 2, 0.1) > 1e6 * base
 
 
 def test_radius_fixed_alpha_limits():
@@ -216,10 +220,6 @@ def test_radius_domain_errors():
         radius_grid(BoundarySpec("lilub", 0.05), [10, 0.5], 1)
     with pytest.raises(ValueError):
         radius_grid(BoundarySpec("lilen", 0.05), [10, 10], 2, kappa=[1.0, 0.5])
-    with pytest.raises(ValueError):
-        radius("gm", 10, 1, 0.05, t0=0.5)
-    with pytest.raises(ValueError):
-        radius("lilen", 10, 1, 0.05, eps_net=1.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -237,9 +237,6 @@ def test_boundary_spec_validation():
         {"kind": "unknown", "alpha": 0.1},
         {"kind": "gm", "alpha": 0.0},
         {"kind": "gm", "alpha": 1.0},
-        {"kind": "gm", "alpha": 0.1, "t0": 0.0},
-        {"kind": "lilen", "alpha": 0.1, "eps_net": 0.0},
-        {"kind": "lilen", "alpha": 0.1, "eps_net": 1.0},
     ):
         with pytest.raises(ValueError):
             BoundarySpec(**kwargs)
@@ -277,7 +274,7 @@ def test_membership_flips_at_radius():
     # a region is {delta : |whiten(v, delta)| <= radius} in the kind's norm;
     # delta = r (1 -+ 1e-9) root(v) e_0 has whitened norm r (1 -+ 1e-9)
     v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    root = whiten(v).root
+    root = whiten(v, np.zeros(2)).root
     for kind in KINDS:
         r = radius(kind, 500, 2, 0.1, kappa=3.0)
         delta = np.stack([r * (1.0 - 1e-9) * root[:, 0], r * (1.0 + 1e-9) * root[:, 0]])
@@ -304,9 +301,10 @@ def test_evaluate_d1_halfwidth_equals_radius():
 
 
 def test_evaluate_without_vector_reports_no_membership():
-    wh = whiten(np.eye(2))
-    assert wh.stat_sup is None and wh.stat_two is None
-    assert wh.scale_two.shape == (2,) and wh.scale_sup.shape == (2,)
+    # every caller whitens a centred vector, so delta is required: without
+    # one there is no Whitening, and no membership to read off it
+    with pytest.raises(TypeError, match="delta"):
+        whiten(np.eye(2))
 
 
 # ---------------------------------------------------- mixture martingale
@@ -358,7 +356,7 @@ def test_martingale_validation():
         gm_mixture_martingale(-1.0, np.zeros(2), v, v)
     with pytest.raises(ValueError):
         gm_mixture_martingale(1.0, np.zeros(3), v, v)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValueError, match="positive definite"):
         gm_mixture_martingale(1.0, np.zeros(2), v, np.array(np.diag([1.0, 0.0])))
 
 

@@ -406,7 +406,8 @@ def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, m
     [
         (["gaussian-check", "--dim", "2", "--horizon", "0"], "horizon must be an integer >= 1, got 0"),
         (["gaussian-check", "--dim", "2", "--reps", "0"], "reps must be an integer >= 1, got 0"),
-        (["gaussian-check", "--dim", "0"], "v must be a nonempty square matrix"),
+        (["gaussian-check", "--dim", "0"], "dim must be an integer >= 1, got 0"),
+        (["gaussian-check", "--dim", "-1"], "dim must be an integer >= 1, got -1"),
         (["coverage", "--iters", "0"], "iters must be an integer >= 1, got 0"),
         (["coverage", "--dim", "0"], "dim must be an integer >= 1, got 0"),
         (["coverage", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
@@ -415,11 +416,14 @@ def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, m
             "seed must be an integer in [0, 2**64), got -1",
         ),
     ],
-    ids=["horizon", "reps", "dim", "iters", "coverage-dim", "coverage-seed", "gaussian-seed"],
-)
+    ids=[
+        "horizon", "reps", "dim", "negative-dim", "iters", "coverage-dim", "coverage-seed",
+        "gaussian-seed",
+    ],
+)  # fmt: skip
 def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
-    # A count below 1, an empty matrix or a seed outside [0, 2**64) is a
-    # configuration error too.
+    # A count below 1 or a seed outside [0, 2**64) is a configuration error
+    # too.
     forbid_simulation(monkeypatch)
     assert main([*args, "--out", "/no/such/dir/x.csv"]) == 2
     assert message in capsys.readouterr().err
@@ -427,8 +431,8 @@ def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):
 
 @pytest.mark.parametrize("command", ["coverage", "gaussian-check"])
 def test_boundary_shape_is_not_a_cli_option(capsys, command):
-    # Both commands take --alpha and --boundaries only: t0 and eps_net keep
-    # BoundarySpec's defaults, and library callers set other values.
+    # Both commands take --alpha and --boundaries only: the boundary shapes
+    # (gm's t0 and lilen's eps_net) are the paper's, fixed in boundaries.
     args = [command, "--dim", "2", "--t0", "50", "--out", "x.csv"]
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(args)
@@ -608,12 +612,22 @@ GOLDEN_CSV_SHA256 = [
         "coverage --dim 5 --iters 3000 --reps 12 --start 500 --stride 50 --seed 2",
         "e104f3a3bceeb76af52a3444da687e24eb944868d4f2b9648a12691eb422634c",
     ),
+    # d = 1 and d = 3 Gaussian checks, one at its own alpha: standard normal
+    # walks against the radii at kappa = 1
+    (
+        "gaussian-check --dim 1 --horizon 300 --reps 50 --seed 4",
+        "99adea3315f09010e6e3c32f139064ac4d89ad19efec5df2f33ee00a860a7da3",
+    ),
+    (
+        "gaussian-check --dim 3 --horizon 400 --reps 30 --alpha 0.1 --seed 6",
+        "a4706b53a3797de32f6a08a55cbe29a1c5404d6873b3b374e54d583025097706",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_CSV_SHA256)
 def test_golden_csv_digests(tmp_path, args, digest):
-    """The sha256 of the CSVs of twelve small runs stays fixed.
+    """The sha256 of the CSVs of fourteen small runs stays fixed.
 
     The digests pin the output bits, so a change meant to keep them (a
     faster kernel, another block size) cannot alter them silently. They
@@ -629,10 +643,10 @@ def test_golden_csv_digests(tmp_path, args, digest):
 
 def test_golden_json_digest(tmp_path):
     """The sha256 of a coverage report's JSON, less its wall_time_s line,
-    stays fixed: the metadata (model, boundary specs, divergence and
-    availability counts) and the rows, with null for undefined values.
-    Accumulator overflow at these settings leaves evaluations unavailable.
-    Taken on the same build as GOLDEN_CSV_SHA256."""
+    stays fixed: the metadata (model, boundary specs as kind and alpha,
+    divergence and availability counts) and the rows, with null for
+    undefined values. Accumulator overflow at these settings leaves
+    evaluations unavailable. Taken on the same build as GOLDEN_CSV_SHA256."""
     out = tmp_path / "out.json"
     res = run_cli(
         "coverage", "--dim", "3", "--eta0", "2", "--iters", "3000", "--reps", "6",
@@ -641,8 +655,9 @@ def test_golden_json_digest(tmp_path):
     assert res.returncode == 0, res.stderr
     text, n = re.subn(r'\n *"wall_time_s": [^\n]*', "", out.read_text())
     assert n == 1
+    assert '"t0"' not in text and '"eps_net"' not in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f881c127e02b6d6968c7e33efeea4f313cec5e472f2036fdc61a676ff960e0c8"
+        "7a3301105dc478d55586cb9d3a3d3d35579acc54fe31f1ca222b63c8d20c7f0a"
     )
 
 

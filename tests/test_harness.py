@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from sacs.harness import (
     run_coverage,
     run_gaussian_check,
 )
-from sacs.numerics import NumericalError, SingularMatrixError, whiten
+from sacs.numerics import NumericalError, whiten
 from sacs.sa_engine import (
     StepSchedule,
     default_model,
@@ -72,9 +71,7 @@ def divergent_config():
 
 
 # a gaussian check of 40 repetitions over 300 steps at d = 2
-GAUSSIAN = dict(
-    v=np.array([[2.0, 1.0], [1.0, 2.0]]), horizon=300, reps=40, boundaries=specs(0.1), seed=4
-)
+GAUSSIAN = dict(dim=2, horizon=300, reps=40, boundaries=specs(0.1), seed=4)
 
 
 # -------------------------------------------------------- rate exponents
@@ -503,10 +500,10 @@ def test_gaussian_check_memory_does_not_grow_with_reps(monkeypatch):
     # 2,000 steps (64 MB of draws) peak far below one array of all of them;
     # one process, as tracemalloc does not see a forked child's tiles
     monkeypatch.setattr(harness, "_WORKERS", 1)
-    run_gaussian_check(np.eye(2), 100, 10, specs(0.05, ("gm",)))
+    run_gaussian_check(2, 100, 10, specs(0.05, ("gm",)))
     tracemalloc.start()
     try:
-        run_gaussian_check(np.eye(2), 2000, 2000, specs(0.05, ("gm",)))
+        run_gaussian_check(2, 2000, 2000, specs(0.05, ("gm",)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -560,7 +557,7 @@ def test_gaussian_check_starts_at_most_one_worker_per_tile(monkeypatch, reps, wo
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
     monkeypatch.setattr(harness, "_WORKERS", 3)
     forks = count_forks(monkeypatch)
-    run_gaussian_check(np.eye(1), 64, reps, specs(0.1, ("gm",)))
+    run_gaussian_check(1, 64, reps, specs(0.1, ("gm",)))
     assert len(forks) == workers - 1
 
 
@@ -582,7 +579,7 @@ def gaussian_fork_failure(monkeypatch, fail):
             self.gen.standard_normal(out=out)
 
     monkeypatch.setattr(harness, "rng_stream", Stream)
-    run_gaussian_check(np.eye(1), 64, 12, specs(0.1, ("gm",)))
+    run_gaussian_check(1, 64, 12, specs(0.1, ("gm",)))
 
 
 def test_gaussian_check_raises_a_child_exception(monkeypatch):
@@ -644,18 +641,18 @@ def test_gaussian_check_interrupt_stops_every_worker(monkeypatch):
 
 
 def test_gaussian_check_matches_the_whitened_running_mean(monkeypatch):
-    # the library compares running sums of standard normals with t r_t; the
-    # reference draws through the root of a correlated v, whitens the running
-    # mean with the inverse root and compares its norms with r_t. Five
-    # 64-step blocks and thirty one-repetition tiles, radii scaled by 0.8
-    # so that more paths miss
-    v = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.0]])
+    # the library compares running sums of standard normals with t r_t, in
+    # blocks and tiles; the reference draws each whole path, takes the
+    # running mean (a mean of N(0, v) vectors whitened with the true v) and
+    # compares its norms with r_t. Five 64-step blocks and thirty
+    # one-repetition tiles at d = 3, radii scaled by 0.8 so that more paths
+    # miss
     monkeypatch.setattr(harness, "_TILE_ENTRIES", 1)
     unscaled = harness.bnd.radius_grid
     monkeypatch.setattr(harness.bnd, "radius_grid", lambda *a, **k: 0.8 * unscaled(*a, **k))
     kw = dict(horizon=300, reps=30, boundaries=specs(0.1), seed=5)
-    report = run_gaussian_check(v, **kw)
-    fixed, uniform, mean_final = gaussian_check_reference(v, radius_scale=0.8, **kw)
+    report = run_gaussian_check(3, **kw)
+    fixed, uniform, mean_final = gaussian_check_reference(3, radius_scale=0.8, **kw)
     assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
     assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
     assert report.metadata["mean_final"] == pytest.approx(mean_final.tolist(), rel=1e-12)
@@ -753,8 +750,7 @@ def test_miss_tally_merge_matches_one_part(monkeypatch, sizes):
 
 
 def test_gaussian_check_basic_properties():
-    v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    rep = run_gaussian_check(v, horizon=400, reps=200, boundaries=specs(0.1), seed=3)
+    rep = run_gaussian_check(2, horizon=400, reps=200, boundaries=specs(0.1), seed=3)
     assert len(rep.rows) == 400 * len(KINDS)
     # the three CS families keep time-uniform coverage near 1 - alpha;
     # the fixed baseline holds no such guarantee and is excluded
@@ -763,27 +759,22 @@ def test_gaussian_check_basic_properties():
         assert 0.8 <= final[kind].uniform_coverage <= 1.0
     assert final["fixed"].uniform_coverage < 0.5
     mean_final = np.asarray(rep.metadata["mean_final"])
-    se = math.sqrt(2.0 / (400 * 200))
+    se = math.sqrt(1.0 / (400 * 200))
     assert np.abs(mean_final).max() <= 4.0 * se
 
 
 def test_gaussian_check_takes_boundary_specs():
-    # a level and a shape of their own per kind at d = 2: the covered counts
-    # are the reference's and each radius_mean is radius_grid's
-    v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    bounds = (
-        BoundarySpec("gm", 0.05, t0=50.0),
-        BoundarySpec("lilen", 0.1, eps_net=0.3),
-        BoundarySpec("lilub", 0.01),
-    )
+    # a level of its own per kind at d = 2: the covered counts are the
+    # reference's and each radius_mean (and half-width) is radius_grid's
+    bounds = (BoundarySpec("gm", 0.05), BoundarySpec("lilen", 0.1), BoundarySpec("lilub", 0.01))
     kw = dict(horizon=300, reps=30, boundaries=bounds, seed=6)
-    report = run_gaussian_check(v, **kw)
-    fixed, uniform, _ = gaussian_check_reference(v, **kw)
+    report = run_gaussian_check(2, **kw)
+    fixed, uniform, _ = gaussian_check_reference(2, **kw)
     assert report.fixed_coverage.tolist() == (fixed / 30).T.ravel().tolist()
     assert report.uniform_coverage.tolist() == (uniform / 30).T.ravel().tolist()
     ts = np.arange(1, 301)
-    radii = np.array([radius_grid(b, ts, 2, kappa=whiten(v).kappa) for b in bounds])
-    assert report.radius_mean.tolist() == radii.T.ravel().tolist()
+    radii = np.array([radius_grid(b, ts, 2) for b in bounds]).T.ravel().tolist()
+    assert report.radius_mean.tolist() == report.halfwidth_mean.tolist() == radii
     # each boundary records its own level; there is no run-wide one
     config = report.metadata["config"]
     assert config["boundaries"] == [dataclasses.asdict(b) for b in bounds]
@@ -791,71 +782,27 @@ def test_gaussian_check_takes_boundary_specs():
 
 
 def test_gaussian_check_deterministic_and_validated():
-    v = np.array([[1.0]])
-    a = csv_text(run_gaussian_check(v, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
-    b = csv_text(run_gaussian_check(v, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
+    a = csv_text(run_gaussian_check(1, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
+    b = csv_text(run_gaussian_check(1, 200, 50, specs(0.05, ("lilub", "gm")), seed=9))
     assert a == b
 
 
 def test_gaussian_check_validation():
-    v = np.array([[1.0]])
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 100, 10, ())
+        run_gaussian_check(1, 100, 10, ())
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 100, 10, specs(0.1, ("gm", "gm")))
+        run_gaussian_check(1, 100, 10, specs(0.1, ("gm", "gm")))
     with pytest.raises(ValueError, match="boundaries must be BoundarySpec instances"):
-        run_gaussian_check(v, 100, 10, ("gm",))
+        run_gaussian_check(1, 100, 10, ("gm",))
     with pytest.raises(ValueError):
-        run_gaussian_check(v, 0, 10, specs(0.1, ("gm",)))
+        run_gaussian_check(1, 0, 10, specs(0.1, ("gm",)))
     with pytest.raises(ValueError, match="reps must be an integer >= 1, got True"):
-        run_gaussian_check(v, 100, True, specs(0.1, ("gm",)))
+        run_gaussian_check(1, 100, True, specs(0.1, ("gm",)))
     with pytest.raises(ValueError, match="seed must be an integer"):
-        run_gaussian_check(v, 100, 10, specs(0.1, ("gm",)), seed=False)
-    with pytest.raises(SingularMatrixError):
-        run_gaussian_check(np.diag([1.0, 0.0]), 100, 10, specs(0.1, ("gm",)))
-
-
-def test_gaussian_check_golden_digest_of_a_correlated_v():
-    """The sha256 of the CSV of a gaussian check with a correlated v (so
-    neither square root is the identity), in five repetition tiles, stays
-    fixed. Taken on the same build as test_cli.GOLDEN_CSV_SHA256."""
-    v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    text = csv_text(run_gaussian_check(v, 2000, 80, specs(0.05), seed=4))
-    digest = "accc34b055536d7a4d41ed9e938eaa4e7debede76844233771b15aa2b887842d"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_gaussian_check_coverage_does_not_depend_on_v():
-    # The check whitens with the true v, so it compares S_t / t of standard
-    # normals whatever v is. A correlated v draws the identity's coverage,
-    # and of the radii only lilen's moves: its kappa (3 here) enlarges it.
-    # So the CLI's identity of --dim D shows all that another v could.
-    kw = dict(horizon=500, reps=60, boundaries=specs(0.05), seed=3)
-    corr = run_gaussian_check(np.array([[2.0, 1.0], [1.0, 2.0]]), **kw)
-    eye = run_gaussian_check(np.eye(2), **kw)
-    same = eye.boundary_kind != "lilen"
-    for name in ("fixed_coverage", "uniform_coverage", "radius_mean"):
-        assert getattr(corr, name)[same].tolist() == getattr(eye, name)[same].tolist()
-    corr_r, eye_r = corr.radius_mean[~same], eye.radius_mean[~same]
-    finite = np.isfinite(eye_r)
-    assert finite.any() and (corr_r[finite] >= eye_r[finite]).all()
-
-
-@pytest.mark.parametrize(
-    "v, match",
-    [
-        (np.ones(2), "square"),
-        (np.ones((2, 3)), "square"),
-        (np.zeros((0, 0)), "square"),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
-        (np.array([[np.inf]]), "finite"),
-        (np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), "symmetric"),
-    ],
-    ids=["vector", "not-square", "empty", "nan", "inf", "asymmetric"],
-)
-def test_gaussian_check_rejects_bad_v(v, match):
-    with pytest.raises(ValueError, match=match):
-        run_gaussian_check(v, 100, 10, specs(0.1, ("gm",)))
+        run_gaussian_check(1, 100, 10, specs(0.1, ("gm",)), seed=False)
+    for dim in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim!r}"):
+            run_gaussian_check(dim, 100, 10, specs(0.1, ("gm",)))
 
 
 # --------------------------------------------------------------- emission
@@ -1034,7 +981,7 @@ def test_emit_report_memory_is_a_fraction_of_the_columns(tmp_path):
     # 10,000 steps x 4 kinds. Rows were once ~335 B objects each, with the
     # whole CSV text on top (2.7 times the column bytes); now validation
     # and one chunk of formatted rows take about a quarter of them
-    rep = run_gaussian_check(np.array([[1.0]]), 10_000, 4, specs(0.05), seed=1)
+    rep = run_gaussian_check(1, 10_000, 4, specs(0.05), seed=1)
     column_bytes = sum(getattr(rep, c).nbytes for c in CSV_COLUMNS)
     assert len(rep.t) == 40_000
     emit_report(rep, "csv", tmp_path / "warm.csv")

@@ -112,7 +112,7 @@ def test_whiten_frozen_2x2():
 def test_whiten_inv_root_whitens(d, seed):
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
-    w = whiten(m).inv_root
+    w = whiten(m, np.zeros(d)).inv_root
     assert np.abs(w @ m @ w - np.eye(d)).max() < 1e-8
 
 
@@ -121,7 +121,7 @@ def test_whiten_inv_root_whitens(d, seed):
 def test_whiten_root_squares_back(d, seed):
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
-    r = whiten(m).root
+    r = whiten(m, np.zeros(d)).root
     scale = float(np.abs(m).max())
     assert np.abs(r @ r - m).max() < 1e-9 * scale
 
@@ -145,10 +145,14 @@ def test_whiten_rejects_non_pd():
 
 def test_whiten_scales_without_delta():
     # d = 1: both half-width scales are sqrt(v), so a half-width is the
-    # radius in units of the standard deviation; no delta, no statistics
-    wh = whiten(np.array([[[4.0]], [[0.25]]]))
-    assert wh.scale_two[:, 0].tolist() == wh.scale_sup[:, 0].tolist() == [2.0, 0.5]
-    assert wh.stat_sup is None and wh.stat_two is None
+    # radius in units of the standard deviation; delta moves only the
+    # statistics
+    v = np.array([[[4.0]], [[0.25]]])
+    for delta in (np.zeros((2, 1)), np.array([[3.0], [-1.0]])):
+        wh = whiten(v, delta)
+        assert wh.scale_two[:, 0].tolist() == wh.scale_sup[:, 0].tolist() == [2.0, 0.5]
+        stat = (np.abs(delta[:, 0]) / [2.0, 0.5]).tolist()
+        assert wh.stat_sup.tolist() == wh.stat_two.tolist() == stat
 
 
 @settings(max_examples=50, deadline=None)
@@ -187,8 +191,10 @@ def test_whiten_diagonal_affine_invariance(d, seed):
 def test_log_det_and_cond():
     w, _, _ = pd_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert float(np.sum(np.log(w))) == pytest.approx(math.log(3.0), rel=1e-13)
-    assert whiten(np.array([[2.0, 1.0], [1.0, 2.0]])).kappa == pytest.approx(3.0, rel=1e-12)
-    assert whiten(np.eye(4)).kappa == pytest.approx(1.0, rel=1e-12)
+    assert whiten(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2)).kappa == pytest.approx(
+        3.0, rel=1e-12
+    )
+    assert whiten(np.eye(4), np.zeros(4)).kappa == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

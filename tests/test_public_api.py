@@ -58,7 +58,6 @@ def test_removed_names_are_gone():
 def test_numerics_is_only_the_eigen_kernel():
     assert numerics.__all__ == [
         "NumericalError",
-        "SingularMatrixError",
         "PD_RTOL",
         "pd_eigh",
         "Whitening",
@@ -80,17 +79,21 @@ def test_names_the_benchmark_tracer_binds():
 
 def test_no_parameter_that_only_tests_set():
     # every caller started the recursion at 0, used every coordinate and
-    # the unscaled radii, read singularity off the missing sandwich and gave
-    # each boundary its level in its BoundarySpec
+    # the unscaled radii, read singularity off the missing sandwich, gave
+    # each boundary its level in its BoundarySpec and the paper's shape,
+    # ran the Gaussian check on the identity covariance and whitened a
+    # vector
     def params(fn):
-        return set(inspect.signature(fn).parameters)
+        return inspect.signature(fn).parameters
 
     def fields(cls):
-        return {f.name for f in dataclasses.fields(cls)}
+        return [f.name for f in dataclasses.fields(cls)]
 
     assert "x0" not in params(sa_engine.run_lockstep)
     assert "x0" not in params(sa_engine.run_trajectory)
-    assert "radius_scale" not in params(harness.run_gaussian_check)
-    assert "alpha" not in params(harness.run_gaussian_check)
+    gaussian = ["dim", "horizon", "reps", "boundaries", "seed"]
+    assert list(params(harness.run_gaussian_check)) == gaussian
     assert "subset" not in fields(harness.ExperimentConfig)
     assert "singular" not in fields(sa_engine.TrajectoryPoint)
+    assert fields(boundaries.BoundarySpec) == ["kind", "alpha"]
+    assert params(numerics.whiten)["delta"].default is inspect.Parameter.empty

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sacs import sa_engine
 from sacs.harness import validate_rate_condition
-from sacs.numerics import NumericalError, SingularMatrixError
+from sacs.numerics import NumericalError
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
@@ -371,7 +371,7 @@ def test_run_trajectory_divergence():
 
 @pytest.mark.parametrize(
     "error",
-    [NumericalError("no result"), SingularMatrixError("not positive definite"), DivergenceError(5)],
+    [NumericalError("no result"), DivergenceError(5)],
     ids=lambda e: type(e).__name__,
 )
 def test_public_exceptions_survive_pickling(error):
