@@ -23,7 +23,7 @@ import numpy as np
 from . import harness
 from .boundaries import KINDS, BoundarySpec
 from .numerics import NumericalError
-from .sa_engine import MODEL_KINDS, StepSchedule, default_model, rng_stream, run_trajectory
+from .sa_engine import MODEL_KINDS, ModelSpec, StepSchedule, rng_stream, run_trajectory
 
 __all__ = ["build_parser", "main"]
 
@@ -130,7 +130,7 @@ def _schedule(args) -> StepSchedule:
 
 def _cmd_coverage(args) -> int:
     cfg = harness.ExperimentConfig(
-        model=default_model(args.model, args.dim),
+        model=ModelSpec(args.model, args.dim),
         schedule=_schedule(args),
         iters=args.iters,
         reps=args.reps,
@@ -243,7 +243,7 @@ def _trace_csv(trace, dim: int) -> str:
 
 
 def _cmd_run(args) -> int:
-    model = default_model(args.model, args.dim)
+    model = ModelSpec(args.model, args.dim)
     if args.iters < 0:
         raise ValueError(f"--iters must be >= 0, got {args.iters}")
     checkpoints = _checkpoint_list(args.checkpoints, args.iters)

@@ -256,15 +256,15 @@ def validate_rate_condition(
     return None
 
 
-def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> RateProfile:
+def rate_exponents(a: float, lam: float, p: float, dim: int, linear: bool) -> RateProfile:
     """Negative error exponents of the five terms of the coupling rate.
 
-    p is the available moment order (math.inf allowed); d the dimension.
+    p is the available moment order (math.inf allowed); dim the dimension d.
     overall is the min over the applicable terms. a_opt and r_opt give the
     exponent-optimal step schedule and its overall rate; for p = inf the
     closed-form limits are returned exactly.
     """
-    _check_counts(d=d)
+    _check_counts(dim=dim)
     violation = validate_rate_condition(a, lam, p, linear)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
 
@@ -272,10 +272,10 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
     e2 = None if linear else a * (1.0 + lam) / 2.0
     e3 = (2.0 - a) / 2.0 - inv_p / 2.0
     e4 = (1.0 + a) / 2.0
-    if d == 1:
+    if dim == 1:
         e5 = 0.5 + (1.0 - inv_p) / 4.0
     else:
-        e5 = 0.5 + (1.0 - inv_p) / (50.0 * d)
+        e5 = 0.5 + (1.0 - inv_p) / (50.0 * dim)
     applicable = [e1, e3, e4, e5] if linear else [e1, e2, e3, e4, e5]
     overall = min(applicable)
 
@@ -294,7 +294,7 @@ def rate_exponents(a: float, lam: float, p: float, d: int, linear: bool) -> Rate
         a=a,
         lam=lam,
         p=p,
-        d=int(d),
+        d=int(dim),
         linear=linear,
         e1=e1,
         e2=e2,

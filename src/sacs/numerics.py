@@ -79,17 +79,14 @@ def pd_eigh(a, rtol: float = PD_RTOL):
 class Whitening:
     """Whitening quantities of stacked covariances V, batch shape (...).
 
-    Every field is nan where ok is False. root and inv_root are the
-    symmetric square root of V and its inverse, scale_two = sqrt(diag V)
-    and scale_sup the row 1-norms of root (the per-coordinate half-widths
-    of the unit two-norm and sup-norm regions), kappa the condition number.
-    stat_sup and stat_two are the norms of inv_root @ delta.
+    With root the symmetric square root of V: scale_two = sqrt(diag V) and
+    scale_sup the row 1-norms of root (the per-coordinate half-widths of
+    the unit two-norm and sup-norm regions), kappa the condition number,
+    and stat_sup and stat_two the norms of root^{-1} @ delta. Every field
+    is nan where V is unavailable.
     """
 
-    ok: np.ndarray
     kappa: np.ndarray
-    root: np.ndarray
-    inv_root: np.ndarray
     scale_two: np.ndarray
     scale_sup: np.ndarray
     stat_sup: np.ndarray
@@ -118,10 +115,7 @@ def whiten(v, delta) -> Whitening:
         stat_sup = np.max(np.abs(white), axis=-1)
         stat_two = np.sqrt(np.sum(white * white, axis=-1))
     return Whitening(
-        ok=ok,
         kappa=w[..., -1] / w[..., 0],
-        root=root,
-        inv_root=inv_root,
         scale_two=np.sqrt(diag),
         scale_sup=np.sum(np.abs(root), axis=-1),
         stat_sup=stat_sup,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,15 @@ __all__ = [
     "ModelSpec",
     "TrajectoryPoint",
     "step_size",
-    "default_model",
     "rng_stream",
     "sample_data_block",
     "run_lockstep",
     "run_trajectory",
 ]
 
-MODEL_KINDS = ("linear", "logistic")
+# The two data laws, by kind: (noise_sd, cov_halfwidth).
+_DATA_LAWS = {"linear": (4.0, 10.0), "logistic": (0.0, 0.5)}
+MODEL_KINDS = tuple(_DATA_LAWS)
 
 
 class DivergenceError(NumericalError):
@@ -78,50 +79,36 @@ def step_size(s: StepSchedule, t):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Data-generating model for the built-in regression oracles.
+    """Data-generating model of a built-in regression oracle, named by its
+    kind ("linear" or "logistic") and covariate dimension d.
 
-    kind:           "linear" or "logistic".
-    dim:            covariate dimension d.
-    theta_star:     true parameter, the root the recursion targets.
+    Both have theta_star = (1, ..., d). linear: covariates uniform on
+    [-10, 10]^d, response X'theta_star plus N(0, 16) noise. logistic:
+    covariates uniform on [-0.5, 0.5]^d, Bernoulli response with mean
+    sigmoid(X'theta_star). The law's fields follow from (kind, dim), which
+    alone decide equality and the hash:
+
+    theta_star:     true parameter, the root the recursion targets (read-only).
     noise_sd:       additive response noise s.d. (linear only).
     cov_halfwidth:  covariates are uniform on [-cov_halfwidth, cov_halfwidth]^d.
     """
 
     kind: str
     dim: int
-    theta_star: np.ndarray
-    noise_sd: float = 0.0
-    cov_halfwidth: float = 1.0
+    theta_star: np.ndarray = field(init=False, compare=False)
+    noise_sd: float = field(init=False, compare=False)
+    cov_halfwidth: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         _check_counts(dim=self.dim)
-        theta = np.array(self.theta_star, dtype=float, copy=True)
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
-            raise ValueError("theta_star must be a finite vector of length dim")
+        theta = np.arange(1.0, self.dim + 1.0)
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
-        if not (math.isfinite(self.cov_halfwidth) and self.cov_halfwidth > 0.0):
-            raise ValueError(
-                f"cov_halfwidth must be finite and positive, got {self.cov_halfwidth}"
-            )
-
-
-def default_model(kind: str, dim: int = 1) -> ModelSpec:
-    """Reference models: theta_star = (1, ..., d) with the standard data laws.
-
-    linear:   covariates uniform on [-10, 10]^d, noise N(0, 16).
-    logistic: covariates uniform on [-0.5, 0.5]^d, Bernoulli response.
-    """
-    theta = np.arange(1.0, dim + 1.0)
-    if kind == "linear":
-        return ModelSpec("linear", dim, theta, noise_sd=4.0, cov_halfwidth=10.0)
-    if kind == "logistic":
-        return ModelSpec("logistic", dim, theta, noise_sd=0.0, cov_halfwidth=0.5)
-    raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+        noise_sd, cov_halfwidth = _DATA_LAWS[self.kind]
+        object.__setattr__(self, "noise_sd", noise_sd)
+        object.__setattr__(self, "cov_halfwidth", cov_halfwidth)
 
 
 def _check_seeds(**seeds) -> None:

@@ -3,7 +3,8 @@ the library itself does not need: the Gaussian mixture martingale and the
 gm volume objective behind lambda_star, a log-log rate fit, and the
 Gaussian check's coverage computed the long way; a report's whole CSV
 text, which the library only ever streams to a file; a per-step view
-of run_lockstep's batched visits; and run_lockstep's per-step loop.
+of run_lockstep's batched visits; run_lockstep's per-step loop; and the
+symmetric square root that whiten forms but does not return.
 """
 
 import math
@@ -86,6 +87,13 @@ def lockstep_reference(model, schedule, T, gens, eval_times, visit):
                         lo = (i - 1) // k * k
                         visit(lo, *(buf[: i - lo] for buf in bufs))
     return diverged_at
+
+
+def sym_root(v):
+    """The symmetric square root of stacked positive definite matrices v,
+    (..., k, k), from numpy's eigh: q diag(sqrt(w)) q'."""
+    w, q = np.linalg.eigh(np.asarray(v, dtype=float))
+    return (q * np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def make_report(rows, metadata=None):

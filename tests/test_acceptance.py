@@ -18,10 +18,9 @@ import pytest
 from sacs.boundaries import BoundarySpec, lambda_star, radius_grid
 from sacs.covariance import sandwich
 from sacs.harness import ExperimentConfig, rate_exponents, run_coverage, run_gaussian_check
-from sacs.numerics import whiten
-from sacs.sa_engine import StepSchedule, default_model, rng_stream, run_lockstep
+from sacs.sa_engine import ModelSpec, StepSchedule, rng_stream, run_lockstep
 
-from helpers import gm_mixture_martingale, gm_volume_objective, per_point
+from helpers import gm_mixture_martingale, gm_volume_objective, per_point, sym_root
 
 CS_KINDS = ("lilub", "gm", "lilen")
 LINEAR_ETA0 = 0.01
@@ -46,8 +45,8 @@ def curvature(model):
 # Matched-step rule: the logistic recursion gets the linear fixture's
 # effective step eta0 * H = 0.01 * 100/3 = 1/3. The logistic curvature is
 # H = 0.0201, so eta0 = 1 / (3 H) = 16.6.
-MATCHED_STEP = LINEAR_ETA0 * curvature(default_model("linear", 1))
-LOGISTIC_ETA0 = MATCHED_STEP / curvature(default_model("logistic", 1))
+MATCHED_STEP = LINEAR_ETA0 * curvature(ModelSpec("linear", 1))
+LOGISTIC_ETA0 = MATCHED_STEP / curvature(ModelSpec("logistic", 1))
 
 
 def record(n, desc, ok, detail=""):
@@ -65,7 +64,7 @@ def uniform_at_end(report, kind):
 @pytest.fixture(scope="module")
 def linear_coverage_report():
     cfg = ExperimentConfig(
-        model=default_model("linear", 1),
+        model=ModelSpec("linear", 1),
         schedule=StepSchedule(LINEAR_ETA0, 0.67),
         iters=20_000,
         reps=500,
@@ -80,7 +79,7 @@ def linear_coverage_report():
 @pytest.fixture(scope="module")
 def logistic_coverage_report():
     cfg = ExperimentConfig(
-        model=default_model("logistic", 1),
+        model=ModelSpec("logistic", 1),
         schedule=StepSchedule(LOGISTIC_ETA0, 0.67),
         iters=20_000,
         reps=500,
@@ -162,7 +161,7 @@ def test_logistic_default_step_still_biased():
     check asks for at least half that bias, three Monte Carlo standard
     errors clear of it.
     """
-    model = default_model("logistic", 1)
+    model = ModelSpec("logistic", 1)
     sched = StepSchedule(0.5, 0.67)
     t, reps = 1000, 50
     theta = model.theta_star[0]
@@ -228,7 +227,7 @@ def test_criterion_5_exponent_golden_values():
 
 
 def test_criterion_6_plugin_limits():
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     reps, T = 50, 100_000
     h_vals, v_vals = [], []
@@ -269,7 +268,7 @@ def test_criterion_8_martingale_mean_one():
     # variance of the martingale small enough for a 3 stderr check
     inv_v = np.linalg.inv(v)
     sigma = np.array(inv_v / 400.0)
-    sq = whiten(v, np.zeros(2)).root
+    sq = sym_root(v)
     n_paths, horizon = 10_000, 200
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((n_paths, horizon, 2))

@@ -21,7 +21,7 @@ from sacs.boundaries import (
 from sacs import boundaries
 from sacs.numerics import whiten
 
-from helpers import gm_mixture_martingale, gm_volume_objective
+from helpers import gm_mixture_martingale, gm_volume_objective, sym_root
 
 
 def radius(kind, t, d, alpha, kappa=1.0):
@@ -274,7 +274,7 @@ def test_membership_flips_at_radius():
     # a region is {delta : |whiten(v, delta)| <= radius} in the kind's norm;
     # delta = r (1 -+ 1e-9) root(v) e_0 has whitened norm r (1 -+ 1e-9)
     v = np.array([[2.0, 1.0], [1.0, 2.0]])
-    root = whiten(v, np.zeros(2)).root
+    root = sym_root(v)
     for kind in KINDS:
         r = radius(kind, 500, 2, 0.1, kappa=3.0)
         delta = np.stack([r * (1.0 - 1e-9) * root[:, 0], r * (1.0 + 1e-9) * root[:, 0]])

@@ -415,10 +415,11 @@ def test_bad_boundaries_exit_2_before_out(monkeypatch, capsys, command, kinds, m
             ["gaussian-check", "--dim", "1", "--seed", "-1"],
             "seed must be an integer in [0, 2**64), got -1",
         ),
+        (["rates", "--linear", "--a", "0.7", "--dim", "0"], "dim must be an integer >= 1, got 0"),
     ],
     ids=[
         "horizon", "reps", "dim", "negative-dim", "iters", "coverage-dim", "coverage-seed",
-        "gaussian-seed",
+        "gaussian-seed", "rates-dim",
     ],
 )  # fmt: skip
 def test_bad_sizes_exit_2_before_out(monkeypatch, capsys, args, message):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sacs.covariance import SANDWICH_RTOL, sandwich
 from sacs.sa_engine import (
+    ModelSpec,
     StepSchedule,
-    default_model,
     rng_stream,
     run_lockstep,
     run_trajectory,
@@ -20,7 +20,7 @@ from helpers import lockstep_reference, per_point
 
 def test_single_datum_estimate():
     # after one linear step from x0 = 0: h_hat = X^2, s_hat = (yX)^2
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     (xv,), (y,) = sample_data_block(model, rng_stream(2, 0), 1)
     (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=rng_stream(2, 0))
     assert pt.h_hat[0, 0] == xv[0] ** 2
@@ -33,7 +33,7 @@ def test_single_datum_estimate():
 def test_plugin_estimate_normalizes_by_t():
     # each checkpoint divides the accumulators of the same stream by t, as
     # the per-step reference does with the sums it keeps
-    model = default_model("linear", 2)
+    model = ModelSpec("linear", 2)
     sched = StepSchedule(0.01, 0.67)
     means = {}
 
@@ -64,7 +64,7 @@ def test_singular_flag_cases():
 
 def test_plugin_estimate_singular_passthrough():
     # at t = 1 the d = 2 Jacobian estimate is the rank-one X X'
-    model = default_model("linear", 2)
+    model = ModelSpec("linear", 2)
     (pt,) = run_trajectory(model, StepSchedule(0.01, 0.67), 1, [1], rng=rng_stream(3, 0))
     assert pt.sandwich is None
 
@@ -88,7 +88,7 @@ def test_sandwich_scale_equivariance(d, c, seed):
 
 
 def test_sandwich_is_exactly_symmetric():
-    model = default_model("linear", 3)
+    model = ModelSpec("linear", 3)
     sched = StepSchedule(0.01, 0.67)
     trace = run_trajectory(model, sched, 200, [50, 100, 200], rng=rng_stream(3, 0))
     for pt in trace:
@@ -97,7 +97,7 @@ def test_sandwich_is_exactly_symmetric():
 
 def test_jacobian_estimate_accuracy_improves_with_t():
     # median |h_hat - 100/3| over 200 repetitions shrinks from t=1e3 to t=1e5
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     reps = 200
     errs = {}

@@ -28,8 +28,8 @@ from sacs.harness import (
 )
 from sacs.numerics import NumericalError, whiten
 from sacs.sa_engine import (
+    ModelSpec,
     StepSchedule,
-    default_model,
     rng_stream,
     run_lockstep,
     run_trajectory,
@@ -45,7 +45,7 @@ def specs(alpha, kinds=KINDS):
 
 def small_config(**overrides):
     base = dict(
-        model=default_model("linear", 1),
+        model=ModelSpec("linear", 1),
         schedule=StepSchedule(0.01, 0.67),
         iters=1500,
         reps=10,
@@ -156,7 +156,7 @@ def test_fit_rate_degenerate_windows():
 
 def test_fit_rate_on_simulated_decay():
     # median error of the averaged iterate decays near t^{-1/2}
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     gens = [rng_stream(17, r) for r in range(20)]
     ckpts = [1000, 2000, 4000, 8000, 16000]
@@ -192,6 +192,18 @@ def test_experiment_config_validation():
             small_config(**{name: True})
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got False"):
         small_config(seed=False)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_configs_compare_and_hash_by_value(dim):
+    # built twice from the same arguments, a model, schedule, boundary and
+    # config are each one value: equal, with equal hashes
+    a, b = (small_config(model=ModelSpec("linear", dim)) for _ in range(2))
+    pairs = [(a.model, b.model), (a.schedule, b.schedule), (a.boundaries[0], b.boundaries[0])]
+    for x, y in pairs + [(a, b)]:
+        assert x is not y and x == y and hash(x) == hash(y)
+    assert ModelSpec("linear", dim) != ModelSpec("logistic", dim)
+    assert a != small_config(model=ModelSpec("logistic", dim))
 
 
 def test_run_coverage_shapes_and_grid():
@@ -258,7 +270,7 @@ def test_run_coverage_all_divergent_raises():
 def test_run_coverage_whitens_the_replayed_sandwich():
     # replaying each repetition with run_trajectory and whitening its
     # sandwich by hand gives the report's coverage, radii and half-widths
-    model = default_model("linear", 3)
+    model = ModelSpec("linear", 3)
     cfg = small_config(model=model, reps=8, iters=1200, start=400, stride=400)
     rep = run_coverage(cfg)
     grid = [400, 800, 1200]
@@ -307,14 +319,14 @@ def assert_same_report(a, b):
         lambda: run_coverage(small_config(reps=12, stride=50)),
         # d = 2: lilen takes a radius per repetition
         lambda: run_coverage(
-            small_config(model=default_model("linear", 2), reps=6, start=600, stride=30)
+            small_config(model=ModelSpec("linear", 2), reps=6, start=600, stride=30)
         ),
         lambda: run_coverage(divergent_config()),
         # the logistic Jacobian weight, taken per chunk, at the matched step
         # size; stride 7 is out of step with the chunk of 93 steps
         lambda: run_coverage(
             small_config(
-                model=default_model("logistic", 2),
+                model=ModelSpec("logistic", 2),
                 schedule=StepSchedule(16.6, 0.67),
                 reps=8,
                 start=100,
@@ -363,7 +375,7 @@ def assert_same_bytes(report, other):
     [
         (small_config(reps=11, stride=50), False),
         # d = 2: lilen takes a radius per repetition
-        (small_config(model=default_model("linear", 2), reps=10, start=600, stride=30), False),
+        (small_config(model=ModelSpec("linear", 2), reps=10, start=600, stride=30), False),
         # eta0 = 7: some repetitions diverge and the second pass leaves them out
         (dataclasses.replace(divergent_config(), reps=14), True),
     ],

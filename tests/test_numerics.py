@@ -18,6 +18,8 @@ from sacs.boundaries import BoundarySpec, _c_d_constant, radius_grid
 from sacs.covariance import sandwich
 from sacs.numerics import _matmul, pd_eigh, whiten
 
+from helpers import sym_root
+
 
 def random_pd(rng, d):
     a = rng.standard_normal((d, d))
@@ -94,36 +96,48 @@ def test_matmul_calls_matmul_above_inner_dimension_one(d, seed):
 
 
 def test_whiten_frozen_2x2():
-    wh = whiten(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]))
-    r = wh.inv_root
-    assert r[0, 0] == pytest.approx(0.7886751345948129, rel=1e-12)
-    assert r[0, 1] == pytest.approx(-0.21132486540518713, rel=1e-12)
-    assert r[1, 0] == pytest.approx(r[0, 1], rel=1e-12)
-    assert r[1, 1] == pytest.approx(r[0, 0], rel=1e-12)
-    # the statistics are the norms of inv_root @ delta = first column
-    assert wh.stat_sup == pytest.approx(0.7886751345948129, rel=1e-12)
-    assert wh.stat_two == pytest.approx(math.hypot(r[0, 0], r[0, 1]), rel=1e-12)
-    assert wh.scale_two == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-12)
-    assert wh.scale_sup == pytest.approx([math.sqrt(3.0)] * 2, rel=1e-12)
+    # the inverse root of [[2, 1], [1, 2]] is [[r0, r1], [r1, r0]] with
+    # r0 = 0.78867... and r1 = -0.21132...: delta = e_0 and e_1 read a
+    # column each, r0 in the sup norm and |(r0, r1)| in the two norm, and
+    # delta = (1, 1) the row sums r0 + r1
+    v = np.array([[2.0, 1.0], [1.0, 2.0]])
+    r0, r1 = 0.7886751345948129, -0.21132486540518713
+    wh = whiten(np.stack([v] * 3), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert wh.stat_sup == pytest.approx([r0, r0, r0 + r1], rel=1e-12)
+    two = [math.hypot(r0, r1)] * 2 + [math.sqrt(2.0) * (r0 + r1)]
+    assert wh.stat_two == pytest.approx(two, rel=1e-12)
+    assert wh.scale_two == pytest.approx(np.full((3, 2), math.sqrt(2.0)), rel=1e-12)
+    assert wh.scale_sup == pytest.approx(np.full((3, 2), math.sqrt(3.0)), rel=1e-12)
+    assert np.abs(sym_root(v)).sum(axis=-1) == pytest.approx([math.sqrt(3.0)] * 2, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_whiten_inv_root_whitens(d, seed):
+    # delta = root(m) z whitens back to z: the statistics are the norms of
+    # z, so whiten applies the inverse of the symmetric root (the sup norm
+    # tells it from any other root)
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
-    w = whiten(m, np.zeros(d)).inv_root
-    assert np.abs(w @ m @ w - np.eye(d)).max() < 1e-8
+    z = np.concatenate([np.eye(d), rng.standard_normal((2, d))])[:, None, :]
+    wh = whiten(m, (sym_root(m) @ z[..., None])[..., 0])
+    assert np.abs(wh.stat_sup - np.abs(z).max(axis=-1)).max() < 1e-8
+    assert np.abs(wh.stat_two - np.linalg.norm(z, axis=-1)).max() < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_whiten_root_squares_back(d, seed):
+    # the reference root squares back to m, and whiten's half-width scales
+    # are its row 1-norms (sup) and sqrt(diag m) (two)
     rng = np.random.default_rng(seed)
     m = np.stack([random_pd(rng, d) for _ in range(3)])
-    r = whiten(m, np.zeros(d)).root
+    r = sym_root(m)
     scale = float(np.abs(m).max())
     assert np.abs(r @ r - m).max() < 1e-9 * scale
+    wh = whiten(m, np.zeros(d))
+    assert np.abs(wh.scale_sup - np.abs(r).sum(axis=-1)).max() < 1e-9 * math.sqrt(scale)
+    assert np.array_equal(wh.scale_two, np.sqrt(np.diagonal(m, axis1=-2, axis2=-1)))
 
 
 def test_whiten_rejects_non_pd():
@@ -137,9 +151,9 @@ def test_whiten_rejects_non_pd():
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
     ]
     wh = whiten(np.stack([good] + bad), np.zeros((len(bad) + 1, 2)))
-    assert wh.ok.tolist() == [True] + [False] * len(bad)
     assert wh.kappa[0] == 1.0 and wh.stat_sup[0] == 0.0 and wh.stat_two[0] == 0.0
-    for field in (wh.kappa, wh.stat_sup, wh.stat_two, wh.scale_two, wh.root):
+    assert wh.scale_two[0].tolist() == wh.scale_sup[0].tolist() == [1.0, 1.0]
+    for field in (wh.kappa, wh.stat_sup, wh.stat_two, wh.scale_two, wh.scale_sup):
         assert np.isnan(field[1:]).all()
 
 
@@ -229,7 +243,9 @@ def test_d1_closed_form_matches_eigh_path(seed):
     closed = whiten(v1, delta[:, None])
     eig = whiten(v3[:, :1, :1], delta[:, None])
     full = whiten(v3, np.stack([delta, np.zeros(n), np.zeros(n)], axis=-1))
-    assert ok1.all() and ok3.all() and closed.ok.all() and eig.ok.all()
+    assert ok1.all() and ok3.all()
+    for wh in (closed, eig):
+        assert not np.isnan(wh.kappa).any() and not np.isnan(wh.stat_sup).any()
     assert np.allclose(closed.stat_sup, np.abs(delta) / np.sqrt(s / h**2), rtol=1e-12)
     for ref in (eig, full):
         for got, want in (

@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import inspect
 
+import pytest
+
 import sacs
 from sacs import boundaries, covariance, harness, numerics, sa_engine
 
@@ -13,7 +15,8 @@ MODULES = (numerics, sa_engine, covariance, boundaries, harness)
 # Plain arrays and generators replaced SymMatrix and RngStream; whiten and
 # radius_grid replaced the scalar evaluate path; CSV is only streamed. The
 # Lambert W solver gave way to a Newton root in lambda_star, and the radius
-# formulas' special functions are private to boundaries.
+# formulas' special functions are private to boundaries. A model is its
+# kind and dimension.
 REMOVED = (
     "radius_lil_ub",
     "radius_gm",
@@ -32,6 +35,7 @@ REMOVED = (
     "lambert_w_m1",
     "normal_quantile",
     "c_d_constant",
+    "default_model",
 )
 
 
@@ -81,8 +85,9 @@ def test_no_parameter_that_only_tests_set():
     # every caller started the recursion at 0, used every coordinate and
     # the unscaled radii, read singularity off the missing sandwich, gave
     # each boundary its level in its BoundarySpec and the paper's shape,
-    # ran the Gaussian check on the identity covariance and whitened a
-    # vector
+    # ran the Gaussian check on the identity covariance, whitened a
+    # vector, built each model on its kind's fixed data law and read five
+    # whitening fields
     def params(fn):
         return inspect.signature(fn).parameters
 
@@ -97,3 +102,9 @@ def test_no_parameter_that_only_tests_set():
     assert "singular" not in fields(sa_engine.TrajectoryPoint)
     assert fields(boundaries.BoundarySpec) == ["kind", "alpha"]
     assert params(numerics.whiten)["delta"].default is inspect.Parameter.empty
+    model = sa_engine.ModelSpec("linear", 1)
+    assert [f.name for f in dataclasses.fields(model) if f.init] == ["kind", "dim"]
+    with pytest.raises(ValueError):
+        dataclasses.replace(model, cov_halfwidth=1.0)
+    whitening = ["kappa", "scale_two", "scale_sup", "stat_sup", "stat_two"]
+    assert fields(numerics.Whitening) == whitening

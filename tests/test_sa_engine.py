@@ -1,6 +1,5 @@
 """Tests for the stochastic approximation recursion engine."""
 
-import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -18,7 +17,6 @@ from sacs.sa_engine import (
     ModelSpec,
     StepSchedule,
     _gradient,
-    default_model,
     rng_stream,
     run_lockstep,
     run_trajectory,
@@ -98,27 +96,25 @@ def test_validate_rate_condition_domain():
 
 
 def test_default_models():
-    lin = default_model("linear", 3)
+    # a model is its kind and dimension; both kinds have theta_star = (1, ..., d)
+    lin = ModelSpec("linear", 3)
     assert np.array_equal(lin.theta_star, [1.0, 2.0, 3.0])
     assert lin.noise_sd == 4.0 and lin.cov_halfwidth == 10.0
-    logi = default_model("logistic", 2)
+    logi = ModelSpec("logistic", 2)
     assert np.array_equal(logi.theta_star, [1.0, 2.0])
-    assert logi.cov_halfwidth == 0.5
-    with pytest.raises(ValueError):
-        default_model("probit")
+    assert logi.noise_sd == 0.0 and logi.cov_halfwidth == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        lin.theta_star[0] = 5.0
 
 
 def test_model_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec("linear", 2, np.array([1.0]))
-    with pytest.raises(ValueError):
-        ModelSpec("linear", 1, np.array([math.nan]))
-    with pytest.raises(ValueError):
-        ModelSpec("linear", 1, np.array([1.0]), noise_sd=-1.0)
-    with pytest.raises(ValueError):
-        ModelSpec("linear", 1, np.array([1.0]), cov_halfwidth=0.0)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ModelSpec("probit", 1)
+    for dim in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            ModelSpec("linear", dim)
     with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
-        ModelSpec("linear", True, np.array([1.0]))
+        ModelSpec("linear", True)
 
 
 # ------------------------------------------------------------ rng streams
@@ -145,7 +141,7 @@ def test_rng_stream_validation():
 
 
 def test_sample_linear_moments():
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     xs, ys = sample_data_block(model, rng_stream(5, 0), 1_000_000)
     assert np.abs(xs).max() <= 10.0
     # E[y] = 0, sd(y) = sqrt(100/3 + 16); tolerance is 3 standard errors
@@ -156,7 +152,7 @@ def test_sample_linear_moments():
 
 
 def test_sample_logistic_moments():
-    model = default_model("logistic", 1)
+    model = ModelSpec("logistic", 1)
     xs, ys = sample_data_block(model, rng_stream(6, 0), 200_000)
     assert np.abs(xs).max() <= 0.5
     assert set(np.unique(ys)) <= {0.0, 1.0}
@@ -203,27 +199,32 @@ def jac(model, x, xv):
 
 
 def test_grad_oracle_values():
-    lin = ModelSpec("linear", 1, np.array([1.0]))
+    lin = ModelSpec("linear", 1)
     # residual 5 - 2*1 = 3, gradient -3*2
     assert grad(lin, [1.0], [2.0], 5.0)[0] == -6.0
-    # zero residual at the root of a noiseless model
-    model = ModelSpec("linear", 2, np.array([1.0, -2.0]), noise_sd=0.0)
+    # at the root the residual is minus the response noise, drawn after
+    # the covariates with s.d. noise_sd
+    model = ModelSpec("linear", 2)
     xs, ys = sample_data_block(model, rng_stream(3, 0), 1)
-    assert np.array_equal(grad(model, model.theta_star, xs[0], ys[0]), [0.0, 0.0])
+    gen = rng_stream(3, 0)
+    assert np.array_equal(gen.uniform(-10.0, 10.0, size=(1, 2)), xs)
+    noise = gen.normal(0.0, 4.0)
+    got = grad(model, model.theta_star, xs[0], ys[0])
+    assert got == pytest.approx(-noise * xs[0], rel=1e-12, abs=1e-12)
     # logistic gradient vanishes when y equals the predicted probability
-    logi = default_model("logistic", 1)
+    logi = ModelSpec("logistic", 1)
     y = 1.0 / (1.0 + math.exp(-0.4 * 0.3))
     assert grad(logi, [0.3], [0.4], y) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_jac_oracle_values():
-    lin = ModelSpec("linear", 1, np.array([1.0]))
+    lin = ModelSpec("linear", 1)
     assert jac(lin, [0.0], [3.0])[0, 0] == 9.0
     # sigmoid'(0) * X^2 = 0.25 * 4
-    assert jac(default_model("logistic", 1), [0.0], [2.0])[0, 0] == 1.0
+    assert jac(ModelSpec("logistic", 1), [0.0], [2.0])[0, 0] == 1.0
     # one row per repetition: a stack of outer products, each symmetric
     xs = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    j = jacs(default_model("linear", 2), np.zeros((2, 2)), xs)
+    j = jacs(ModelSpec("linear", 2), np.zeros((2, 2)), xs)
     assert np.array_equal(j, xs[:, :, None] * xs[:, None, :])
 
 
@@ -235,7 +236,7 @@ def test_jac_oracle_values():
 )
 def test_jacobian_is_gradient_derivative(kind, dim, seed):
     # central differences of the gradient reproduce the Jacobian columnwise
-    model = default_model(kind, dim)
+    model = ModelSpec(kind, dim)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=dim)
     (xv,), (y,) = sample_data_block(model, rng_stream(seed, 7), 1)
@@ -274,7 +275,7 @@ def iterates(xbars):
 
 
 def test_sa_step_frozen_dynamics():
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     states, _ = every_step(model, StepSchedule(0.0, 0.7), 5, 0)
     xbars = [xbar for xbar, _, _ in states]
     for x, xbar in zip(iterates(xbars), xbars):
@@ -283,21 +284,10 @@ def test_sa_step_frozen_dynamics():
     assert 0.0 < states[0][1][0, 0] < 5 * states[-1][1][0, 0]
 
 
-def test_sa_step_noiseless_fixed_point():
-    # the recursion starts at x_0 = 0, so the root is put there
-    model = ModelSpec("linear", 2, np.zeros(2), noise_sd=0.0, cov_halfwidth=1.0)
-    states, _ = every_step(model, StepSchedule(0.1, 0.7), 50, 4)
-    xbars = [xbar for xbar, _, _ in states]
-    for x, (xbar, _, s_hat) in zip(iterates(xbars), states):
-        assert np.array_equal(x, model.theta_star)
-        assert np.array_equal(xbar, model.theta_star)
-        assert not s_hat.any()
-
-
 def test_sa_step_averaging_identity():
     # t*xbar_t - (t-1)*xbar_{t-1} recovers x_t, the recursion's iterate
     # taken here one datum at a time; x_0 is excluded from the mean
-    model = default_model("linear", 2)
+    model = ModelSpec("linear", 2)
     sched = StepSchedule(0.01, 0.67)
     states, _ = every_step(model, sched, 30, 11)
     xs, ys = sample_data_block(model, rng_stream(11, 0), 30)
@@ -309,7 +299,7 @@ def test_sa_step_averaging_identity():
 
 def test_sa_step_accumulators_one_step():
     # the first step reads the head of the stream's canonical data block
-    model = ModelSpec("linear", 1, np.array([1.0]), noise_sd=4.0, cov_halfwidth=10.0)
+    model = ModelSpec("linear", 1)
     xs, ys = sample_data_block(model, rng_stream(2, 0), 3)
     states, _ = every_step(model, StepSchedule(0.01, 0.67), 3, 2)
     # at t = 1 the average is the iterate and the means are the sums
@@ -322,7 +312,7 @@ def test_sa_step_accumulators_one_step():
 
 def test_sa_step_divergence_raises():
     # the reported step is the first one whose iterate is not finite
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     states, diverged_at = every_step(model, StepSchedule(1e150, 0.67), 50, 0)
     finite = [bool(np.isfinite(x).all()) for x in iterates([xbar for xbar, _, _ in states])]
     assert diverged_at == finite.index(False) + 1 >= 1
@@ -332,7 +322,7 @@ def test_sa_step_divergence_raises():
 
 
 def test_run_trajectory_deterministic():
-    model = default_model("linear", 2)
+    model = ModelSpec("linear", 2)
     sched = StepSchedule(0.01, 0.67)
     a = run_trajectory(model, sched, 300, [100, 300], rng=rng_stream(7, 3))
     b = run_trajectory(model, sched, 300, [100, 300], rng=rng_stream(7, 3))
@@ -345,7 +335,7 @@ def test_run_trajectory_deterministic():
 
 
 def test_run_trajectory_empty_and_validation():
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     assert run_trajectory(model, sched, 0, []) == ()
     for bad in ([0], [5, 5], [5, 3], [11]):
@@ -359,7 +349,7 @@ def test_run_trajectory_empty_and_validation():
 
 def test_run_trajectory_divergence():
     # the error carries the step that run_lockstep reports for the same stream
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(1e150, 0.67)
     with pytest.raises(DivergenceError) as exc:
         run_trajectory(model, sched, 100, [100], rng=rng_stream(0, 0))
@@ -383,7 +373,7 @@ def test_public_exceptions_survive_pickling(error):
 
 def test_run_trajectory_converges_to_root():
     # 30 repetitions at T = 20000 all land within 0.1 of theta_star
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     errs = []
     for r in range(30):
@@ -401,7 +391,7 @@ def test_lockstep_matches_chunked_runs(monkeypatch, kind, dim, block_entries):
     # nor on the time blocks its data are drawn in. block_entries = 1 gives
     # the shortest blocks, 64 steps, which do not divide T; d = 8 is where
     # BLAS rounds xs @ theta_star by a row's place in its row group.
-    model = default_model(kind, dim)
+    model = ModelSpec(kind, dim)
     sched = StepSchedule(0.01, 0.67)
     T = 129
 
@@ -437,7 +427,7 @@ def test_lockstep_holds_one_data_block(monkeypatch):
     # 2,000-step run stays near one block's covariates and responses,
     # rather than two blocks at each boundary
     monkeypatch.setattr(sa_engine, "_BLOCK_ENTRIES", 2**14)
-    model, sched, n_reps, T = default_model("linear", 1), StepSchedule(0.01, 0.67), 50, 2000
+    model, sched, n_reps, T = ModelSpec("linear", 1), StepSchedule(0.01, 0.67), 50, 2000
     block = max(b for _, b in sa_engine._time_blocks(T, n_reps, 2**14))
     assert block == 320 and T > 5 * block
     block_bytes = block * n_reps * (model.dim + 1) * 8
@@ -461,7 +451,7 @@ def test_lockstep_chunk_scratch_is_small(n_reps, dim, T):
     # at the benchmark's shapes (default block and flush sizes, 4096- and
     # 6000-step blocks), a run holds under 2 MB beyond one data block's
     # covariates and responses: the chunks' arrays stay cache-sized
-    model, sched = default_model("linear", dim), StepSchedule(0.01, 0.67)
+    model, sched = ModelSpec("linear", dim), StepSchedule(0.01, 0.67)
     block = max(b for _, b in sa_engine._time_blocks(T, n_reps * dim, sa_engine._BLOCK_ENTRIES))
     block_bytes = block * n_reps * (dim + 1) * 8
     run_lockstep(model, sched, 100, [rng_stream(3, r) for r in range(n_reps)], [], None)
@@ -511,9 +501,9 @@ def test_lockstep_matches_the_per_step_reference(monkeypatch, kind, dim, divergi
     # at eta0 = 1e3 turns nan near step 100; logistic at eta0 = 1e10 with
     # covariates up to 1e150 overflows x'X (d = 2) or saturates the
     # sigmoid (d = 1).
-    model = default_model(kind, dim)
     if diverging and kind == "logistic":
-        model = dataclasses.replace(model, cov_halfwidth=1e150)
+        monkeypatch.setitem(sa_engine._DATA_LAWS, "logistic", (0.0, 1e150))
+    model = ModelSpec(kind, dim)
     sched = StepSchedule({"linear": 1e3, "logistic": 1e10}[kind] if diverging else 0.05, 0.67)
     ev, n_reps, T = list(EVAL_TIMES[eval_times]), 3, 300
 
@@ -545,7 +535,7 @@ def test_lockstep_matches_the_per_step_reference(monkeypatch, kind, dim, divergi
 def test_lockstep_visits_batches_of_k_steps(monkeypatch, k):
     # buffers of k steps (all L = 7 when k >= L) give ceil(L / k) visits at
     # lo = 0, k, 2k, ..., whose states are those of one-step batches
-    model, sched, n_reps = default_model("linear", 2), StepSchedule(0.01, 0.67), 3
+    model, sched, n_reps = ModelSpec("linear", 2), StepSchedule(0.01, 0.67), 3
     ev = [2, 3, 5, 8, 13, 21, 34]
 
     def batches(size):
@@ -572,7 +562,7 @@ def test_lockstep_visits_batches_of_k_steps(monkeypatch, k):
 
 def test_lockstep_freezes_divergent_reps():
     # one exploding schedule: every repetition freezes to nan, none raises
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(1e150, 0.67)
     gens = [rng_stream(1, r) for r in range(4)]
     seen = {}
@@ -589,7 +579,7 @@ def test_lockstep_divergent_steps_match_single_runs():
     # the golden divergent config (6 of 20 repetitions diverge, at different
     # steps): each repetition reports the first divergent step it reports
     # when run alone, including after another repetition has turned nan
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(7.0, 0.67)
     T = 1000
     together = run_lockstep(model, sched, T, [rng_stream(0, r) for r in range(20)], [], None)
@@ -600,7 +590,7 @@ def test_lockstep_divergent_steps_match_single_runs():
 
 
 def test_lockstep_rejects_bad_eval_times():
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     gens = [rng_stream(0, 0)]
     for bad in ([0], [3, 2], [7]):
@@ -613,7 +603,7 @@ def test_l2_decay_probe():
     # bounded between the two checkpoints (within a factor of 2). The
     # iterate x_t = t xbar_t - (t-1) xbar_{t-1} is recovered from the
     # averages at t - 1 and t.
-    model = default_model("linear", 1)
+    model = ModelSpec("linear", 1)
     sched = StepSchedule(0.01, 0.67)
     reps, T = 200, 10_000
     gens = [rng_stream(77, r) for r in range(reps)]
