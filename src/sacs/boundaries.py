@@ -11,7 +11,7 @@ units of the estimated sandwich covariance:
 
 The first three hold uniformly over time at level alpha; the fixed-time
 baseline is pointwise and is included for contrast. A region is the set of
-centred vectors whose whitened statistic (numerics.whiten) has norm at most
+centred vectors whose whitened statistic (covariance.whiten) has norm at most
 the radius (radius_grid). Radii are strict about their domain: where an
 iterated logarithm is undefined the radius is +inf, the whole space, rather
 than extrapolated. The special functions the radii need live here too: the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_counts
+from .covariance import _check_counts
 
 __all__ = [
     "KINDS",
@@ -36,8 +36,6 @@ __all__ = [
     "radius_grid",
 ]
 
-KINDS = ("lilub", "gm", "lilen", "fixed")
-
 # Membership norm for the whitened statistic, fixed per family.
 NORM_BY_KIND = {
     "lilub": "sup_norm",
@@ -45,6 +43,7 @@ NORM_BY_KIND = {
     "lilen": "two_norm",
     "fixed": "sup_norm",
 }
+KINDS = tuple(NORM_BY_KIND)
 
 # Iterated-logarithm arguments below this are treated as out of domain.
 _LOGLOG_MIN = math.e + 1e-12

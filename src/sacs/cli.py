@@ -22,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .boundaries import KINDS, BoundarySpec
-from .numerics import NumericalError
+from .covariance import NumericalError
 from .sa_engine import MODEL_KINDS, ModelSpec, StepSchedule, rng_stream, run_trajectory
 
 __all__ = ["build_parser", "main"]

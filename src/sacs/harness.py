@@ -33,13 +33,12 @@ import os
 import threading
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import boundaries as bnd
-from .covariance import sandwich
-from .numerics import NumericalError, _check_counts, whiten
+from .covariance import NumericalError, _check_counts, sandwich, whiten
 from .sa_engine import (
     ModelSpec,
     StepSchedule,
@@ -62,20 +61,6 @@ __all__ = [
     "report_to_json",
     "emit_report",
 ]
-
-CSV_COLUMNS = (
-    "t",
-    "boundary_kind",
-    "radius_mean",
-    "fixed_coverage",
-    "uniform_coverage",
-    "halfwidth_mean",
-    "reps_effective",
-)
-
-# One (step, boundary) aggregate over effective repetitions.
-ReportRow = namedtuple("ReportRow", CSV_COLUMNS)
-
 
 def _distinct_specs(specs) -> tuple:
     """specs as a tuple. Raises ValueError unless it holds at least one
@@ -190,6 +175,13 @@ class CoverageReport:
             if rule == 2:
                 raise ValueError(f"{kind} time-uniform coverage increased at t={t}")
             raise ValueError(f"{kind} radius_mean at t={t} not positive")
+
+
+# The CSV columns: every CoverageReport field but the metadata, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(CoverageReport) if f.name != "metadata")
+
+# One (step, boundary) aggregate over effective repetitions.
+ReportRow = namedtuple("ReportRow", CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +492,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
             # One kernel call evaluates and tallies a batch of grid points,
             # divergent repetitions too: a second pass leaves them out.
             rows = slice(lo, lo + len(xbar))
-            v, _ = sandwich(h_hat, s_hat)
+            v = sandwich(h_hat, s_hat)
             # Every field is nan where the sandwich is unavailable.
             wh = whiten(v, xbar - theta)
             tally.avail[rows] = np.count_nonzero(~np.isnan(wh.stat_sup), axis=1)

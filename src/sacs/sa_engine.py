@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import covariance
-from .numerics import NumericalError, _check_counts
+from .covariance import NumericalError, _check_counts, sandwich
 
 __all__ = [
     "DivergenceError",
@@ -179,6 +178,16 @@ def _time_blocks(T: int, width: int, entries: int):
         t0 += b
 
 
+def _steps(times, name: str) -> list[int]:
+    """times as a list of ints. Raises ValueError if any is not integral,
+    rather than truncating it."""
+    times = list(times)
+    for t in times:
+        if not float(t).is_integer():
+            raise ValueError(f"{name} must be integers, got {t!r}")
+    return [int(t) for t in times]
+
+
 def _gradient(model: ModelSpec, x: np.ndarray, xs: np.ndarray, ys: np.ndarray, g=None, w=None):
     # Stochastic gradient G(x, xi) (R, d) and the weight w (R,) of its Jacobian
     # w XX' per repetition, written to g and w if given; x: (R, d) iterates,
@@ -206,7 +215,7 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     (R d), b // 16)) steps, b the first block's length; the rest takes one
     call per chunk, and the running sums one add per step.
     visit(lo, xbar, h_hat, s_hat) gets the states at the steps in
-    eval_times (ascending, within [1, T]) in batches of k = max(1,
+    eval_times (ascending integers within [1, T]) in batches of k = max(1,
     min(len(eval_times), _FLUSH_ENTRIES // (R d^2))) steps, the last one
     partial: at the m steps t from eval_times[lo] on, the averaged iterates
     (m, R, d) and the running means h_sum / t and s_sum / t (m, R, d, d),
@@ -220,7 +229,7 @@ def run_lockstep(model, schedule, T, gens, eval_times, visit) -> np.ndarray:
     """
     n_reps = len(gens)
     d = model.dim
-    ev = [int(t) for t in eval_times]
+    ev = _steps(eval_times, "eval_times")
     if ev and not (1 <= ev[0] and ev[-1] <= T and all(a < b for a, b in zip(ev, ev[1:]))):
         raise ValueError("eval_times must be strictly ascending within [1, T]")
     k = max(1, min(len(ev), _FLUSH_ENTRIES // max(1, n_reps * d * d)))
@@ -340,7 +349,7 @@ def run_trajectory(
         raise ValueError(f"T must be a nonnegative integer, got {T!r}")
     if rng is None:
         rng = rng_stream(0, 0)
-    checkpoints = [int(t) for t in checkpoints]
+    checkpoints = _steps(checkpoints, "checkpoints")
     trace: list[TrajectoryPoint] = []
 
     def visit(lo, xbar, h_hat, s_hat):
@@ -348,8 +357,8 @@ def run_trajectory(
         # on copies that the points keep: run_lockstep reuses its buffers.
         ts = checkpoints[lo : lo + len(xbar)]
         h_hat, s_hat = h_hat[:, 0].copy(), s_hat[:, 0].copy()
-        v, ok = covariance.sandwich(h_hat, s_hat)
-        ok &= np.isfinite(v).all(axis=(1, 2))
+        v = sandwich(h_hat, s_hat)
+        ok = np.isfinite(v).all(axis=(1, 2))
         sym = 0.5 * (v + np.swapaxes(v, 1, 2))
         for t, xb, h, s, vs, good in zip(ts, xbar[:, 0].copy(), h_hat, s_hat, sym, ok):
             err = math.hypot(*(xb - model.theta_star))

@@ -13,8 +13,8 @@ import numpy as np
 
 from sacs import sa_engine
 from sacs.boundaries import radius_grid
+from sacs.covariance import pd_eigh
 from sacs.harness import CSV_COLUMNS, CoverageReport, _csv_pieces
-from sacs.numerics import pd_eigh
 from sacs.sa_engine import rng_stream
 
 

@@ -19,7 +19,7 @@ from sacs.boundaries import (
     radius_grid,
 )
 from sacs import boundaries
-from sacs.numerics import whiten
+from sacs.covariance import whiten
 
 from helpers import gm_mixture_martingale, gm_volume_objective, sym_root
 

@@ -51,13 +51,12 @@ def test_plugin_estimate_normalizes_by_t():
 
 
 def test_singular_flag_cases():
-    v, ok = sandwich(np.array([[[0.0]], [[-1.0]], [[4.0]]]), np.ones((3, 1, 1)))
-    assert ok.tolist() == [False, False, True]
+    # a sandwich whose h fails the guard is nan in every entry
+    v = sandwich(np.array([[[0.0]], [[-1.0]], [[4.0]]]), np.ones((3, 1, 1)))
     assert np.isnan(v[:2]).all() and v[2, 0, 0] == 1.0 / 16.0
     # eigenvalue ratio at the guard: 9e-9 <= 1e-8 singular, 2e-8 fine
     h = np.stack([np.diag([1.0, 9e-9]), np.diag([1.0, 2e-8])])
-    v, ok = sandwich(h, np.stack([np.eye(2)] * 2))
-    assert ok.tolist() == [False, True]
+    v = sandwich(h, np.stack([np.eye(2)] * 2))
     assert np.isnan(v[0]).all() and np.isfinite(v[1]).all()
     assert SANDWICH_RTOL == 1e-8
 
@@ -82,8 +81,8 @@ def test_sandwich_scale_equivariance(d, c, seed):
     h = a @ a.T + 0.5 * np.eye(d)
     b = rng.standard_normal((d, d))
     s = b @ b.T + 0.1 * np.eye(d)
-    base, _ = sandwich(h, s)
-    scaled, _ = sandwich(c * h, c * c * s)
+    base = sandwich(h, s)
+    scaled = sandwich(c * h, c * c * s)
     assert np.abs(scaled - base).max() <= 1e-9 * np.abs(base).max()
 
 

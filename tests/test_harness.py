@@ -15,6 +15,7 @@ import pytest
 
 from sacs import harness, sa_engine
 from sacs.boundaries import KINDS, BoundarySpec, radius_grid
+from sacs.covariance import NumericalError, whiten
 from sacs.harness import (
     CSV_COLUMNS,
     CoverageReport,
@@ -26,7 +27,6 @@ from sacs.harness import (
     run_coverage,
     run_gaussian_check,
 )
-from sacs.numerics import NumericalError, whiten
 from sacs.sa_engine import (
     ModelSpec,
     StepSchedule,

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacs.boundaries import BoundarySpec, _c_d_constant, radius_grid
-from sacs.covariance import sandwich
-from sacs.numerics import _matmul, pd_eigh, whiten
+from sacs.covariance import _matmul, pd_eigh, sandwich, whiten
 
 from helpers import sym_root
 
@@ -238,12 +237,12 @@ def test_d1_closed_form_matches_eigh_path(seed):
     h3[:, 1:, 1:] = np.stack([random_pd(rng, 2) for _ in range(n)])
     s3[:, 1:, 1:] = np.stack([random_pd(rng, 2) for _ in range(n)])
 
-    v1, ok1 = sandwich(h[:, None, None], s[:, None, None])
-    v3, ok3 = sandwich(h3, s3)
+    v1 = sandwich(h[:, None, None], s[:, None, None])
+    v3 = sandwich(h3, s3)
     closed = whiten(v1, delta[:, None])
     eig = whiten(v3[:, :1, :1], delta[:, None])
     full = whiten(v3, np.stack([delta, np.zeros(n), np.zeros(n)], axis=-1))
-    assert ok1.all() and ok3.all()
+    assert np.isfinite(v1).all() and np.isfinite(v3).all()
     for wh in (closed, eig):
         assert not np.isnan(wh.kappa).any() and not np.isnan(wh.stat_sup).any()
     assert np.allclose(closed.stat_sup, np.abs(delta) / np.sqrt(s / h**2), rtol=1e-12)

@@ -1,22 +1,25 @@
 """The package namespace re-exports exactly the library modules' public names."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 import sacs
-from sacs import boundaries, covariance, harness, numerics, sa_engine
+from sacs import boundaries, covariance, harness, sa_engine
 
-MODULES = (numerics, sa_engine, covariance, boundaries, harness)
+MODULES = (covariance, sa_engine, boundaries, harness)
 
 # Scalar radii duplicated radius_grid; the oracles now live in tests/helpers.py.
 # Plain arrays and generators replaced SymMatrix and RngStream; whiten and
 # radius_grid replaced the scalar evaluate path; CSV is only streamed. The
 # Lambert W solver gave way to a Newton root in lambda_star, and the radius
 # formulas' special functions are private to boundaries. A model is its
-# kind and dimension.
+# kind and dimension. The eigen and whitening kernels joined the sandwich
+# in covariance.
 REMOVED = (
     "radius_lil_ub",
     "radius_gm",
@@ -36,6 +39,7 @@ REMOVED = (
     "normal_quantile",
     "c_d_constant",
     "default_model",
+    "numerics",
 )
 
 
@@ -59,11 +63,13 @@ def test_removed_names_are_gone():
         assert not any(hasattr(m, name) for m in MODULES), name
 
 
-def test_numerics_is_only_the_eigen_kernel():
-    assert numerics.__all__ == [
+def test_covariance_is_the_pd_rule_sandwich_and_whitening():
+    assert covariance.__all__ == [
         "NumericalError",
         "PD_RTOL",
+        "SANDWICH_RTOL",
         "pd_eigh",
+        "sandwich",
         "Whitening",
         "whiten",
     ]
@@ -72,13 +78,23 @@ def test_numerics_is_only_the_eigen_kernel():
 def test_names_the_benchmark_tracer_binds():
     # bench/spans.py binds run_lockstep's arguments by name and wraps the
     # run_lockstep that harness looks up; bench/spans.py and bench/child.py
-    # read a report's rows, CSV_COLUMNS and sacs.covariance
+    # read a report's rows and CSV_COLUMNS; the tracer imports every module
+    # its WRAPPED table names
     params = inspect.signature(sa_engine.run_lockstep).parameters
     assert {"model", "T", "gens", "visit"} <= set(params)
     assert harness.run_lockstep is sa_engine.run_lockstep
     assert isinstance(harness.CSV_COLUMNS, tuple)
     assert isinstance(harness.CoverageReport.rows, property)
-    assert importlib.import_module("sacs.covariance") is covariance
+    spans = ast.parse((Path(__file__).parents[1] / "bench" / "spans.py").read_text())
+    (wrapped,) = [
+        node.value
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
+    modules = {module for module, _, _ in ast.literal_eval(wrapped)}
+    assert modules
+    for module in sorted(modules):
+        assert importlib.import_module(module).__name__ == module
 
 
 def test_no_parameter_that_only_tests_set():
@@ -101,10 +117,10 @@ def test_no_parameter_that_only_tests_set():
     assert "subset" not in fields(harness.ExperimentConfig)
     assert "singular" not in fields(sa_engine.TrajectoryPoint)
     assert fields(boundaries.BoundarySpec) == ["kind", "alpha"]
-    assert params(numerics.whiten)["delta"].default is inspect.Parameter.empty
+    assert params(covariance.whiten)["delta"].default is inspect.Parameter.empty
     model = sa_engine.ModelSpec("linear", 1)
     assert [f.name for f in dataclasses.fields(model) if f.init] == ["kind", "dim"]
     with pytest.raises(ValueError):
         dataclasses.replace(model, cov_halfwidth=1.0)
     whitening = ["kappa", "scale_two", "scale_sup", "stat_sup", "stat_two"]
-    assert fields(numerics.Whitening) == whitening
+    assert fields(covariance.Whitening) == whitening

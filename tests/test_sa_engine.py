@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacs import sa_engine
+from sacs.covariance import NumericalError
 from sacs.harness import validate_rate_condition
-from sacs.numerics import NumericalError
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
@@ -596,6 +596,23 @@ def test_lockstep_rejects_bad_eval_times():
     for bad in ([0], [3, 2], [7]):
         with pytest.raises(ValueError):
             run_lockstep(model, sched, 5, gens, bad, lambda *a: None)
+
+
+def test_non_integral_steps_are_rejected_not_truncated():
+    # 2.5 and 9.99 once ran as steps 2 and 9, and inf raised OverflowError
+    model = ModelSpec("linear", 1)
+    sched = StepSchedule(0.01, 0.67)
+    for bad in ([2.5, 7.9], np.array([3.0, 9.99]), [1, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="must be integers"):
+            run_trajectory(model, sched, 10, bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            run_lockstep(model, sched, 10, [rng_stream(0, 0)], bad, lambda *a: None)
+    # integral values of any numeric type are the steps they name
+    ints = run_trajectory(model, sched, 10, [3, 9])
+    for same in (np.array([3, 9], dtype=np.int64), np.array([3.0, 9.0]), range(3, 10, 6)):
+        pts = run_trajectory(model, sched, 10, same)
+        assert [p.t for p in pts] == [3, 9] and all(type(p.t) is int for p in pts)
+        assert all(np.array_equal(a.xbar, b.xbar) for a, b in zip(pts, ints))
 
 
 def test_l2_decay_probe():
