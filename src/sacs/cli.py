@@ -155,38 +155,6 @@ def _cmd_gaussian_check(args) -> int:
     return 0
 
 
-def _cell(x) -> str:
-    """A CSV cell: None is blank, a bool 0 or 1, a float to 9 digits."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".9g")
-    return str(x)
-
-
-def _csv(rows) -> str:
-    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
-
-
-def _write(text: str, path) -> None:
-    """Write text to the file at path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
-
-
-def _profile_csv(profiles) -> str:
-    names = [f.name for f in dataclasses.fields(harness.RateProfile)]
-    header = ["lambda" if n == "lam" else n for n in names]
-    return _csv([header, *map(dataclasses.astuple, profiles)])
-
-
 def _cmd_rates(args) -> int:
     if args.grid is not None:
         try:
@@ -205,7 +173,9 @@ def _cmd_rates(args) -> int:
         harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
         for a in a_values
     ]
-    _write(_profile_csv(profiles), args.out)
+    names = [f.name for f in dataclasses.fields(harness.RateProfile)]
+    header = ["lambda" if n == "lam" else n for n in names]
+    harness.write_csv(header, list(zip(*map(dataclasses.astuple, profiles))), args.out)
     return 0
 
 
@@ -227,19 +197,19 @@ def _checkpoint_list(spec: str, iters: int) -> list[int]:
     return out
 
 
-def _trace_csv(trace, dim: int) -> str:
+def _trace_csv(trace, dim: int, path) -> None:
     cols = ["t", "err_norm", "singular"]
     cols += [f"xbar_{i}" for i in range(dim)]
     upper = [(i, j) for i in range(dim) for j in range(i, dim)]
     for name in ("hhat", "shat", "vhat"):
         cols += [f"{name}_{i}_{j}" for i, j in upper]
-    rows = [cols]
+    rows = []
     for pt in trace:
         row = [pt.t, pt.err_norm, pt.sandwich is None, *pt.xbar]
         for mat in (pt.h_hat, pt.s_hat, pt.sandwich):
             row += [None if mat is None else mat[i, j] for i, j in upper]
         rows.append(row)
-    return _csv(rows)
+    harness.write_csv(cols, list(zip(*rows)), path)
 
 
 def _cmd_run(args) -> int:
@@ -250,7 +220,7 @@ def _cmd_run(args) -> int:
     schedule, rng = _schedule(args), rng_stream(args.seed, 0)
     _check_out(args.out)
     trace = run_trajectory(model, schedule, args.iters, checkpoints, rng=rng)
-    _write(_trace_csv(trace, model.dim), args.out)
+    _trace_csv(trace, model.dim, args.out)
     return 0
 
 

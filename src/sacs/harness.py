@@ -20,8 +20,10 @@ radius in the one compare that both runners share, _MissTally.add.
 A report is columnar: one array per CSV column, built by the tally and
 validated when built, so a row costs about 68 bytes rather than a Python
 object per row. ``CoverageReport.rows`` builds ``ReportRow`` namedtuples
-only when asked. CSV output is formatted and written _CSV_CHUNK rows at a
-time, so the whole text never exists in memory.
+only when asked. All four CLI subcommands write one CSV dialect through
+write_csv (a float to 9 significant digits, None blank, a bool 0 or 1),
+formatted and written _CSV_CHUNK rows at a time, so the whole text never
+exists in memory.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections import namedtuple
@@ -60,6 +63,7 @@ __all__ = [
     "run_gaussian_check",
     "report_to_json",
     "emit_report",
+    "write_csv",
 ]
 
 def _distinct_specs(specs) -> tuple:
@@ -354,8 +358,6 @@ class _MissTally:
     @classmethod
     def merge(cls, parts) -> _MissTally:
         """One tally of the parts' repetitions and groups, in order."""
-        if len(parts) == 1:
-            return parts[0]
         merged = cls(*parts[0].fixed.shape, 0, [n for p in parts for n in p.sizes])
         merged.fixed = sum(p.fixed for p in parts)
         merged.avail = sum(p.avail for p in parts)
@@ -401,8 +403,6 @@ def _fork_map(fn, items) -> list:
     failure or interrupt here, every child left is killed and reaped first."""
     k = min(_WORKERS, len(items)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     parts = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
-    if k == 1:
-        return [fn(parts[0])]
     # Imported here: signal would add to every CLI start.
     import pickle
     import signal
@@ -655,16 +655,32 @@ def run_gaussian_check(
 
 
 _CSV_CHUNK = 2**10  # rows formatted into one piece of CSV text
-_CSV_ROW = "{},{},{:.9g},{:.9g},{:.9g},{:.9g},{}\n".format
 
 
-def _csv_pieces(report: CoverageReport):
-    """Yield the CSV text of the report: the header, then _CSV_CHUNK rows
-    at a time, so the whole text never has to exist at once."""
-    yield ",".join(CSV_COLUMNS) + "\n"
-    cols = [getattr(report, c) for c in CSV_COLUMNS]
-    for lo in range(0, len(report.t), _CSV_CHUNK):
-        yield "".join(map(_CSV_ROW, *(c[lo : lo + _CSV_CHUNK].tolist() for c in cols)))
+def _cell(x) -> str:
+    """A CSV cell: None is blank, a bool 0 or 1, a float to 9 digits."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return format(x, ".9g")
+    return str(x)
+
+
+def _csv_pieces(header, columns):
+    """Yield the CSV text of the columns under the header: the header line,
+    then _CSV_CHUNK rows at a time, so the whole text never has to exist at
+    once. A float array's cells are printed to 9 significant digits, any
+    other array's with str, and any other sequence's through _cell."""
+    yield ",".join(header) + "\n"
+    arrays = [isinstance(c, np.ndarray) for c in columns]
+    floats = [a and c.dtype.kind == "f" for a, c in zip(arrays, columns)]
+    row = (",".join("{:.9g}" if f else "{}" for f in floats) + "\n").format
+    for lo in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK):
+        chunks = [c[lo : lo + _CSV_CHUNK] for c in columns]
+        cells = [c.tolist() if a else map(_cell, c) for a, c in zip(arrays, chunks)]
+        yield "".join(map(row, *cells))
 
 
 def _jsonable(value):
@@ -692,20 +708,33 @@ def report_to_json(report: CoverageReport) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def emit_report(report: CoverageReport, format: str, path) -> None:
-    """Write the report, valid since it was built, as CSV or JSON.
-
-    Floats are printed with 9 significant digits. CSV is written a piece
-    at a time. I/O failures are re-raised as OSError naming the path.
-    """
-    if format == "csv":
-        pieces = _csv_pieces(report)
-    elif format == "json":
-        pieces = (report_to_json(report),)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+def _write(pieces, path) -> None:
+    """Write the text pieces to the file at path, or to stdout when path is
+    None. I/O failures are re-raised as OSError naming the path."""
+    if path is None:
+        sys.stdout.writelines(pieces)
+        return
     try:
         with open(path, "w") as fh:
             fh.writelines(pieces)
     except OSError as e:
-        raise OSError(f"cannot write report to {path}: {e}") from e
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
+def write_csv(header, columns, path) -> None:
+    """Write the columns (arrays or sequences of one length) under the
+    header as CSV, a piece at a time, to the file at path or to stdout when
+    path is None. Every command's CSV is written here: a None cell is
+    blank, a bool 0 or 1 and a float printed to 9 significant digits."""
+    _write(_csv_pieces(header, columns), path)
+
+
+def emit_report(report: CoverageReport, format: str, path) -> None:
+    """Write the report, valid since it was built, as CSV (write_csv) or
+    JSON. I/O failures are re-raised as OSError naming the path."""
+    if format == "csv":
+        write_csv(CSV_COLUMNS, [getattr(report, c) for c in CSV_COLUMNS], path)
+    elif format == "json":
+        _write((report_to_json(report),), path)
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")

@@ -104,7 +104,7 @@ def make_report(rows, metadata=None):
 
 def csv_text(report) -> str:
     """The CSV text emit_report writes for the report, as one string."""
-    return "".join(_csv_pieces(report))
+    return "".join(_csv_pieces(CSV_COLUMNS, [getattr(report, c) for c in CSV_COLUMNS]))
 
 
 def gm_mixture_martingale(t: float, sum_g, v, sigma) -> float:

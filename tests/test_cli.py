@@ -333,6 +333,13 @@ def test_run_trace_dim2_columns(tmp_path):
     ]
 
 
+def test_run_zero_iters_writes_the_header_alone(tmp_path):
+    # no checkpoint, so the trace has columns but no rows
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--iters", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "t,err_norm,singular,xbar_0,hhat_0_0,shat_0_0,vhat_0_0\n"
+
+
 def test_run_trace_overflowing_sums_marked_singular(tmp_path):
     # Same overflow as the coverage case above, on one trajectory: the
     # iterate stays finite, the accumulators do not. Those checkpoints are
@@ -659,6 +666,45 @@ def test_golden_json_digest(tmp_path):
     assert '"t0"' not in text and '"eps_net"' not in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7a3301105dc478d55586cb9d3a3d3d35579acc54fe31f1ca222b63c8d20c7f0a"
+    )
+
+
+def test_golden_rates_digests(tmp_path):
+    """The sha256 of two multi-row rates tables stays fixed: a linear one on
+    stdout, and a nonlinear one with a finite p and lambda < 1 in a file,
+    whose cells include every exponent, blanks, flags and violations."""
+    res = run_cli("rates", "--grid", "0.55:0.95:9", "--p", "10", "--linear")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "47b5fd1d2de7426832b9a0ab7b196e5a955c24e89b501c9910d133022674b20c"
+    )
+    out = tmp_path / "rates.csv"
+    res = run_cli(
+        "rates", "--grid", "0.6:0.95:8", "--nonlinear", "--lambda", "0.5", "--p", "4",
+        "--out", str(out),
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cecb6c7a497946d814a2775b93614673687acc864ffadb7e4f30557152548598"
+    )
+
+
+@pytest.mark.parametrize("workers", [None, 1, 3], ids=["subprocess", "main-1", "main-3"])
+def test_golden_multi_group_digest(monkeypatch, tmp_path, workers):
+    """300 repetitions are three groups of harness._GROUP, whose half-width
+    sums are added in group order, so the report's sha256 is the same from
+    the CLI on this machine's CPUs and from main on one or three processes.
+    Taken on the same build as GOLDEN_CSV_SHA256."""
+    args = "coverage --dim 2 --iters 400 --reps 300 --start 50 --stride 10 --seed 9".split()
+    out = tmp_path / "out.csv"
+    if workers is None:
+        res = run_cli(*args, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+    else:
+        monkeypatch.setattr(harness, "_WORKERS", workers)
+        assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e937e2599db35533b8b8db6cb6d12977fa3e8b4c2c583a42b2572efb3fa5dfd9"
     )
 
 
