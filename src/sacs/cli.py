@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 import os
 import sys
 from pathlib import Path
@@ -28,6 +29,8 @@ from .sa_engine import MODEL_KINDS, ModelSpec, StepSchedule, rng_stream, run_tra
 __all__ = ["build_parser", "main"]
 
 _DEFAULT_ETA0 = {"linear": 0.01, "logistic": 0.5}
+# The most rows one rates table holds; its grid and rows are built in memory.
+_MAX_GRID = 100_000
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -83,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rates", help="error-exponent table for a step schedule")
     a_or_grid = r.add_mutually_exclusive_group(required=True)
     a_or_grid.add_argument("--a", type=float)
-    a_or_grid.add_argument("--grid", help="A_LO:A_HI:STEPS grid over a")
+    a_or_grid.add_argument("--grid", help=f"A_LO:A_HI:STEPS grid over a, <= {_MAX_GRID} steps")
     r.add_argument("--lambda", dest="lam", type=float, default=1.0)
     r.add_argument(
         "--p", type=float, default="inf", help="moment order, a real > 1 or 'inf'"
@@ -166,16 +169,20 @@ def _cmd_rates(args) -> int:
             ) from None
         if steps < 1:
             raise ValueError("--grid needs at least one step")
+        if steps > _MAX_GRID:
+            raise ValueError(f"--grid takes at most {_MAX_GRID} steps, got {steps}")
         a_values = np.linspace(lo, hi, steps)
     else:
         a_values = [args.a]
-    profiles = [
-        harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
-        for a in a_values
-    ]
     names = [f.name for f in dataclasses.fields(harness.RateProfile)]
     header = ["lambda" if n == "lam" else n for n in names]
-    harness.write_csv(header, list(zip(*map(dataclasses.astuple, profiles))), args.out)
+    # Each profile's fields are read once into its row; no profile is kept.
+    row = operator.attrgetter(*names)
+    rows = (
+        row(harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear))
+        for a in a_values
+    )
+    harness.write_csv(header, list(zip(*rows)), args.out)
     return 0
 
 

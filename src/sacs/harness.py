@@ -57,7 +57,6 @@ __all__ = [
     "ReportRow",
     "CoverageReport",
     "RateProfile",
-    "validate_rate_condition",
     "rate_exponents",
     "run_coverage",
     "run_gaussian_check",
@@ -197,8 +196,9 @@ class RateProfile:
     """The five error-term exponents and the optimal schedule summary.
 
     e2 is None for linear problems (its term is absent there). violation
-    carries the failed admissibility inequality, or None when the
-    configuration is admissible; exponents are reported either way.
+    names the first admissibility inequality that fails (rate_exponents),
+    or is None when the configuration is admissible; exponents are
+    reported either way.
     """
 
     a: float
@@ -217,19 +217,24 @@ class RateProfile:
     violation: str | None
 
 
-def validate_rate_condition(
-    a: float, lam: float, p: float, linear: bool
-) -> str | None:
-    """Check the moment/step-size compatibility window for the error rates.
+def rate_exponents(a: float, lam: float, p: float, dim: int, linear: bool) -> RateProfile:
+    """Negative error exponents of the five terms of the coupling rate, and
+    the admissibility verdict of the step exponent a.
+
+    p is the available moment order (math.inf allowed); dim the dimension d.
+    overall is the min over the applicable terms. a_opt and r_opt give the
+    exponent-optimal step schedule and its overall rate; for p = inf the
+    closed-form limits are returned exactly.
 
     Linear problems admit the full band 0 < a < (p-1)/p. Nonlinear problems
     additionally need enough moments, p > (1+lambda)/lambda, and a lower
     step exponent bound a > 1/(1+lambda); since lambda <= 1 that lower
     bound is at least 1/2, so the step schedule window is subsumed.
-
-    Returns None when the configuration is admissible, otherwise a short
-    string naming the violated inequality. p may be math.inf.
+    violation names the first of these inequalities that fails, in that
+    order, or is None. Raises ValueError for a bad dim, a non-finite a,
+    p <= 1 or lambda outside (0, 1].
     """
+    _check_counts(dim=dim)
     if not math.isfinite(a):
         raise ValueError(f"step exponent a must be finite, got {a}")
     if not (p > 1.0):
@@ -237,31 +242,16 @@ def validate_rate_condition(
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     upper = 1.0 if math.isinf(p) else (p - 1.0) / p
-    if linear:
-        if a <= 0.0:
-            return "a <= 0"
-        if a >= upper:
-            return "a >= (p-1)/p"
-        return None
-    if p <= (1.0 + lam) / lam:
-        return "p <= (1+lambda)/lambda"
-    if a <= 1.0 / (1.0 + lam):
-        return "a <= 1/(1+lambda)"
-    if a >= upper:
-        return "a >= (p-1)/p"
-    return None
-
-
-def rate_exponents(a: float, lam: float, p: float, dim: int, linear: bool) -> RateProfile:
-    """Negative error exponents of the five terms of the coupling rate.
-
-    p is the available moment order (math.inf allowed); dim the dimension d.
-    overall is the min over the applicable terms. a_opt and r_opt give the
-    exponent-optimal step schedule and its overall rate; for p = inf the
-    closed-form limits are returned exactly.
-    """
-    _check_counts(dim=dim)
-    violation = validate_rate_condition(a, lam, p, linear)
+    if linear and a <= 0.0:
+        violation = "a <= 0"
+    elif not linear and p <= (1.0 + lam) / lam:
+        violation = "p <= (1+lambda)/lambda"
+    elif not linear and a <= 1.0 / (1.0 + lam):
+        violation = "a <= 1/(1+lambda)"
+    elif a >= upper:
+        violation = "a >= (p-1)/p"
+    else:
+        violation = None
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
 
     e1 = 1.0

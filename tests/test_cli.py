@@ -276,6 +276,17 @@ def test_rates_rejects_non_finite_a():
     assert "step exponent a must be finite" in res.stderr
 
 
+def test_rates_grid_steps_are_bounded(tmp_path):
+    # checked before the grid is built: 10^12 steps would not fit in memory
+    res = run_cli("rates", "--grid", "0.5:0.9:1000000000000", "--linear")
+    assert res.returncode == 2 and not res.stdout
+    assert "--grid takes at most 100000 steps" in res.stderr
+    assert "Traceback" not in res.stderr
+    out = tmp_path / "rates.csv"
+    res = run_cli("rates", "--grid", "0.5:0.9:100001", "--linear", "--out", str(out))
+    assert res.returncode == 2 and not out.exists()
+
+
 def test_rates_parse_errors_name_the_option():
     res = run_cli("rates", "--grid", "0.5:0.9:x", "--linear")
     assert res.returncode == 2
@@ -670,9 +681,11 @@ def test_golden_json_digest(tmp_path):
 
 
 def test_golden_rates_digests(tmp_path):
-    """The sha256 of two multi-row rates tables stays fixed: a linear one on
-    stdout, and a nonlinear one with a finite p and lambda < 1 in a file,
-    whose cells include every exponent, blanks, flags and violations."""
+    """The sha256 of three multi-row rates tables stays fixed: a linear one
+    on stdout, a nonlinear one with a finite p and lambda < 1 in a file,
+    whose cells include every exponent, blanks, flags and violations, and a
+    nonlinear d = 4 one, whose e5 takes the d >= 2 branch and whose rows
+    are admissible or fail either bound on a."""
     res = run_cli("rates", "--grid", "0.55:0.95:9", "--p", "10", "--linear")
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
@@ -686,6 +699,14 @@ def test_golden_rates_digests(tmp_path):
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "cecb6c7a497946d814a2775b93614673687acc864ffadb7e4f30557152548598"
+    )
+    res = run_cli(
+        "rates", "--grid", "0.3:0.99:50", "--nonlinear", "--lambda", "0.5", "--p", "10",
+        "--dim", "4",
+    )  # fmt: skip
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "546b606c0d1e839c929fd2e9659e868a55226ff186be6810ab448e68a65ae707"
     )
 
 

@@ -40,6 +40,7 @@ REMOVED = (
     "c_d_constant",
     "default_model",
     "numerics",
+    "validate_rate_condition",
 )
 
 

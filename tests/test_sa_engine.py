@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sacs import sa_engine
 from sacs.covariance import NumericalError
-from sacs.harness import validate_rate_condition
+from sacs.harness import rate_exponents
 from sacs.sa_engine import (
     DivergenceError,
     ModelSpec,
@@ -69,6 +69,7 @@ def test_step_size_decreasing():
         (-0.1, 1.0, math.inf, True, "a <= 0"),
         (0.6, 1.0, math.inf, False, None),
         (0.6, 1.0, 2.0, False, "p <= (1+lambda)/lambda"),
+        (0.4, 1.0, 2.0, False, "p <= (1+lambda)/lambda"),
         (0.5, 1.0, 10.0, False, "a <= 1/(1+lambda)"),
         (0.7, 0.5, 4.0, False, None),
         (0.8, 0.5, 4.0, False, "a >= (p-1)/p"),
@@ -76,20 +77,20 @@ def test_step_size_decreasing():
     ],
 )
 def test_validate_rate_condition(a, lam, p, linear, expected):
-    assert validate_rate_condition(a, lam, p, linear) == expected
+    assert rate_exponents(a, lam, p, 1, linear).violation == expected
 
 
 def test_validate_rate_condition_domain():
     for p in (1.0, 0.5, -2.0):
         with pytest.raises(ValueError):
-            validate_rate_condition(0.7, 1.0, p, True)
+            rate_exponents(0.7, 1.0, p, 1, True)
     for lam in (0.0, 1.5, -0.2):
         with pytest.raises(ValueError):
-            validate_rate_condition(0.7, lam, 10.0, False)
+            rate_exponents(0.7, lam, 10.0, 1, False)
     for a in (math.nan, math.inf, -math.inf):
         for linear in (True, False):
             with pytest.raises(ValueError, match="step exponent a"):
-                validate_rate_condition(a, 1.0, 10.0, linear)
+                rate_exponents(a, 1.0, 10.0, 1, linear)
 
 
 # ---------------------------------------------------------------- models
