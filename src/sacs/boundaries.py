@@ -36,15 +36,6 @@ __all__ = [
     "radius_grid",
 ]
 
-# Membership norm for the whitened statistic, fixed per family.
-NORM_BY_KIND = {
-    "lilub": "sup_norm",
-    "gm": "two_norm",
-    "lilen": "two_norm",
-    "fixed": "sup_norm",
-}
-KINDS = tuple(NORM_BY_KIND)
-
 # Iterated-logarithm arguments below this are treated as out of domain.
 _LOGLOG_MIN = math.e + 1e-12
 
@@ -73,6 +64,10 @@ class BoundarySpec:
     @property
     def norm_kind(self) -> str:
         return NORM_BY_KIND[self.kind]
+
+    @property
+    def reads_kappa(self) -> bool:
+        return _KIND_TABLE[self.kind][2]
 
 
 def lambda_star(alpha: float) -> float:
@@ -105,8 +100,8 @@ def lambda_star(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Radius formulas, one helper per family, vectorized over t (and kappa where
-# applicable). They return +inf where the formula is undefined.
+# Radius formulas, one per family, each called by radius_grid as (ts, d, alpha,
+# kappa) with ts a checked float array. They return +inf where undefined.
 
 
 def _loglog_or_inf(u: np.ndarray) -> np.ndarray:
@@ -116,8 +111,7 @@ def _loglog_or_inf(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lilub_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
+def _lilub_grid(ts: np.ndarray, d: int, alpha: float, kappa) -> np.ndarray:
     radicand = _loglog_or_inf(2.0 * ts) + 0.72 * (math.log(10.4 * d) - math.log(alpha))
     with np.errstate(invalid="ignore"):
         out = 1.7 * np.sqrt(radicand / ts)
@@ -125,8 +119,7 @@ def _lilub_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
     return out
 
 
-def _gm_grid(ts: np.ndarray, d: int, alpha: float) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
+def _gm_grid(ts: np.ndarray, d: int, alpha: float, kappa) -> np.ndarray:
     ls = lambda_star(alpha)
     drift = 1.0 + _GM_T0 / (ts * ls)
     growth = d * np.log1p(ts * ls / _GM_T0) - 2.0 * math.log(alpha)
@@ -145,10 +138,8 @@ def _c_d_constant(d: int) -> float:
     return math.exp(log_c)
 
 
-def _lilen_grid(ts, d: int, alpha: float, kappa) -> np.ndarray:
-    ts, kappa = np.broadcast_arrays(
-        np.asarray(ts, dtype=float), np.asarray(kappa, dtype=float)
-    )
+def _lilen_grid(ts: np.ndarray, d: int, alpha: float, kappa) -> np.ndarray:
+    ts, kappa = np.broadcast_arrays(ts, np.asarray(kappa, dtype=float))
     radicand = (
         1.4 * _loglog_or_inf(2.0 * ts * kappa)
         + (math.log(5.2 * _c_d_constant(d)) - math.log(alpha))
@@ -160,14 +151,25 @@ def _lilen_grid(ts, d: int, alpha: float, kappa) -> np.ndarray:
     return out
 
 
-def _fixed_grid(ts: np.ndarray, alpha: float) -> np.ndarray:
+def _fixed_grid(ts: np.ndarray, d: int, alpha: float, kappa) -> np.ndarray:
     # Imported on first use: statistics pulls in decimal and fractions,
     # about 5 ms that every CLI start would otherwise pay.
     from statistics import NormalDist
 
-    ts = np.asarray(ts, dtype=float)
     # The lower tail: 1 - alpha/2 would round to 1 for alpha below 1.1e-16.
     return -NormalDist().inv_cdf(float(alpha) / 2.0) / np.sqrt(ts)
+
+
+# One row per family, the one place a kind is defined: (membership norm of
+# the whitened statistic, radius formula, whether the formula reads kappa).
+_KIND_TABLE = {
+    "lilub": ("sup_norm", _lilub_grid, False),
+    "gm": ("two_norm", _gm_grid, False),
+    "lilen": ("two_norm", _lilen_grid, True),
+    "fixed": ("sup_norm", _fixed_grid, False),
+}
+KINDS = tuple(_KIND_TABLE)
+NORM_BY_KIND = {kind: norm for kind, (norm, _, _) in _KIND_TABLE.items()}
 
 
 def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
@@ -197,10 +199,4 @@ def radius_grid(spec: BoundarySpec, ts, d: int, kappa=1.0) -> np.ndarray:
         raise ValueError("every t must be finite and >= 1")
     if np.any(np.asarray(kappa) < 1.0):
         raise ValueError("kappa must be >= 1")
-    if spec.kind == "lilub":
-        return _lilub_grid(ts, d, spec.alpha)
-    if spec.kind == "gm":
-        return _gm_grid(ts, d, spec.alpha)
-    if spec.kind == "lilen":
-        return _lilen_grid(ts, d, spec.alpha, kappa)
-    return _fixed_grid(ts, spec.alpha)
+    return _KIND_TABLE[spec.kind][1](ts, d, spec.alpha, kappa)

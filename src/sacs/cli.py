@@ -6,8 +6,9 @@ Subcommands:
   rates           error-exponent table for a step schedule (stdout or CSV)
   run             single-trajectory checkpoint trace
 
-Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure, 4 I/O error (a worker process lost without a result included).
+Exit codes: 0 success, 2 configuration or validation error (a run too
+large for the machine to allocate included), 3 numerical failure, 4 I/O
+error (a worker process lost without a result included).
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the run does not fit in memory; reduce its sizes", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

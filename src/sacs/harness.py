@@ -463,12 +463,11 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     theta, d, specs = model.theta_star, model.dim, cfg.boundaries
     n_grid, n_b = grid.size, len(specs)
 
-    # lilen is the one kind whose radius depends on the per-repetition
+    # A kind that reads kappa has a radius that depends on the per-repetition
     # condition number (None here); with a scalar whitening matrix kappa is
     # identically 1 and every kind shares one radius grid.
     shared_radius = [
-        None if b.kind == "lilen" and d > 1 else bnd.radius_grid(b, grid, d, kappa=1.0)
-        for b in specs
+        None if b.reads_kappa and d > 1 else bnd.radius_grid(b, grid, d) for b in specs
     ]
 
     def simulate(groups):

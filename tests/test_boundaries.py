@@ -246,14 +246,27 @@ def test_boundary_spec_validation():
 
 
 def test_norm_pairing():
-    assert NORM_BY_KIND == {
-        "lilub": "sup_norm",
-        "gm": "two_norm",
-        "lilen": "two_norm",
-        "fixed": "sup_norm",
-    }
+    # KINDS and NORM_BY_KIND come from one table, in the order of the CLI's
+    # default --boundaries and of a report's rows.
+    assert KINDS == ("lilub", "gm", "lilen", "fixed")
+    assert list(NORM_BY_KIND.items()) == [
+        ("lilub", "sup_norm"),
+        ("gm", "two_norm"),
+        ("lilen", "two_norm"),
+        ("fixed", "sup_norm"),
+    ]
     for kind in KINDS:
         assert BoundarySpec(kind, 0.1).norm_kind == NORM_BY_KIND[kind]
+
+
+def test_only_lilen_reads_kappa():
+    assert [k for k in KINDS if BoundarySpec(k, 0.1).reads_kappa] == ["lilen"]
+    # A kind that does not read kappa gives the same bits at any kappa.
+    ts = np.array([1.0, 3.0, 50.0, 1e3, 1e6])
+    for kind in KINDS:
+        spec = BoundarySpec(kind, 0.05)
+        same = radius_grid(spec, ts, 3, kappa=1.0) == radius_grid(spec, ts, 3, kappa=7.5)
+        assert same.all() != spec.reads_kappa
 
 
 def test_ordering_and_ratio_band():

@@ -513,6 +513,33 @@ def test_lost_worker_exit_4(monkeypatch, capsys, tmp_path):
     assert not out.exists()
 
 
+def cap_address_space():
+    # Run in the child before exec: with at most 4 GiB of address space the
+    # first allocation fails on any host, whatever its overcommit policy.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coverage", "--iters", "1000000000000", "--reps", "1"],
+        ["gaussian-check", "--dim", "1", "--horizon", "1000000000000", "--reps", "1"],
+        ["run", "--iters", "1000000000000", "--checkpoints", "every:1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_impossible_sizes_exit_2(tmp_path, args):
+    # Sizes whose first array or list needs terabytes are a configuration
+    # error: one line and exit 2, not a MemoryError traceback.
+    out = tmp_path / "x.csv"
+    res = run_cli(*args, "--out", str(out), preexec_fn=cap_address_space)
+    assert res.returncode == 2
+    assert res.stderr == "error: the run does not fit in memory; reduce its sizes\n"
+    assert not out.exists()
+
+
 SIMULATING_COMMANDS = pytest.mark.parametrize(
     "args",
     [

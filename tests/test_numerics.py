@@ -225,7 +225,8 @@ def test_log_det_matches_slogdet(d, seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_d1_closed_form_matches_eigh_path(seed):
     # d = 1 skips LAPACK; embedding the same moments as the first block of a
-    # block-diagonal 3x3 and restricting to subset [0] goes through eigh
+    # block-diagonal 3x3 takes the sandwich through eigh, and whitening the
+    # whole 3x3 with the other coordinates of delta 0 takes whiten through it
     rng = np.random.default_rng(seed)
     n = 8
     h = rng.uniform(0.5, 50.0, n)
