@@ -14,8 +14,6 @@ error (a worker process lost without a result included).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import operator
 import os
 import sys
 from pathlib import Path
@@ -175,12 +173,9 @@ def _cmd_rates(args) -> int:
         a_values = np.linspace(lo, hi, steps)
     else:
         a_values = [args.a]
-    names = [f.name for f in dataclasses.fields(harness.RateProfile)]
-    header = ["lambda" if n == "lam" else n for n in names]
-    # Each profile's fields are read once into its row; no profile is kept.
-    row = operator.attrgetter(*names)
+    header = ["lambda" if n == "lam" else n for n in harness.RateProfile._fields]
     rows = (
-        row(harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear))
+        harness.rate_exponents(float(a), args.lam, args.p, args.dim, args.linear)
         for a in a_values
     )
     harness.write_csv(header, list(zip(*rows)), args.out)

@@ -191,30 +191,14 @@ ReportRow = namedtuple("ReportRow", CSV_COLUMNS)
 # Rate exponents.
 
 
-@dataclass(frozen=True)
-class RateProfile:
-    """The five error-term exponents and the optimal schedule summary.
-
-    e2 is None for linear problems (its term is absent there). violation
-    names the first admissibility inequality that fails (rate_exponents),
-    or is None when the configuration is admissible; exponents are
-    reported either way.
-    """
-
-    a: float
-    lam: float
-    p: float
-    d: int
-    linear: bool
-    e1: float
-    e2: float | None
-    e3: float
-    e4: float
-    e5: float
-    overall: float
-    a_opt: float
-    r_opt: float
-    violation: str | None
+# The five error-term exponents and the optimal schedule summary, its
+# fields in the rates table's column order. e2 is None for linear problems
+# (its term is absent there). violation names the first admissibility
+# inequality that fails (rate_exponents), or is None when the configuration
+# is admissible; exponents are reported either way.
+RateProfile = namedtuple(
+    "RateProfile", "a lam p d linear e1 e2 e3 e4 e5 overall a_opt r_opt violation"
+)
 
 
 def rate_exponents(a: float, lam: float, p: float, dim: int, linear: bool) -> RateProfile:

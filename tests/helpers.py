@@ -89,6 +89,12 @@ def lockstep_reference(model, schedule, T, gens, eval_times, visit):
     return diverged_at
 
 
+def random_pd(rng, d):
+    """A d x d positive definite matrix, a a' + I/2 with a standard normal."""
+    a = rng.standard_normal((d, d))
+    return a @ a.T + 0.5 * np.eye(d)
+
+
 def sym_root(v):
     """The symmetric square root of stacked positive definite matrices v,
     (..., k, k), from numpy's eigh: q diag(sqrt(w)) q'."""

@@ -237,6 +237,33 @@ def test_rates_p_inf_spellings(capsys):
     assert len(set(tables)) == 1 and ",inf," in tables[0]
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        harness.rate_exponents(0.45, 1.0, 10.0, 1, linear=True),
+        harness.rate_exponents(0.6, 0.5, 10.0, 3, linear=False),
+    ],
+    ids=["linear-admissible", "nonlinear-violation"],
+)
+def test_rate_profile_is_the_rates_row(capsys, profile):
+    # the table's header is the profile's fields, lam written as lambda, and
+    # its row is the profile's values in that order
+    kind = "--linear" if profile.linear else "--nonlinear"
+    argv = ["rates", "--a", repr(profile.a), "--lambda", repr(profile.lam)]
+    assert main([*argv, "--p", repr(profile.p), "--dim", str(profile.d), kind]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == ["lambda" if n == "lam" else n for n in harness.RateProfile._fields]
+    assert (profile.e2 is None) == profile.linear
+    assert (profile.violation is None) == profile.linear
+    for value, cell in zip(profile, row, strict=True):
+        if value is None or isinstance(value, str):
+            assert cell == (value or "")
+        elif isinstance(value, bool):
+            assert cell == str(int(value))
+        else:
+            assert float(cell) == float(f"{value:.9g}")
+
+
 def test_rates_grid_and_out(tmp_path):
     out = tmp_path / "rates.csv"
     res = run_cli(

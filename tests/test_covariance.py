@@ -1,11 +1,11 @@
-"""Tests for the streaming plug-in covariance estimator."""
+"""Tests for the streaming plug-in covariance estimator and its kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacs.covariance import SANDWICH_RTOL, sandwich
+from sacs.covariance import SANDWICH_RTOL, _matmul, pd_eigh, sandwich
 from sacs.sa_engine import (
     ModelSpec,
     StepSchedule,
@@ -15,7 +15,7 @@ from sacs.sa_engine import (
     sample_data_block,
 )
 
-from helpers import lockstep_reference, per_point
+from helpers import lockstep_reference, per_point, random_pd
 
 
 def test_single_datum_estimate():
@@ -115,3 +115,69 @@ def test_jacobian_estimate_accuracy_improves_with_t():
     med_lo = np.median(np.concatenate(errs[1000]))
     med_hi = np.median(np.concatenate(errs[100_000]))
     assert med_hi < med_lo
+
+
+# ------------------------------------------------- eigh kernel
+
+
+def test_pd_eigh_frozen_2x2():
+    w, q, ok = pd_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert ok
+    assert w == pytest.approx([1.0, 3.0], rel=1e-13)
+    # eigenvectors are (1,-1)/sqrt2 and (1,1)/sqrt2 up to sign
+    assert abs(q[0, 0] * q[1, 0]) == pytest.approx(0.5, rel=1e-12)
+    assert q[0, 1] * q[1, 1] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_pd_eigh_scalar_and_zero():
+    w, q, ok = pd_eigh(np.array([[7.0]]))
+    assert ok and w[0] == 7.0 and q[0, 0] == 1.0
+    # the zero matrix is not positive definite: masked, not raised
+    w, q, ok = pd_eigh(np.zeros((3, 3)))
+    assert not ok
+    assert np.isnan(w).all() and np.isnan(q).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_pd_eigh_matches_numpy_oracle(d, seed):
+    # a stack of four PD matrices, decomposed in one call
+    rng = np.random.default_rng(seed)
+    m = np.stack([random_pd(rng, d) for _ in range(4)])
+    w, q, ok = pd_eigh(m)
+    assert ok.all()
+    scale = float(np.abs(m).max())
+    assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-10 * scale)
+    # reconstruction and orthonormality
+    rec = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    assert np.allclose(rec, m, atol=1e-10 * scale)
+    assert np.allclose(np.swapaxes(q, -1, -2) @ q, np.eye(d), atol=1e-12)
+    assert np.all(np.diff(w, axis=-1) >= 0)
+
+
+# ------------------------------------------------- product helper
+
+
+def test_matmul_broadcasts_a_length_one_inner_dimension():
+    # with one term per entry the broadcast product a * b equals a @ b in
+    # value; it can give -0 where @ gives +0 (0 + (-0) is +0), which
+    # array_equal treats as equal and no statistic can see, since every one
+    # goes through abs, squares and <=
+    vals = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-308])
+    a = np.broadcast_to(vals[:, None, None, None], (10, 10, 1, 1))
+    b = np.broadcast_to(vals[None, :, None, None], (10, 10, 1, 1))
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((a, b), (a, b[..., [0, 0, 0]]), (rng.standard_normal((4, 3, 1)), b[:4, :1])):
+            got, want = _matmul(x, y), np.matmul(x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+def test_matmul_calls_matmul_above_inner_dimension_one(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 3, d, d))
+    b = rng.standard_normal((5, 3, d, 2))
+    assert np.array_equal(_matmul(a, b), a @ b, equal_nan=True)
